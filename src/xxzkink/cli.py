@@ -66,17 +66,17 @@ def parse_grid(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def parse_delta(text: str) -> float:
+    """One anisotropy value delta >= 1."""
+    delta = float(text)
+    if delta < 1.0:
+        raise argparse.ArgumentTypeError(f"delta must be >= 1, got {delta}")
+    return delta
+
+
 def parse_delta_list(text: str) -> tuple:
     """Comma list of anisotropy values delta >= 1, converted to delta_inv."""
-    out = []
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        delta = float(part)
-        if delta < 1.0:
-            raise argparse.ArgumentTypeError(f"delta must be >= 1, got {delta}")
-        out.append(1.0 / delta)
-    return tuple(out)
+    return tuple(1.0 / parse_delta(part) for part in text.split(",") if part.strip())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,7 +109,6 @@ def _add_solver(parser) -> None:
     parser.add_argument("--dense-cap", type=int, default=4000)
     parser.add_argument("--cluster-tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def _grid_arguments(parser, single: bool) -> None:
@@ -117,7 +116,7 @@ def _grid_arguments(parser, single: bool) -> None:
     if single:
         group.add_argument("--delta-inv", type=float, metavar="X",
                            help="inverse anisotropy in [0, 1]")
-        group.add_argument("--delta", type=float, metavar="D",
+        group.add_argument("--delta", type=parse_delta, metavar="D",
                            help="anisotropy >= 1 (converted to 1/D)")
     else:
         group.add_argument("--delta-inv", type=parse_grid, metavar="A:B:N|X,Y,...",
@@ -144,7 +143,6 @@ def _plan_from_args(args, sectors, grid) -> SweepPlan:
         dense_cap=args.dense_cap,
         cluster_tol=args.cluster_tol,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -207,6 +205,8 @@ def _cmd_ising_check(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.all_sectors or len(args.two_m) != 1:
+        raise ValueError("profile takes exactly one sector: --two-m=M2")
     rows = profile_table(
         HalfInt(args.two_j), args.length, HalfInt(args.two_m[0]), args.delta,
         solver=args.solver, tol=args.tol, dense_cap=args.dense_cap, seed=args.seed,
@@ -219,7 +219,9 @@ def _cmd_certify(args) -> int:
     J = HalfInt(args.two_j)
     L = args.length
     margin = local_inequality_margin(J)
-    margin_ok = margin >= -1e-12
+    # the J-weighted inequality holds only for J >= 1; spin 1/2 issues no
+    # certificates, so the margin has nothing to certify there
+    margin_ok = margin >= -1e-12 if J.twice >= 2 else None
     certificates = []
     thresholds_ok = True
     for two_m in range(-J.twice, J.twice + 1, 2):
@@ -248,7 +250,7 @@ def _cmd_certify(args) -> int:
         "certificates": certificates,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if (margin_ok and thresholds_ok) else 1
+    return 0 if (margin_ok is not False and thresholds_ok) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,13 @@
 """Symmetric eigensolvers with residual certification and multiplicity grouping.
 
 Two routes: a dense direct solve for sectors up to a configurable cap, and a
-seeded Lanczos with full reorthogonalization for larger ones.  Plain Lanczos
-converges one Ritz vector per distinct eigenvalue, so after a sweep converges
-the solver restarts in the orthogonal complement of everything found and
-keeps going until the smallest value found in the complement can no longer
-enter the requested window; this recovers degenerate clusters with their
-multiplicities.  Every returned eigenpair carries an explicitly computed
-residual |H v - lambda v|.
+seeded, implicitly restarted Lanczos (ARPACK) with shift-deflation restarts
+for larger ones.  A Krylov method may converge only one Ritz vector per
+distinct eigenvalue, so after a run converges the solver restarts with
+everything found shifted out of the window and keeps going until the
+smallest value found in the complement can no longer enter the requested
+window; this recovers degenerate clusters with their multiplicities.  Every
+returned eigenpair carries an explicitly computed residual |H v - lambda v|.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .hamiltonian import SectorOperator
 
@@ -109,87 +110,49 @@ class LanczosError(RuntimeError):
         self.best = best
 
 
-def _project_out(w: np.ndarray, vectors: list) -> None:
-    if vectors:
-        stack = np.asarray(vectors)
-        w -= stack.T @ (stack @ w)
+def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, deflate: list,
+                   scale: float):
+    """One implicitly restarted Lanczos run (ARPACK) in the complement of ``deflate``.
 
-
-def _lanczos_sweep(op, want: int, tol_abs: float, m_cap: int, rng, deflate: list, scale: float):
-    """One Krylov sweep in the orthogonal complement of ``deflate``.
-
-    Returns (values, vectors, residuals) for up to ``want`` lowest Ritz pairs
-    whose explicit residuals pass tol_abs, an empty triple when the complement
-    carries no weight, or None when m_cap iterations were not enough.
+    ARPACK sees H + scale*I + 2*scale*V V^T, where V holds the deflated
+    eigenvectors.  The identity shift makes the operator positive definite:
+    ARPACK's smallest-algebraic mode can miss an exact zero eigenvalue of a
+    singular H.  With scale = 1 + |H|_inf the deflation shift lifts every
+    found pair strictly above the rest of the spectrum, whatever its sign, so
+    the lowest Ritz pairs belong to the complement.  Returns (values, vectors,
+    residuals) for the ``want`` lowest pairs, with Rayleigh quotients of the
+    unshifted H and explicit residuals, or None when ARPACK did not converge
+    within ``max_iter`` restarts or a residual exceeds tol_abs.
     """
     n = op.dim
-    breakdown = 100 * np.finfo(float).eps * scale
-    q = rng.standard_normal(n)
-    _project_out(q, deflate)
-    _project_out(q, deflate)
-    norm_q = np.linalg.norm(q)
-    if norm_q < 1e-8 * np.sqrt(n):
-        return np.array([]), [], []
-    q = q / norm_q
+    V = np.column_stack(deflate) if deflate else None
 
-    cap0 = min(m_cap, 64)
-    Q = np.empty((cap0, n))
-    alphas: list = []
-    betas: list = []
-    q_prev = None
-    check_stride = 10
+    def shifted(x):
+        y = op.matvec(x)
+        y += scale * x
+        if V is not None:
+            y += V @ ((2.0 * scale) * (V.T @ x))
+        return y
 
-    for j in range(m_cap):
-        if j >= Q.shape[0]:
-            Q = np.vstack([Q, np.empty((min(2 * Q.shape[0], m_cap) - Q.shape[0], n))])
-        Q[j] = q
-        w = op.matvec(q)
-        a = float(q @ w)
-        alphas.append(a)
-        w = w - a * q
-        if q_prev is not None:
-            w -= betas[-1] * q_prev
-        # two-pass full reorthogonalization against the sweep basis and the
-        # deflated eigenvectors keeps multiplicity bookkeeping trustworthy
-        for _ in range(2):
-            coef = Q[: j + 1] @ w
-            w -= Q[: j + 1].T @ coef
-            _project_out(w, deflate)
-        b = float(np.linalg.norm(w))
-        exhausted = b <= breakdown
-        last = j == m_cap - 1
-        # at breakdown the Krylov space is invariant and its Ritz pairs are
-        # exact, so always harvest them, however few iterations have run
-        due = (j + 1) % check_stride == 0 and j + 1 >= want
-        if exhausted or last or due:
-            take = min(want, j + 1)
-            theta, Y = eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, take - 1)
-            )
-            res_est = b * np.abs(Y[j, :take])
-            if exhausted or np.all(res_est <= 0.5 * tol_abs):
-                X = Q[: j + 1].T @ Y[:, :take]
-                for col in range(take):
-                    _project_out(X[:, col], deflate)
-                    X[:, col] /= np.linalg.norm(X[:, col])
-                vals, vecs, res = [], [], []
-                for col in range(take):
-                    x = X[:, col]
-                    r = float(np.linalg.norm(op.matvec(x) - theta[col] * x))
-                    if r <= tol_abs:
-                        vals.append(float(theta[col]))
-                        vecs.append(x)
-                        res.append(r)
-                if vals and (exhausted or len(vals) == take):
-                    return np.asarray(vals), vecs, res
-                if exhausted:
-                    return np.array([]), [], []
-        if exhausted:
-            return np.array([]), [], []
-        betas.append(b)
-        q_prev = q
-        q = w / b
-    return None
+    A = LinearOperator((n, n), matvec=shifted, dtype=float)
+    # ARPACK stops at Ritz residuals <= tol * theta; the wanted theta are at
+    # most 2 * scale, so this asks for half the certified bound
+    try:
+        _, X = eigsh(A, k=want, which="SA", v0=rng.standard_normal(n), maxiter=max_iter,
+                     tol=tol_abs / (4.0 * scale))
+    except ArpackNoConvergence:
+        return None
+    vals, vecs, res = [], [], []
+    for x in X.T:
+        hx = op.matvec(x)
+        theta = float(x @ hx)
+        r = float(np.linalg.norm(hx - theta * x))
+        if r > tol_abs:
+            return None
+        vals.append(theta)
+        vecs.append(x)
+        res.append(r)
+    return np.asarray(vals), vecs, res
 
 
 def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int | None = None,
@@ -199,6 +162,8 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int
 
     Deterministic for a fixed seed: start vectors come from one PCG64 stream.
     Residuals of all returned pairs are at most tol * (1 + max row sum).
+    ``max_iter`` caps the ARPACK restarts of each run; the default is
+    min(dim, max(300, 20 k)).
     """
     n = op.dim
     if not 1 <= k < n:
@@ -219,15 +184,13 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int
             break
         want = (k - len(pool_vals)) if len(pool_vals) < k else 1
         want = min(want, comp)
-        got = _lanczos_sweep(op, want, tol_abs, min(max_iter, comp), rng, pool_vecs, scale)
+        got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vecs, scale)
         if got is None:
             raise LanczosError(
                 f"no convergence within max_iter={max_iter}",
                 best=np.asarray(sorted(pool_vals)),
             )
         new_vals, new_vecs, new_res = got
-        if new_vals.size == 0:
-            break
         pool_vals.extend(float(v) for v in new_vals)
         pool_vecs.extend(new_vecs)
         pool_res.extend(new_res)

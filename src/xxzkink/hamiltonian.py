@@ -35,8 +35,6 @@ from .halfint import as_half
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
 
-_DENSE_FALLBACK_DIM = 64
-
 
 def ising_bond_energy(J, m, mp) -> int:
     """(J + m)(J - m'), the energy of one oriented bond; exact integer >= 0."""
@@ -155,7 +153,6 @@ class SectorOperator:
     matrix: sparse.csr_matrix
     diagonal_only: bool
 
-    _dense_cache: np.ndarray | None = None
     _inf_norm: float | None = None
 
     @property
@@ -169,10 +166,6 @@ class SectorOperator:
         return self.matrix @ v
 
     def to_dense(self) -> np.ndarray:
-        if self.dim <= _DENSE_FALLBACK_DIM:
-            if self._dense_cache is None:
-                self._dense_cache = self.matrix.toarray()
-            return self._dense_cache
         return self.matrix.toarray()
 
     def inf_norm(self) -> float:

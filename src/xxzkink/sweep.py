@@ -1,9 +1,8 @@
 """Deterministic spectrum sweeps over sectors and anisotropy grids.
 
-Jobs are ordered (sector, delta_inv, eig_index) and may run on a thread
-pool; rows are assembled in job order afterwards, so output is identical
-regardless of thread count.  Solver seeds are derived per job index from the
-plan seed, which makes reruns with identical flags byte-identical.
+Jobs run in (sector, delta_inv, eig_index) order.  Solver seeds are derived
+per job index from the plan seed, which makes reruns with identical flags and
+seed byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,7 +50,6 @@ class SweepPlan:
     dense_cap: int = 4000
     cluster_tol: float = 1e-8
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         if self.two_j < 1:
@@ -63,8 +60,6 @@ class SweepPlan:
             raise ValueError("need k >= 1")
         if self.solver not in ("auto", "dense", "lanczos"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.threads < 1:
-            raise ValueError("need threads >= 1")
         if not self.two_m_list:
             raise ValueError("no sectors requested")
         if not self.delta_inv_grid:
@@ -113,7 +108,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
     except Exception as exc:  # job failures degrade to a status row
         row = dict(base)
         row.update(eig_index=None, eigenvalue=None, residual=None,
-                   multiplicity_cluster=None, status=f"error: {exc}")
+                   multiplicity_cluster=None, status=f"error: {type(exc).__name__}: {exc}")
         return [row]
     mult_of = {}
     edge = 0
@@ -152,21 +147,9 @@ def run_sweep(plan: SweepPlan) -> list:
         for tm in plan.two_m_list
         for dv in plan.delta_inv_grid
     ]
-    if plan.threads > 1:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            futures = [
-                pool.submit(_sector_rows, plan, idx, bases[tm], structures[tm], dv)
-                for idx, (tm, dv) in enumerate(jobs)
-            ]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [
-            _sector_rows(plan, idx, bases[tm], structures[tm], dv)
-            for idx, (tm, dv) in enumerate(jobs)
-        ]
     rows = []
-    for chunk in chunks:
-        rows.extend(chunk)
+    for idx, (tm, dv) in enumerate(jobs):
+        rows.extend(_sector_rows(plan, idx, bases[tm], structures[tm], dv))
     return rows
 
 

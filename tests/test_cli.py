@@ -119,6 +119,28 @@ def test_certify_json(capsys):
     assert entry["simple_dominates"] is True
 
 
+def test_certify_spin_half_margin_not_applicable(capsys):
+    assert main(["certify", "-J", "1/2", "-L", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["margin_ok"] is None
+    assert payload["certificates"] == []
+
+
+def test_profile_needs_exactly_one_sector(capsys):
+    for sectors in (["--all-sectors"], ["--two-m=1,3"]):
+        assert main(["profile", "-J", "3/2", "-L", "2", *sectors, "--delta", "2.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: profile takes exactly one sector: --two-m=M2\n"
+
+
+def test_spectrum_delta_below_one_is_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=3/2", "--delta", "0"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "delta must be >= 1, got 0.0" in err and "Traceback" not in err
+
+
 def test_invalid_arguments_return_error(capsys):
     assert main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.eigensolver import (
@@ -11,7 +14,7 @@ from xxzkink.eigensolver import (
     solve_lowest,
 )
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import build_sector_operator
+from xxzkink.hamiltonian import SectorOperator, build_sector_operator
 
 H = HalfInt
 
@@ -79,6 +82,17 @@ def test_lanczos_degenerate_cluster():
     assert rec.clusters[1][1] == 2
 
 
+def test_lanczos_deflation_lifts_past_wide_gap():
+    # spectrum {-5, 5 x 34}: the gap exceeds 1 + |H|_inf, so a found pair
+    # lifted by less than twice that would sit below the rest and come back
+    base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
+    diag = np.full(base.dim, 5.0)
+    diag[0] = -5.0
+    op = SectorOperator(base.basis, "kink", 0.5, sparse.diags(diag, format="csr"), True)
+    rec = lanczos_lowest(op, 2, seed=0)
+    assert np.allclose(rec.eigenvalues, [-5.0, 5.0], atol=1e-10)
+
+
 def test_lanczos_ground_state_is_zero_mode():
     op = build_sector_operator(H(2), 2, H(0), "kink", 0.5)
     rec = lanczos_lowest(op, 1, seed=3)
@@ -117,3 +131,30 @@ def test_solve_lowest_dispatch():
     assert len(dense.eigenvalues) == 4
     with pytest.raises(ValueError):
         solve_lowest(op, 4, solver="qr")
+
+
+SMALL_SECTORS = [
+    (two_j, L, two_m)
+    for two_j in (1, 2, 3, 4)
+    for L in (2, 3, 4)
+    for two_m in reachable_sectors(H(two_j), L)
+    if 8 <= sector_dimension(H(two_j), L, H(two_m)) <= 400
+]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    sector=st.sampled_from(SMALL_SECTORS),
+    variant=st.sampled_from(("kink", "antikink")),
+    delta_inv=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lanczos_matches_dense_property(sector, variant, delta_inv, k, seed):
+    two_j, L, two_m = sector
+    op = build_sector_operator(H(two_j), L, H(two_m), variant, delta_inv)
+    ref = dense_spectrum(op).eigenvalues[:k]
+    rec = lanczos_lowest(op, k, seed=seed)
+    assert np.abs(rec.eigenvalues - ref).max() <= 1e-8
+    assert [m for _, m in rec.clusters] == [m for _, m in group_multiplicities(ref)]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())

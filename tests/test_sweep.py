@@ -42,12 +42,6 @@ def test_run_sweep_row_count_and_order():
         assert r["residual"] <= 1e-9
 
 
-def test_run_sweep_threads_match_serial():
-    serial = run_sweep(small_plan(threads=1))
-    threaded = run_sweep(small_plan(threads=2))
-    assert serial == threaded
-
-
 def test_run_sweep_deterministic():
     assert run_sweep(small_plan()) == run_sweep(small_plan())
 
@@ -66,6 +60,7 @@ def test_failed_jobs_degrade_to_status_rows():
     good = [r for r in rows if r["status"] == "ok"]
     assert len(errors) == 2 and all(r["two_m"] == 15 for r in errors)
     assert all(r["eigenvalue"] is None for r in errors)
+    assert all(r["status"].startswith("error: ValueError: need 1 <= k < dim") for r in errors)
     assert len(good) == 2 * 3
     assert not all_ok(rows)
 
