@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -66,12 +67,23 @@ def parse_grid(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def parse_delta(text: str) -> float:
-    """One anisotropy value delta >= 1."""
-    delta = float(text)
-    if delta < 1.0:
-        raise argparse.ArgumentTypeError(f"delta must be >= 1, got {delta}")
-    return delta
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then reject values failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# comparisons are false for nan, so the bounds below also reject it
+parse_delta = _checked(float, lambda d: d >= 1.0, "delta must be >= 1")
+parse_tol = _checked(float, lambda t: 0.0 < t < 1.0, "tol must satisfy 0 < tol < 1")
+parse_cluster_tol = _checked(float, lambda t: 0.0 <= t < math.inf,
+                             "cluster-tol must be finite and >= 0")
+parse_seed = _checked(int, lambda s: s >= 0, "seed must be >= 0")
 
 
 def parse_delta_list(text: str) -> tuple:
@@ -104,11 +116,9 @@ def _add_common(parser, sectors: bool) -> None:
 
 def _add_solver(parser) -> None:
     parser.add_argument("--k", type=int, default=6, help="eigenvalues per job")
-    parser.add_argument("--solver", choices=("auto", "dense", "lanczos"), default="auto")
-    parser.add_argument("--tol", type=float, default=1e-10, help="residual tolerance scale")
-    parser.add_argument("--dense-cap", type=int, default=4000)
-    parser.add_argument("--cluster-tol", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", type=parse_tol, default=1e-10, help="residual tolerance scale")
+    parser.add_argument("--cluster-tol", type=parse_cluster_tol, default=1e-8)
+    parser.add_argument("--seed", type=parse_seed, default=0)
 
 
 def _grid_arguments(parser, single: bool) -> None:
@@ -138,9 +148,7 @@ def _plan_from_args(args, sectors, grid) -> SweepPlan:
         two_m_list=sectors,
         delta_inv_grid=grid,
         k=args.k,
-        solver=args.solver,
         tol=args.tol,
-        dense_cap=args.dense_cap,
         cluster_tol=args.cluster_tol,
         seed=args.seed,
     )
@@ -209,7 +217,7 @@ def _cmd_profile(args) -> int:
         raise ValueError("profile takes exactly one sector: --two-m=M2")
     rows = profile_table(
         HalfInt(args.two_j), args.length, HalfInt(args.two_m[0]), args.delta,
-        solver=args.solver, tol=args.tol, dense_cap=args.dense_cap, seed=args.seed,
+        tol=args.tol, seed=args.seed,
     )
     _emit(rows_to_csv(rows, PROFILE_FIELDS), args.out)
     return 0

@@ -1,13 +1,14 @@
 """Symmetric eigensolvers with residual certification and multiplicity grouping.
 
-Two routes: a dense direct solve for sectors up to a configurable cap, and a
-seeded, implicitly restarted Lanczos (ARPACK) with shift-deflation restarts
-for larger ones.  A Krylov method may converge only one Ritz vector per
-distinct eigenvalue, so after a run converges the solver restarts with
-everything found shifted out of the window and keeps going until the
-smallest value found in the complement can no longer enter the requested
-window; this recovers degenerate clusters with their multiplicities.  Every
-returned eigenpair carries an explicitly computed residual |H v - lambda v|.
+The sector picks the route: an exact sort of a diagonal-only operator, a
+dense direct solve of a small sector, or else a seeded, implicitly restarted
+Lanczos (ARPACK) with shift-deflation restarts.  A Krylov method may converge
+only one Ritz vector per distinct eigenvalue, so after a run converges the
+solver restarts with everything found shifted out of the window and keeps
+going until the smallest value found in the complement can no longer enter
+the requested window; this recovers degenerate clusters with their
+multiplicities.  Every returned eigenpair carries an explicitly computed
+residual |H v - lambda v|.
 """
 
 from __future__ import annotations
@@ -73,30 +74,41 @@ def _record(op: SectorOperator, vals, residuals, solver, cluster_tol, vecs=None)
     )
 
 
+# largest sector for the dense route: with one BLAS thread and k = 6, a full
+# eigh plus its residuals ties with Lanczos between n = 161 and n = 203
+DENSE_MAX = 200
+# memory guard of the dense route: H and its eigenvectors are n x n doubles
+DENSE_CAP = 4000
+
+
 class DenseCapError(ValueError):
     """Sector too large for the dense route."""
 
 
-def dense_spectrum(op: SectorOperator, dense_cap: int = 4000, keep_vectors: bool = False,
+def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool = False,
                    cluster_tol: float = 1e-8) -> SpectrumRecord:
-    """Full spectrum by a direct symmetric solve (or an exact diagonal sort)."""
+    """The k lowest pairs (all when k is None): an exact sort of a diagonal-only
+    operator at any size, else a direct symmetric solve of at most DENSE_CAP states."""
     n = op.dim
     if n == 0:
         raise ValueError("empty sector")
-    if n > dense_cap:
-        raise DenseCapError(f"dimension {n} exceeds dense cap {dense_cap}")
+    k = n if k is None else min(k, n)
     if op.diagonal_only:
         diag = op.diagonal()
-        order = np.argsort(diag, kind="stable")
-        vals = diag[order].astype(float)
-        residuals = np.zeros(n)
-        vecs = np.eye(n)[:, order] if keep_vectors else None
-        return _record(op, vals, residuals, "dense", cluster_tol, vecs)
+        order = np.argsort(diag, kind="stable")[:k]
+        vecs = None
+        if keep_vectors:
+            vecs = np.zeros((n, k))
+            vecs[order, np.arange(k)] = 1.0
+        return _record(op, diag[order].astype(float), np.zeros(k), "dense", cluster_tol, vecs)
+    if n > DENSE_CAP:
+        raise DenseCapError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     H = op.to_dense()
     vals, V = eigh(H)
-    residuals = np.empty(n)
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
+    vals, V = vals[:k], V[:, :k]
+    residuals = np.empty(k)
+    for start in range(0, k, 512):
+        stop = min(start + 512, k)
         block = H @ V[:, start:stop] - V[:, start:stop] * vals[start:stop]
         residuals[start:stop] = np.linalg.norm(block, axis=0)
     return _record(op, vals, residuals, "dense", cluster_tol, V if keep_vectors else None)
@@ -216,24 +228,14 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int
     return _record(op, vals, res, "lanczos", cluster_tol, vecs)
 
 
-def solve_lowest(op: SectorOperator, k: int, solver: str = "auto", tol: float = 1e-10,
-                 dense_cap: int = 4000, max_iter: int | None = None, seed: int = 0,
+def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
                  keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
-    """Dispatch to the dense or Lanczos route and return the k lowest pairs."""
-    n = op.dim
-    if solver not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown solver {solver!r}")
+    """The k lowest pairs: diagonal-only operators and sectors of at most DENSE_MAX
+    states, or with k >= dim, take dense_spectrum; all others deflated Lanczos."""
     k = int(k)
     if k < 1:
         raise ValueError("need k >= 1")
-    if solver == "auto":
-        solver = "dense" if (n <= dense_cap or k >= n) else "lanczos"
-    if solver == "dense":
-        full = dense_spectrum(op, dense_cap=dense_cap, keep_vectors=keep_vectors,
-                              cluster_tol=cluster_tol)
-        k_eff = min(k, n)
-        vecs = full.eigenvectors[:, :k_eff] if keep_vectors else None
-        return _record(op, full.eigenvalues[:k_eff], full.residuals[:k_eff], "dense",
-                       cluster_tol, vecs)
-    return lanczos_lowest(op, k, tol=tol, max_iter=max_iter, seed=seed,
-                          keep_vectors=keep_vectors, cluster_tol=cluster_tol)
+    if op.diagonal_only or op.dim <= DENSE_MAX or k >= op.dim:
+        return dense_spectrum(op, k, keep_vectors=keep_vectors, cluster_tol=cluster_tol)
+    return lanczos_lowest(op, k, tol=tol, seed=seed, keep_vectors=keep_vectors,
+                          cluster_tol=cluster_tol)

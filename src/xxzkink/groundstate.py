@@ -30,14 +30,14 @@ class QParameter:
 
 
 def q_from_delta(delta: float) -> QParameter:
-    """The root q in (0, 1] of (q + 1/q)/2 = delta, for delta >= 1.
+    """The root q in (0, 1] of (q + 1/q)/2 = delta, for finite delta >= 1.
 
     Uses the reciprocal form to avoid cancellation at large delta; the
     round-trip residual is machine precision relative to delta.
     """
     delta = float(delta)
-    if delta < 1.0:
-        raise ValueError(f"anisotropy must satisfy delta >= 1, got {delta}")
+    if not 1.0 <= delta < math.inf:
+        raise ValueError(f"anisotropy must be finite with delta >= 1, got {delta}")
     q = 1.0 / (delta + math.sqrt(delta * delta - 1.0))
     if abs(0.5 * (q + 1.0 / q) - delta) > 1e-12 * max(1.0, delta):
         raise RuntimeError("q parameter failed its round-trip check")

@@ -45,9 +45,7 @@ class SweepPlan:
     two_m_list: tuple
     delta_inv_grid: tuple
     k: int = 6
-    solver: str = "auto"
     tol: float = 1e-10
-    dense_cap: int = 4000
     cluster_tol: float = 1e-8
     seed: int = 0
 
@@ -58,8 +56,6 @@ class SweepPlan:
             raise ValueError("need L >= 2")
         if self.k < 1:
             raise ValueError("need k >= 1")
-        if self.solver not in ("auto", "dense", "lanczos"):
-            raise ValueError(f"unknown solver {self.solver!r}")
         if not self.two_m_list:
             raise ValueError("no sectors requested")
         if not self.delta_inv_grid:
@@ -97,13 +93,9 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
             HalfInt(plan.two_j), plan.L, HalfInt(basis.two_m), "kink", delta_inv,
             basis=basis, structure=structure,
         )
-        k_eff = min(plan.k, basis.dim)
-        solver = plan.solver
-        if solver == "auto" and k_eff >= basis.dim:
-            solver = "dense"
         record = solve_lowest(
-            op, k_eff, solver=solver, tol=plan.tol, dense_cap=plan.dense_cap,
-            seed=_job_seed(plan.seed, job_index), cluster_tol=plan.cluster_tol,
+            op, plan.k, tol=plan.tol, seed=_job_seed(plan.seed, job_index),
+            cluster_tol=plan.cluster_tol,
         )
     except Exception as exc:  # job failures degrade to a status row
         row = dict(base)
@@ -175,19 +167,16 @@ def sweep_to_json(plan: SweepPlan, rows) -> str:
 
 
 def spectrum_rows(two_j: int, L: int, two_m: int, delta_inv: float, k: int,
-                  solver: str = "auto", tol: float = 1e-10, dense_cap: int = 4000,
-                  cluster_tol: float = 1e-8, seed: int = 0) -> list:
+                  tol: float = 1e-10, cluster_tol: float = 1e-8, seed: int = 0) -> list:
     """Rows for a single (sector, anisotropy) point, same schema as a sweep."""
     plan = SweepPlan(
         two_j=two_j, L=L, two_m_list=(two_m,), delta_inv_grid=(delta_inv,),
-        k=k, solver=solver, tol=tol, dense_cap=dense_cap,
-        cluster_tol=cluster_tol, seed=seed,
+        k=k, tol=tol, cluster_tol=cluster_tol, seed=seed,
     )
     return run_sweep(plan)
 
 
-def profile_table(J, L, M, delta: float, solver: str = "auto", tol: float = 1e-10,
-                  dense_cap: int = 4000, seed: int = 0) -> list:
+def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> list:
     """(site, ground, first-excited) magnetization profile rows.
 
     The ground profile comes from the product-form zero mode; the excited one
@@ -205,8 +194,7 @@ def profile_table(J, L, M, delta: float, solver: str = "auto", tol: float = 1e-1
     if basis.dim >= 2:
         op = build_sector_operator(J, L, M, "kink", 1.0 / delta, basis=basis)
         record = solve_lowest(
-            op, 2, solver=solver, tol=tol, dense_cap=dense_cap,
-            seed=np.random.SeedSequence(seed), keep_vectors=True,
+            op, 2, tol=tol, seed=np.random.SeedSequence(seed), keep_vectors=True,
         )
         excited = profile_from_amplitudes(basis, record.eigenvectors[:, 1])
     rows = []

@@ -27,7 +27,7 @@ from xxzkink.certificates import (
     two_site_operators,
 )
 from xxzkink.cli import main as cli_main
-from xxzkink.eigensolver import dense_spectrum, lanczos_lowest, solve_lowest
+from xxzkink.eigensolver import DENSE_MAX, dense_spectrum, lanczos_lowest, solve_lowest
 from xxzkink.groundstate import groundstate_vector
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import build_sector_operator, hopping_structure, ising_diagonal
@@ -254,7 +254,7 @@ def test_c09_isolated_eigenvalue_stability():
     ordered = True
     for L in (3, 4, 5):
         op = build_sector_operator(H(3), L, H(-3), "kink", 0.4)
-        record = solve_lowest(op, 3, solver="auto", tol=1e-8, max_iter=600, seed=9)
+        record = solve_lowest(op, 3, tol=1e-8, seed=9)
         e1, e2 = float(record.eigenvalues[1]), float(record.eigenvalues[2])
         first_excited[L] = e1
         ordered = ordered and (e2 - e1 > 1e-6)
@@ -303,9 +303,11 @@ def test_c11_solver_cross_validation(tmp_path):
                     got = lanczos_lowest(op, 6, tol=1e-10, seed=13).eigenvalues
                     worst = max(worst, float(np.abs(ref - got).max()))
                     sectors += 1
+    # 203-state sectors: the delta_inv > 0 jobs take the seeded Lanczos route
+    assert sector_dimension(H(3), 3, H(-13)) > DENSE_MAX
     args = [
-        "sweep", "-J", "3/2", "-L", "2", "--two-m=-3/2,3/2", "--delta-inv", "0:0.4:3",
-        "--k", "3", "--seed", "3", "--solver", "lanczos",
+        "sweep", "-J", "3/2", "-L", "3", "--two-m=-13/2,13/2", "--delta-inv", "0:0.4:3",
+        "--k", "3", "--seed", "3",
     ]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(out1)]) == 0

@@ -1,11 +1,17 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import xxzkink
+from xxzkink.basis import sector_dimension
 from xxzkink.cli import main, parse_doubled, parse_grid, parse_sector_list
+from xxzkink.eigensolver import DENSE_MAX
+from xxzkink.halfint import HalfInt
 
 
 def test_parse_doubled_spellings():
@@ -49,9 +55,11 @@ def test_equivalent_spin_spellings(capsys):
 
 
 def test_sweep_file_byte_identical_rerun(tmp_path):
+    # 203-state sectors: the delta_inv > 0 jobs take the seeded Lanczos route
+    assert sector_dimension(HalfInt(3), 3, HalfInt(-13)) > DENSE_MAX
     args = [
-        "sweep", "-J", "3/2", "-L", "2", "--two-m=-3/2,3/2", "--delta-inv", "0:0.4:3",
-        "--k", "3", "--seed", "7", "--solver", "lanczos",
+        "sweep", "-J", "3/2", "-L", "3", "--two-m=-13/2,13/2", "--delta-inv", "0:0.4:3",
+        "--k", "3", "--seed", "7",
     ]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
@@ -141,6 +149,51 @@ def test_spectrum_delta_below_one_is_rejected(capsys):
     assert "delta must be >= 1, got 0.0" in err and "Traceback" not in err
 
 
+def _rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+SOLVER_COMMANDS = (
+    ["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"],
+    ["sweep", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0:0.4:3"],
+    ["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"],
+)
+
+
+def test_bad_tol_is_rejected(capsys):
+    for command in SOLVER_COMMANDS:
+        for tol in ("inf", "0", "-1", "nan", "1"):
+            _rejected(capsys, [*command, f"--tol={tol}"], "tol must satisfy 0 < tol < 1")
+
+
+def test_bad_cluster_tol_is_rejected(capsys):
+    for command in SOLVER_COMMANDS:
+        for tol in ("nan", "inf", "-1e-8"):
+            _rejected(capsys, [*command, f"--cluster-tol={tol}"],
+                      "cluster-tol must be finite and >= 0")
+
+
+def test_negative_seed_is_rejected(capsys):
+    for command in SOLVER_COMMANDS:
+        _rejected(capsys, [*command, "--seed=-1"], "seed must be >= 0, got -1")
+
+
+def test_route_flags_are_gone(capsys):
+    for flag in (["--solver", "lanczos"], ["--dense-cap", "10"]):
+        _rejected(capsys, [*SOLVER_COMMANDS[0], *flag], "unrecognized arguments")
+
+
+def test_profile_infinite_delta_is_rejected(capsys):
+    assert main(["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: anisotropy must be finite with delta >= 1, got inf\n"
+
+
 def test_invalid_arguments_return_error(capsys):
     assert main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -149,11 +202,15 @@ def test_invalid_arguments_return_error(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this test, installed or not
+    source = str(Path(xxzkink.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "xxzkink", "spectrum", "-J", "1/2", "-L", "2",
          "--two-m=1/2", "--delta-inv", "0.5", "--k", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("two_j,L,two_m,delta_inv")

@@ -6,6 +6,8 @@ from scipy import sparse
 
 from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.eigensolver import (
+    DENSE_CAP,
+    DENSE_MAX,
     DenseCapError,
     LanczosError,
     dense_spectrum,
@@ -43,9 +45,17 @@ def test_dense_diagonal_is_exact():
 
 
 def test_dense_cap():
-    op = build_sector_operator(H(3), 3, H(-3), "kink", 0.4)
+    op = build_sector_operator(H(3), 4, H(-13), "kink", 0.4)  # 4950 states
+    assert op.dim > DENSE_CAP
     with pytest.raises(DenseCapError):
-        dense_spectrum(op, dense_cap=100)
+        dense_spectrum(op)
+    # the exact sort of a diagonal-only sector runs before the guard and
+    # builds only the eigenvector columns it returns
+    ising = build_sector_operator(H(3), 4, H(-13), "kink", 0.0)
+    rec = dense_spectrum(ising, 4, keep_vectors=True)
+    assert rec.eigenvectors.shape == (ising.dim, 4)
+    for value, v in zip(rec.eigenvalues, rec.eigenvectors.T):
+        assert np.array_equal(ising.matvec(v), value * v)
 
 
 def test_dense_residual_certificates():
@@ -121,16 +131,27 @@ def test_lanczos_k_range():
 
 
 def test_solve_lowest_dispatch():
-    op = build_sector_operator(H(2), 2, H(2), "kink", 0.4)
-    dense = solve_lowest(op, 4, solver="dense")
-    auto = solve_lowest(op, 4, solver="auto", dense_cap=10**6)
-    lan = solve_lowest(op, 4, solver="lanczos", seed=5)
-    assert dense.solver == auto.solver == "dense"
+    small = build_sector_operator(H(2), 2, H(2), "kink", 0.4)  # 45 states
+    large = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states
+    assert small.dim <= DENSE_MAX < large.dim
+    dense = solve_lowest(small, 4)
+    lan = solve_lowest(large, 4, seed=5)
+    assert dense.solver == "dense"
     assert lan.solver == "lanczos"
-    assert np.abs(dense.eigenvalues - lan.eigenvalues).max() <= 1e-8
-    assert len(dense.eigenvalues) == 4
+    assert np.abs(dense.eigenvalues - lanczos_lowest(small, 4, seed=5).eigenvalues).max() <= 1e-8
+    assert np.abs(lan.eigenvalues - dense_spectrum(large).eigenvalues[:4]).max() <= 1e-8
+    assert len(dense.eigenvalues) == len(lan.eigenvalues) == 4
+    # k >= dim returns every pair of the sector
+    assert len(solve_lowest(small, 100).eigenvalues) == small.dim
+    # the Ising limit is sorted exactly above DENSE_MAX
+    ising = build_sector_operator(H(3), 3, H(-3), "kink", 0.0)  # 1918 states
+    assert ising.dim > DENSE_MAX
+    exact = solve_lowest(ising, 4)
+    assert exact.solver == "dense"
+    assert exact.eigenvalues.tolist() == [0.0, 1.0, 3.0, 3.0]
+    assert np.array_equal(exact.residuals, np.zeros(4))
     with pytest.raises(ValueError):
-        solve_lowest(op, 4, solver="qr")
+        solve_lowest(small, 0)
 
 
 SMALL_SECTORS = [

@@ -22,8 +22,9 @@ def test_q_from_delta_examples():
     assert big == pytest.approx(5e-7, rel=1e-6)
     qs = [q_from_delta(d).q for d in (1.0, 1.1, 2.0, 10.0, 1e3, 1e6)]
     assert qs == sorted(qs, reverse=True)  # monotone decreasing in delta
-    with pytest.raises(ValueError):
-        q_from_delta(0.99)
+    for bad in (0.99, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            q_from_delta(bad)
 
 
 def test_q_round_trip_residual():
