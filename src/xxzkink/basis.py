@@ -14,6 +14,10 @@ The enumeration order is ascending lexicographic in (d_{-L}, ..., d_{L}):
 site -L is most significant and at each site larger m (smaller d) comes
 first.  Counts and ranking tables are exact; the vectorized 64-bit tables
 refuse sectors whose counts do not fit.
+
+The digits of a materialized basis are stored as int8, one byte per site,
+which limits the spin to 2J <= 127; the counting and ranking tables stay
+int64.  Consumers that multiply or add digits widen them first.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 from .halfint import HalfInt, as_half
 
 _I64_MAX = np.iinfo(np.int64).max
+MAX_TWO_J = int(np.iinfo(np.int8).max)  # digits 0..2J are stored as int8
 
 
 @dataclass(frozen=True)
@@ -128,28 +133,32 @@ def _cumulative_counts(ways64: np.ndarray, two_j: int) -> np.ndarray:
     return cum
 
 
-def _enumerate_down(two_j: int, n: int, total: int, dim: int) -> np.ndarray:
-    """All digit rows of the sector in ascending lexicographic order.
+def _enumerate_down(two_j: int, n: int, total: int, ways64: np.ndarray) -> np.ndarray:
+    """All digit rows of the sector in ascending lexicographic order, as int8.
 
-    Grows the prefix matrix site by site; each extendable prefix expands into
-    its admissible digits in ascending order, which preserves the global
-    ordering without any per-row Python work.
+    Fills the output column by column.  A node of the enumeration tree at
+    site i (a prefix of i digits) with remaining sum r heads ways[i][r]
+    consecutive rows, so column i is every child digit repeated by the
+    completion count ways[i+1][r - d] of its subtree.  Only the per-node
+    arrays are int64, and the last digit is forced (it equals the remainder).
     """
-    prefixes = np.zeros((1, 0), dtype=np.int64)
+    dim = int(ways64[0, total])
+    down = np.empty((dim, n), dtype=np.int8)
     remaining = np.array([total], dtype=np.int64)
-    for i in range(n):
+    for i in range(n - 1):
         rest = (n - i - 1) * two_j
         lo = np.maximum(remaining - rest, 0)
-        hi = np.minimum(remaining, two_j)
-        counts = hi - lo + 1
-        rep = np.repeat(np.arange(remaining.size), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        digits = lo[rep] + (np.arange(rep.size) - starts[rep])
-        prefixes = np.concatenate([prefixes[rep], digits[:, None]], axis=1)
-        remaining = remaining[rep] - digits
-    if prefixes.shape[0] != dim:
-        raise AssertionError("enumeration does not match the counting table")
-    return prefixes
+        counts = np.minimum(remaining, two_j) - lo + 1
+        # child digits lo..hi of each node, in node order
+        starts = np.cumsum(counts) - counts
+        digits = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+        remaining = np.repeat(remaining, counts) - digits
+        column = np.repeat(digits.astype(np.int8), ways64[i + 1, remaining])
+        if column.size != dim:
+            raise AssertionError("enumeration does not match the counting table")
+        down[:, i] = column
+    down[:, n - 1] = remaining
+    return down
 
 
 class SectorBasis:
@@ -157,9 +166,10 @@ class SectorBasis:
 
     Attributes
     ----------
-    down : (dim, n_sites) int64 array
+    down : (dim, n_sites) C-ordered int8 array
         Down-unit digits of every configuration, row index = rank,
-        rows in enumeration order.
+        rows in enumeration order.  Spins above 2J = 127 are refused with
+        ValueError; the rank/unrank tables stay int64.
     """
 
     def __init__(self, J, L, M, max_states: int = 50_000_000):
@@ -168,10 +178,14 @@ class SectorBasis:
         self.L = int(L)
         self.two_j = self.J.twice
         self.two_m = self.M.twice
+        if self.two_j > MAX_TWO_J:
+            raise ValueError(
+                f"spin J={self.J} exceeds the int8 digit limit 2J <= {MAX_TWO_J}"
+            )
         self.n_sites, self.total_down = _sector_shape(self.J, self.L, self.M)
         if self.total_down is None:
             self.dim = 0
-            self.down = np.zeros((0, self.n_sites), dtype=np.int64)
+            self.down = np.zeros((0, self.n_sites), dtype=np.int8)
             self._ways = None
             self._cum = None
             return
@@ -184,7 +198,7 @@ class SectorBasis:
         self.dim = dim
         self._ways = np.array(ways, dtype=np.int64)
         self._cum = _cumulative_counts(self._ways, self.two_j)
-        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, dim)
+        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, self._ways)
 
     @property
     def prefix_counts(self) -> np.ndarray:

@@ -15,6 +15,7 @@ matter after normalization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,18 @@ class QParameter:
 def q_from_delta(delta: float) -> QParameter:
     """The root q in (0, 1] of (q + 1/q)/2 = delta, for finite delta >= 1.
 
-    Uses the reciprocal form to avoid cancellation at large delta; the
-    round-trip residual is machine precision relative to delta.
+    Uses the reciprocal form to avoid cancellation at large delta, and
+    sqrt(delta - 1) * sqrt(delta + 1) instead of sqrt(delta^2 - 1), which
+    would overflow near delta = 1e154; the round-trip residual is machine
+    precision relative to delta.  A delta so large that q is no longer a
+    normal float (about 1e308) is refused.
     """
     delta = float(delta)
     if not 1.0 <= delta < math.inf:
         raise ValueError(f"anisotropy must be finite with delta >= 1, got {delta}")
-    q = 1.0 / (delta + math.sqrt(delta * delta - 1.0))
+    q = 1.0 / (delta + math.sqrt(delta - 1.0) * math.sqrt(delta + 1.0))
+    if q < sys.float_info.min:
+        raise ValueError(f"anisotropy {delta} is too large: q = 1/(2 delta) underflows")
     if abs(0.5 * (q + 1.0 / q) - delta) > 1e-12 * max(1.0, delta):
         raise RuntimeError("q parameter failed its round-trip check")
     return QParameter(q, delta)

@@ -56,19 +56,21 @@ def ising_config_energy(J, config: IsingConfig) -> int:
 def ising_diagonal(basis: SectorBasis) -> np.ndarray:
     """Vector of E(c) over the sector, exact int64, indexed by rank."""
     d = basis.down
-    return ((basis.two_j - d[:, :-1]) * d[:, 1:]).sum(axis=1)
+    # int8 digits: widen before the product (up to 127 * 127)
+    return ((basis.two_j - d[:, :-1]).astype(np.int16) * d[:, 1:]).sum(axis=1, dtype=np.int64)
 
 
 def free_diagonal(basis: SectorBasis) -> np.ndarray:
     """Vector of F(c) over the sector; exact multiples of 1/2 in float64."""
-    d = basis.down
-    return (0.5 * basis.two_j * (d[:, :-1] + d[:, 1:]) - d[:, :-1] * d[:, 1:]).sum(axis=1)
+    left = basis.down[:, :-1].astype(np.int16)
+    right = basis.down[:, 1:]
+    return (0.5 * basis.two_j * (left + right) - left * right).sum(axis=1)
 
 
 def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
     """Vector of J (m_L - m_{-L}) over the sector; exact multiples of 1/2."""
     d = basis.down
-    return 0.5 * basis.two_j * (d[:, 0] - d[:, -1])
+    return 0.5 * basis.two_j * (d[:, 0].astype(np.int16) - d[:, -1])
 
 
 @dataclass

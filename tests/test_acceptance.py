@@ -283,6 +283,46 @@ def test_c10_kink_antikink_equivalence():
                worst <= 1e-10, f"worst spectral gap {worst:.2e}")
 
 
+def test_spin_flip_reflection_maps_sector_to_minus_sector():
+    # m_alpha -> -m_{-alpha} preserves every bond energy, the boundary term
+    # and the hopping, so it carries the kink matrix of sector M onto -M
+    worst = 0.0
+    for two_j, L in ((1, 3), (2, 2), (3, 2)):
+        for two_m in reachable_sectors(H(two_j), L):
+            basis = SectorBasis(H(two_j), L, H(two_m))
+            mirror = SectorBasis(H(two_j), L, H(-two_m))
+            perm = mirror.rank_rows(two_j - basis.down[:, ::-1])
+            for dv in (0.0, 0.4, 1.0):
+                a = build_sector_operator(H(two_j), L, H(two_m), "kink", dv, basis=basis)
+                b = build_sector_operator(H(two_j), L, H(-two_m), "kink", dv, basis=mirror)
+                assert np.array_equal(b.to_dense()[np.ix_(perm, perm)], a.to_dense())
+                gap = dense_spectrum(a).eigenvalues - dense_spectrum(b).eigenvalues
+                worst = max(worst, float(np.abs(gap).max()))
+    assert worst <= 1e-12, worst
+
+
+def _nesting_misses(small, big, tol):
+    """Values of ``small`` occurring more often in it than in ``big`` (within tol)."""
+    return [v for v in small
+            if (np.abs(big - v) <= tol).sum() < (np.abs(small - v) <= tol).sum()]
+
+
+def test_spin_half_quantum_group_nesting():
+    # at J = 1/2 the kink chain is U_q(sl2)-symmetric, so spec(M+1) sits inside
+    # spec(M) for M >= 0, multiplicities included.  It does not hold for J >= 1
+    # away from the isotropic point delta_inv = 1; J = 1, L = 2 stays pinned.
+    def spectrum(two_j, L, two_m, dv):
+        op = build_sector_operator(H(two_j), L, H(two_m), "kink", dv)
+        return dense_spectrum(op).eigenvalues
+
+    top = 7  # 2M of the fully polarized J = 1/2, L = 3 sector
+    for dv in (0.0, 0.4, 1.0):
+        for two_m in range(1, top, 2):
+            upper = spectrum(1, 3, two_m + 2, dv)
+            assert not _nesting_misses(upper, spectrum(1, 3, two_m, dv), 1e-10), (two_m, dv)
+    assert _nesting_misses(spectrum(2, 2, 2, 0.4), spectrum(2, 2, 0, 0.4), 1e-3)
+
+
 def test_c11_solver_cross_validation(tmp_path):
     worst = 0.0
     sectors = 0

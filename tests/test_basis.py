@@ -3,6 +3,7 @@ import pytest
 
 from oracles import brute_sector_rows
 from xxzkink.basis import (
+    MAX_TWO_J,
     IsingConfig,
     SectorBasis,
     enumerate_sector,
@@ -111,3 +112,13 @@ def test_config_validation():
 def test_max_states_guard():
     with pytest.raises(ValueError):
         SectorBasis(H(2), 4, H(0), max_states=10)
+
+
+def test_digits_are_int8_up_to_the_spin_limit():
+    assert MAX_TWO_J == 127
+    basis = SectorBasis(H(MAX_TWO_J), 1, H(3 * MAX_TWO_J - 2))
+    assert basis.down.dtype == np.int8 and basis.down.flags.c_contiguous
+    assert basis.down.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert SectorBasis(H(3), 2, H(99)).down.dtype == np.int8  # empty sector
+    with pytest.raises(ValueError, match="2J <= 127"):
+        SectorBasis(H(MAX_TWO_J + 1), 1, H(3 * MAX_TWO_J + 3))

@@ -194,6 +194,28 @@ def test_profile_infinite_delta_is_rejected(capsys):
     assert err == "error: anisotropy must be finite with delta >= 1, got inf\n"
 
 
+def test_profile_huge_delta(capsys):
+    args = ["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta"]
+    assert main(args + ["1e200"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    # the zero mode at huge delta is the ground configuration, wall at site 1
+    assert [float(r["ground_profile"]) for r in rows] == [-1.5, -1.5, -1.5, 1.5, 1.5]
+    assert all(r["first_excited_profile"] for r in rows)
+    assert main(args + ["1e308"]) == 2  # q would underflow
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: anisotropy 1e+308 is too large")
+
+
+def test_spin_above_int8_digit_limit_is_rejected(capsys):
+    # -J 128 is the doubled value: spin 64, one past the int8 digits' 2J <= 127
+    args = ["spectrum", "-J", "128", "-L", "2", "--two-m=640", "--delta-inv", "0.5", "--k", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: spin J=64 exceeds the int8 digit limit 2J <= 127\n"
+    assert main(["ising-check", "-J", "128", "-L", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2J <= 127" in err
+
+
 def test_invalid_arguments_return_error(capsys):
     assert main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0"]) == 2
     assert "error" in capsys.readouterr().err

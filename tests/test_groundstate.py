@@ -27,8 +27,19 @@ def test_q_from_delta_examples():
             q_from_delta(bad)
 
 
+def test_q_from_delta_huge_anisotropy():
+    # delta * delta overflows near 1e154; q itself stays a normal float to ~1e308
+    for delta in (1e154, 1e200, 1e300):
+        q = q_from_delta(delta).q
+        assert q == pytest.approx(0.5 / delta, rel=1e-15)
+        assert abs(0.5 * (q + 1.0 / q) - delta) <= 1e-12 * delta
+    for bad in (9e307, 1.7e308):  # q would be subnormal or zero
+        with pytest.raises(ValueError, match="too large"):
+            q_from_delta(bad)
+
+
 def test_q_round_trip_residual():
-    for delta in (1.0, 1.0000001, 1.25, 3.0, 57.0, 1e6, 1e12):
+    for delta in (1.0, 1.0000001, 1.25, 3.0, 57.0, 1e6, 1e12, 1e200):
         q = q_from_delta(delta).q
         assert abs(0.5 * (q + 1.0 / q) - delta) <= 1e-12 * max(1.0, delta)
 

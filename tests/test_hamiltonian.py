@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from xxzkink.hamiltonian import (
     ising_config_energy,
     ising_diagonal,
 )
-from xxzkink.spin import ladder_coefficient
+from xxzkink.spin import ladder_coefficient, ladder_radicand
 
 H = HalfInt
 
@@ -150,6 +151,53 @@ def test_hopping_entries_are_ladder_products():
         assert v == pytest.approx(-0.5 * 0.5 * coeff, abs=1e-13)
         checked += 1
     assert checked == coo.nnz - basis.dim
+
+
+# 2J = 127 is the largest spin the int8 digits hold.  At L = 1 the sector
+# 2M = -127 (digit sum 254) holds (127, 127, 0) and (0, 127, 127), where the
+# bond terms reach 127 * 127 and a digit pair sums to 254.
+@pytest.mark.parametrize("two_m", [-379, -127, 127, 379])
+def test_diagonals_exact_at_the_int8_spin_limit(two_m):
+    J = H(127)
+    basis = SectorBasis(J, 1, H(two_m))
+    assert basis.down.dtype == np.int8
+    configs = list(basis)
+    energy = [ising_config_energy(J, c) for c in configs]
+    free = [
+        float(sum(Fraction(127 * 127 - a.twice * b.twice, 4)
+                  for a, b in zip(c.values, c.values[1:])))
+        for c in configs
+    ]
+    edge = [float(Fraction(127 * (c.values[-1].twice - c.values[0].twice), 4)) for c in configs]
+    diag = ising_diagonal(basis)
+    assert diag.dtype == np.int64
+    assert diag.tolist() == energy
+    assert free_diagonal(basis).tolist() == free
+    assert boundary_diagonal(basis).tolist() == edge
+    if two_m == -127:
+        assert max(energy) == 127 * 127
+
+
+@pytest.mark.parametrize("two_m", [-127, 379])
+def test_hopping_exact_at_the_int8_spin_limit(two_m):
+    J = H(127)
+    basis = SectorBasis(J, 1, H(two_m))
+    s = hopping_structure(basis)
+    down = basis.down.astype(np.int64)
+    raise_lower = (down[:, :-1] >= 1) & (down[:, 1:] <= 126)
+    lower_raise = (down[:, :-1] <= 126) & (down[:, 1:] >= 1)
+    assert s.rows.size == raise_lower.sum() + lower_raise.sum()
+    for r, c, v in zip(s.rows, s.cols, s.values):
+        step = down[c] - down[r]
+        a = int(np.nonzero(step)[0][0])
+        assert step[a] in (-1, 1)
+        assert step.tolist() == [0] * a + [step[a], -step[a]] + [0] * (basis.n_sites - a - 2)
+        ma, mb = (H(127 - 2 * int(d)) for d in down[r, a:a + 2])
+        if step[a] == -1:  # raised at a, lowered at a+1
+            radicand = ladder_radicand(J, ma, "up") * ladder_radicand(J, mb, "down")
+        else:
+            radicand = ladder_radicand(J, ma, "down") * ladder_radicand(J, mb, "up")
+        assert v == -0.5 * math.sqrt(radicand)
 
 
 def test_kink_antikink_unitary_equivalence():
