@@ -6,11 +6,8 @@ from .spin import SpinMatrices, ladder_coefficient, ladder_radicand, spin_matric
 from .basis import (
     IsingConfig,
     SectorBasis,
-    enumerate_sector,
-    rank_config,
     reachable_sectors,
     sector_dimension,
-    unrank_config,
 )
 from .hamiltonian import (
     SectorOperator,
@@ -67,11 +64,9 @@ from .eigensolver import (
 )
 from .sweep import (
     SweepPlan,
-    emit_profile,
     profile_table,
     rows_to_csv,
     run_sweep,
-    spectrum_rows,
     sweep_to_json,
 )
 from .checks import IsingCheckReport, SectorCheck, verify_ising_theorems

@@ -245,19 +245,6 @@ class SectorBasis:
         return IsingConfig.from_down_units(self.J, self.L, digits)
 
 
-def enumerate_sector(J, L, M, max_states: int = 50_000_000) -> SectorBasis:
-    """Materialized sector basis in the documented lexicographic order."""
-    return SectorBasis(J, L, M, max_states=max_states)
-
-
-def rank_config(basis: SectorBasis, config: IsingConfig) -> int:
-    return basis.rank(config)
-
-
-def unrank_config(basis: SectorBasis, index: int) -> IsingConfig:
-    return basis.unrank(index)
-
-
 def reachable_sectors(J, L) -> list:
     """All doubled magnetizations with a nonempty sector, ascending."""
     J = as_half(J)

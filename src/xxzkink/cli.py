@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -184,23 +185,7 @@ def _cmd_ising_check(args) -> int:
             "two_j": report.two_j,
             "L": report.L,
             "passed": report.passed,
-            "sectors": [
-                {
-                    "two_m": s.two_m,
-                    "dim": s.dim,
-                    "edge": s.edge,
-                    "ground_count": s.ground_count,
-                    "observed_low": {str(k): v for k, v in s.observed_low.items()},
-                    "predicted_low": None if s.predicted_low is None
-                    else {str(k): v for k, v in s.predicted_low.items()},
-                    "low_match": s.low_match,
-                    "floor_ok": s.floor_ok,
-                    "band_multiplicity": s.band_multiplicity,
-                    "band_bound": s.band_bound,
-                    "passed": s.passed,
-                }
-                for s in report.sectors
-            ],
+            "sectors": [dict(asdict(s), passed=s.passed) for s in report.sectors],
         }
         if args.format == "json":
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -226,6 +211,8 @@ def _cmd_profile(args) -> int:
 def _cmd_certify(args) -> int:
     J = HalfInt(args.two_j)
     L = args.length
+    if L < 1:  # spin 1/2 issues no certificates, so no basis would refuse it
+        raise ValueError("need L >= 1")
     margin = local_inequality_margin(J)
     # the J-weighted inequality holds only for J >= 1; spin 1/2 issues no
     # certificates, so the margin has nothing to certify there

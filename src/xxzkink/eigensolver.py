@@ -167,23 +167,20 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, deflate: l
     return np.asarray(vals), vecs, res
 
 
-def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int | None = None,
-                   seed: int = 0, keep_vectors: bool = False,
-                   cluster_tol: float = 1e-8) -> SpectrumRecord:
+def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
+                   keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
     """The k lowest eigenvalues (with multiplicity) by deflated Lanczos.
 
     Deterministic for a fixed seed: start vectors come from one PCG64 stream.
     Residuals of all returned pairs are at most tol * (1 + max row sum).
-    ``max_iter`` caps the ARPACK restarts of each run; the default is
-    min(dim, max(300, 20 k)).
+    Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts.
     """
     n = op.dim
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={n}")
     scale = 1.0 + op.inf_norm()
     tol_abs = tol * scale
-    if max_iter is None:
-        max_iter = min(n, max(300, 20 * k))
+    max_iter = min(n, max(300, 20 * k))
     rng = np.random.default_rng(seed)
     pool_vals: list = []
     pool_vecs: list = []
@@ -199,7 +196,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, max_iter: int
         got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vecs, scale)
         if got is None:
             raise LanczosError(
-                f"no convergence within max_iter={max_iter}",
+                f"no convergence within {max_iter} restarts",
                 best=np.asarray(sorted(pool_vals)),
             )
         new_vals, new_vecs, new_res = got

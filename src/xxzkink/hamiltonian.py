@@ -95,9 +95,6 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     """
     dim, n = basis.down.shape
     tj = basis.two_j
-    if dim == 0:
-        empty = np.zeros(0)
-        return HoppingStructure(empty.astype(np.int64), empty.astype(np.int64), empty)
     down = basis.down
     suffix = np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
     cum = basis.prefix_counts
@@ -155,8 +152,6 @@ class SectorOperator:
     matrix: sparse.csr_matrix
     diagonal_only: bool
 
-    _inf_norm: float | None = None
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -172,12 +167,7 @@ class SectorOperator:
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum; used to scale residual tolerances."""
-        if self._inf_norm is None:
-            if self.dim == 0:
-                self._inf_norm = 0.0
-            else:
-                self._inf_norm = float(abs(self.matrix).sum(axis=1).max())
-        return self._inf_norm
+        return float(abs(self.matrix).sum(axis=1).max())
 
 
 def build_sector_operator(

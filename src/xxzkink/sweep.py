@@ -52,8 +52,8 @@ class SweepPlan:
     def validate(self) -> None:
         if self.two_j < 1:
             raise ValueError("two_j must be a positive doubled spin")
-        if self.L < 2:
-            raise ValueError("need L >= 2")
+        if self.L < 1:
+            raise ValueError("need L >= 1")
         if self.k < 1:
             raise ValueError("need k >= 1")
         if not self.two_m_list:
@@ -80,7 +80,7 @@ def _job_seed(plan_seed: int, job_index: int) -> np.random.SeedSequence:
 
 
 def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
-                 structure: HoppingStructure, delta_inv: float) -> list:
+                 structure: HoppingStructure | None, delta_inv: float) -> list:
     base = {
         "two_j": plan.two_j,
         "L": plan.L,
@@ -102,20 +102,16 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
         row.update(eig_index=None, eigenvalue=None, residual=None,
                    multiplicity_cluster=None, status=f"error: {type(exc).__name__}: {exc}")
         return [row]
-    mult_of = {}
-    edge = 0
-    for value, count in record.clusters:
-        for i in range(edge, edge + count):
-            mult_of[i] = count
-        edge += count
+    # one cluster size per eigenvalue, in order
+    sizes = [count for _, count in record.clusters for _ in range(count)]
     rows = []
-    for i, (value, residual) in enumerate(zip(record.eigenvalues, record.residuals)):
+    for i, (value, residual, size) in enumerate(zip(record.eigenvalues, record.residuals, sizes)):
         row = dict(base)
         row.update(
             eig_index=i,
             eigenvalue=float(value),
             residual=float(residual),
-            multiplicity_cluster=mult_of[i],
+            multiplicity_cluster=size,
             status="ok",
         )
         rows.append(row)
@@ -123,25 +119,20 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
 
 
 def run_sweep(plan: SweepPlan) -> list:
-    """All rows of the sweep, in deterministic (sector, delta_inv, eig) order."""
+    """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
+
+    Each sector is built, run over the whole grid and dropped before the next
+    one; its hopping structure is built once, and only if some delta_inv > 0.
+    """
     plan.validate()
-    bases = {}
-    structures = {}
-    for tm in plan.two_m_list:
-        if tm not in bases:
-            bases[tm] = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
-            needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
-            structures[tm] = hopping_structure(bases[tm]) if needs_hops else HoppingStructure(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-            )
-    jobs = [
-        (tm, dv)
-        for tm in plan.two_m_list
-        for dv in plan.delta_inv_grid
-    ]
+    needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
+    n_grid = len(plan.delta_inv_grid)
     rows = []
-    for idx, (tm, dv) in enumerate(jobs):
-        rows.extend(_sector_rows(plan, idx, bases[tm], structures[tm], dv))
+    for s, tm in enumerate(plan.two_m_list):
+        basis = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
+        structure = hopping_structure(basis) if needs_hops else None
+        for g, dv in enumerate(plan.delta_inv_grid):
+            rows.extend(_sector_rows(plan, s * n_grid + g, basis, structure, dv))
     return rows
 
 
@@ -164,16 +155,6 @@ def rows_to_csv(rows, fields=SWEEP_FIELDS) -> str:
 
 def sweep_to_json(plan: SweepPlan, rows) -> str:
     return json.dumps({"plan": plan.as_dict(), "rows": list(rows)}, indent=2) + "\n"
-
-
-def spectrum_rows(two_j: int, L: int, two_m: int, delta_inv: float, k: int,
-                  tol: float = 1e-10, cluster_tol: float = 1e-8, seed: int = 0) -> list:
-    """Rows for a single (sector, anisotropy) point, same schema as a sweep."""
-    plan = SweepPlan(
-        two_j=two_j, L=L, two_m_list=(two_m,), delta_inv_grid=(delta_inv,),
-        k=k, tol=tol, cluster_tol=cluster_tol, seed=seed,
-    )
-    return run_sweep(plan)
 
 
 def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> list:
@@ -205,10 +186,3 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
             "first_excited_profile": None if excited is None else float(excited[i]),
         })
     return rows
-
-
-def emit_profile(J, L, M, delta: float, out: str, **solver_kwargs) -> None:
-    """Write the (site, ground, first-excited) profile table to a CSV file."""
-    rows = profile_table(J, L, M, delta, **solver_kwargs)
-    with open(out, "w", newline="") as handle:
-        handle.write(rows_to_csv(rows, PROFILE_FIELDS))

@@ -6,11 +6,8 @@ from xxzkink.basis import (
     MAX_TWO_J,
     IsingConfig,
     SectorBasis,
-    enumerate_sector,
-    rank_config,
     reachable_sectors,
     sector_dimension,
-    unrank_config,
 )
 from xxzkink.halfint import HalfInt
 
@@ -36,9 +33,9 @@ def test_enumeration_matches_brute_force(two_j, L):
 
 
 def test_enumeration_examples():
-    basis = enumerate_sector(H(1), 2, H(5))
+    basis = SectorBasis(H(1), 2, H(5))
     assert [tuple(v.twice for v in c.values) for c in basis] == [(1, 1, 1, 1, 1)]
-    basis = enumerate_sector(H(2), 1, H(0))
+    basis = SectorBasis(H(2), 1, H(0))
     tuples = [tuple(float(v) for v in c.values) for c in basis]
     assert len(tuples) == 7
     assert (1.0, 0.0, -1.0) in tuples and (0.0, 0.0, 0.0) in tuples
@@ -60,23 +57,23 @@ def test_rank_unrank_roundtrip_exhaustive():
 def test_rank_unrank_config_objects():
     basis = SectorBasis(H(1), 1, H(1))
     cfg = IsingConfig(1, (H(-1), H(1), H(1)))
-    assert rank_config(basis, cfg) == 2
-    assert unrank_config(basis, 2) == cfg
-    assert rank_config(basis, unrank_config(basis, 0)) == 0
+    assert basis.rank(cfg) == 2
+    assert basis.unrank(2) == cfg
+    assert basis.rank(basis.unrank(0)) == 0
     for i in range(basis.dim):
-        assert rank_config(basis, unrank_config(basis, i)) == i
+        assert basis.rank(basis.unrank(i)) == i
 
 
 def test_rank_errors():
     basis = SectorBasis(H(1), 2, H(3))
     with pytest.raises(ValueError):
-        rank_config(basis, IsingConfig(2, (H(1),) * 5))  # wrong magnetization
+        basis.rank(IsingConfig(2, (H(1),) * 5))  # wrong magnetization
     with pytest.raises(ValueError):
-        unrank_config(basis, basis.dim)
+        basis.unrank(basis.dim)
     with pytest.raises(ValueError):
-        unrank_config(basis, -1)
+        basis.unrank(-1)
     with pytest.raises(ValueError):
-        rank_config(basis, IsingConfig(1, (H(1), H(1), H(1))))  # wrong length
+        basis.rank(IsingConfig(1, (H(1), H(1), H(1))))  # wrong length
 
 
 def test_total_dimension_identity():

@@ -216,6 +216,26 @@ def test_spin_above_int8_digit_limit_is_rejected(capsys):
     assert err.count("\n") == 1 and "2J <= 127" in err
 
 
+def test_spectrum_at_half_length_one(capsys):
+    # -J 64 is the doubled value (spin 32); 2M = 192 is the polarized L = 1 sector
+    args = ["spectrum", "-J", "64", "-L", "1", "--two-m=192", "--delta-inv", "0.5", "--k", "1"]
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["status"] for r in rows] == ["ok"]
+
+
+def test_half_length_zero_is_rejected(capsys):
+    for args in (
+        ["spectrum", "-J", "64", "-L", "0", "--two-m=64", "--delta-inv", "0.5", "--k", "1"],
+        ["spectrum", "-J", "64", "-L", "0", "--all-sectors", "--delta-inv", "0.5", "--k", "1"],
+        ["ising-check", "-J", "1", "-L", "0"],
+        ["profile", "-J", "3/2", "-L", "0", "--two-m=-3/2", "--delta", "2.5"],
+        ["certify", "-J", "1/2", "-L", "0"],
+    ):
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: need L >= 1\n"
+
+
 def test_invalid_arguments_return_error(capsys):
     assert main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0"]) == 2
     assert "error" in capsys.readouterr().err

@@ -2,17 +2,18 @@ import json
 
 import pytest
 
+import xxzkink.hamiltonian
 import xxzkink.sweep
 from xxzkink.checks import verify_ising_theorems
 from xxzkink.eigensolver import lanczos_lowest
 from xxzkink.halfint import HalfInt
 from xxzkink.sweep import (
+    PROFILE_FIELDS,
     SweepPlan,
     all_ok,
     profile_table,
     rows_to_csv,
     run_sweep,
-    spectrum_rows,
     sweep_to_json,
 )
 
@@ -49,9 +50,35 @@ def test_run_sweep_deterministic():
 
 
 def test_ising_limit_rows():
-    rows = spectrum_rows(3, 3, -3, 0.0, k=4)
+    rows = run_sweep(SweepPlan(two_j=3, L=3, two_m_list=(-3,), delta_inv_grid=(0.0,), k=4))
     assert [r["eigenvalue"] for r in rows] == [0.0, 1.0, 3.0, 3.0]
     assert [r["multiplicity_cluster"] for r in rows] == [1, 1, 2, 2]
+
+
+def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch):
+    build = xxzkink.hamiltonian.hopping_structure
+
+    # patched where the sweep and the operator assembly look it up
+    def patch(fn):
+        for module in (xxzkink.sweep, xxzkink.hamiltonian):
+            monkeypatch.setattr(module, "hopping_structure", fn)
+
+    def refuse(basis):
+        raise AssertionError("hopping built for an all-zero grid")
+
+    patch(refuse)
+    assert all_ok(run_sweep(small_plan(delta_inv_grid=(0.0, 0.0))))
+
+    calls = []
+
+    def counted(basis):
+        calls.append(basis.two_m)
+        return build(basis)
+
+    patch(counted)
+    plan = small_plan(delta_inv_grid=(0.0, 0.2, 0.4))
+    assert all_ok(run_sweep(plan))
+    assert calls == list(plan.two_m_list)
 
 
 def test_failed_jobs_degrade_to_status_rows(monkeypatch):
@@ -95,12 +122,9 @@ def test_csv_and_json_rendering():
     assert payload["rows"][0]["status"] == "ok"
 
 
-def test_emit_profile_writes_csv(tmp_path):
-    from xxzkink.sweep import emit_profile
-
-    out = tmp_path / "profile.csv"
-    emit_profile(H(3), 2, H(-3), 2.5, str(out))
-    lines = out.read_text().strip().split("\n")
+def test_profile_csv_rendering():
+    text = rows_to_csv(profile_table(H(3), 2, H(-3), 2.5), PROFILE_FIELDS)
+    lines = text.strip().split("\n")
     assert lines[0] == "site,ground_profile,first_excited_profile"
     assert len(lines) == 1 + 5
 
