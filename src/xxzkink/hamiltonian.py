@@ -17,9 +17,10 @@ the supported variants are
 
 Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
-product formed in exact integers and square-rooted once.  The decomposition
-kink = ising_kink + delta_inv * h1 + (1 - s) * h2 holds entrywise, as does
-ising_free = ising_kink + h2.
+product formed in exact integers and square-rooted once.  Only one hop
+direction is built (the strict lower triangle, int32 ranks) and assembly
+adds its transpose.  The decomposition kink = ising_kink + delta_inv * h1 +
+(1 - s) * h2 holds entrywise, as does ising_free = ising_kink + h2.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
 
 @dataclass
 class HoppingStructure:
-    """COO triplets of the pure hopping term (the h1 variant), reusable
-    across anisotropy values for one sector."""
+    """COO triplets of the pure hopping term (the h1 variant), reusable across
+    anisotropy values for one sector: one hop direction only, the strict lower
+    triangle (cols < rows) with int32 ranks; assembly adds the transpose."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -84,62 +86,55 @@ class HoppingStructure:
 
 
 def hopping_structure(basis: SectorBasis) -> HoppingStructure:
-    """Single-exchange couplings of a sector.
+    """Single-exchange couplings of a sector, one hop direction only.
 
-    For each bond (a, a+1) and each configuration, the two moves
-    (d_a - 1, d_{a+1} + 1) and (d_a + 1, d_{a+1} - 1) are valid when the
-    digits stay in 0..2J.  The neighbor's rank is the row's own rank plus a
-    correction read off the prefix-count table: only the site-a digit and the
-    site-(a+1) digit and remaining-sum change, so two table lookups per site
-    give the rank difference in O(1) per row.
+    For each bond (a, a+1), every configuration with d_a >= 1 and
+    d_{a+1} <= 2J - 1 has the move (d_a - 1, d_{a+1} + 1): raise m at a,
+    lower it at a+1.  Site a is the more significant digit, so the neighbor
+    has a lower rank and the triplets form the strict lower triangle.  The
+    reverse move has a bit-identical value, as
+    rad_up[d] * rad_down[d'] == rad_down[d-1] * rad_up[d'+1] in integers.
+
+    The neighbor's rank is the row's own rank plus a correction read off the
+    prefix-count table: only the site-a digit and the site-(a+1) digit and
+    remaining sum change, so two table lookups per site give the rank
+    difference in O(1) per row.  The remaining sum at a is total_down minus a
+    running int32 prefix; ranks are int32, as the default max_states < 2**31.
     """
     dim, n = basis.down.shape
     tj = basis.two_j
     down = basis.down
-    suffix = np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
     cum = basis.prefix_counts
     drange = np.arange(tj + 1, dtype=np.int64)
     rad_up = drange * (tj - drange + 1)       # raise m at a site holding d units
     rad_down = (tj - drange) * (drange + 1)   # lower m at a site holding d units
-    ranks = np.arange(dim, dtype=np.int64)
+    ranks = np.arange(dim, dtype=np.int32)
+    prefix = np.zeros(dim, dtype=np.int32)
     rows_parts, cols_parts, vals_parts = [], [], []
     for a in range(n - 1):
         da, db = down[:, a], down[:, a + 1]
-        ra, rb = suffix[:, a], suffix[:, a + 1]
-        # raise at a, lower at a+1
         mask = (da >= 1) & (db <= tj - 1)
         if mask.any():
             dam, dbm = da[mask], db[mask]
-            ram, rbm = ra[mask], rb[mask]
+            ram = basis.total_down - prefix[mask]
+            rbm = ram - dam
             delta = (
                 cum[a, ram, dam - 1]
                 - cum[a, ram, dam]
                 + cum[a + 1, rbm + 1, dbm + 1]
                 - cum[a + 1, rbm, dbm]
             )
-            rows_parts.append(ranks[mask])
-            cols_parts.append(ranks[mask] + delta)
+            rows = ranks[mask]
+            rows_parts.append(rows)
+            cols_parts.append((rows + delta).astype(np.int32))
             vals_parts.append(-0.5 * np.sqrt((rad_up[dam] * rad_down[dbm]).astype(float)))
-        # lower at a, raise at a+1
-        mask = (da <= tj - 1) & (db >= 1)
-        if mask.any():
-            dam, dbm = da[mask], db[mask]
-            ram, rbm = ra[mask], rb[mask]
-            delta = (
-                cum[a, ram, dam + 1]
-                - cum[a, ram, dam]
-                + cum[a + 1, rbm - 1, dbm - 1]
-                - cum[a + 1, rbm, dbm]
-            )
-            rows_parts.append(ranks[mask])
-            cols_parts.append(ranks[mask] + delta)
-            vals_parts.append(-0.5 * np.sqrt((rad_down[dam] * rad_up[dbm]).astype(float)))
+        prefix += da
     if rows_parts:
         return HoppingStructure(
             np.concatenate(rows_parts), np.concatenate(cols_parts), np.concatenate(vals_parts)
         )
-    empty = np.zeros(0)
-    return HoppingStructure(empty.astype(np.int64), empty.astype(np.int64), empty)
+    empty = np.zeros(0, dtype=np.int32)
+    return HoppingStructure(empty, empty, np.zeros(0))
 
 
 @dataclass
@@ -228,24 +223,24 @@ def build_sector_operator(
         diag = None
 
     dim = basis.dim
-    ranks = np.arange(dim, dtype=np.int64)
+    ranks = np.arange(dim, dtype=np.int32)
+    rows, cols, data = [], [], []
+    if diag is not None:
+        rows.append(ranks)
+        cols.append(ranks)
+        data.append(diag.astype(float))
+    diagonal_only = True
     if hop_scale != 0.0:
         if structure is None:
             structure = hopping_structure(basis)
-        if diag is None:
-            rows, cols = structure.rows, structure.cols
-            data = hop_scale * structure.values
-        else:
-            rows = np.concatenate([ranks, structure.rows])
-            cols = np.concatenate([ranks, structure.cols])
-            data = np.concatenate([diag.astype(float), hop_scale * structure.values])
+        # the stored triangle and its transpose share one scaled value array
+        hops = hop_scale * structure.values
+        rows += [structure.rows, structure.cols]
+        cols += [structure.cols, structure.rows]
+        data += [hops, hops]
         diagonal_only = structure.rows.size == 0
-    else:
-        if diag is None:
-            diag = np.zeros(dim)
-        rows = cols = ranks
-        data = diag.astype(float)
-        diagonal_only = True
 
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
     return SectorOperator(basis, variant, delta_inv, matrix, diagonal_only)

@@ -64,9 +64,11 @@ class SweepPlan:
             if not 0.0 <= dv <= 1.0:
                 raise ValueError(f"delta_inv {dv} outside [0, 1]")
         top = (2 * self.L + 1) * self.two_j
-        for tm in self.two_m_list:
+        for i, tm in enumerate(self.two_m_list):
             if abs(tm) > top or (tm - top) % 2 != 0:
                 raise ValueError(f"two_m={tm} labels an unreachable sector")
+            if tm in self.two_m_list[:i]:
+                raise ValueError(f"two_m={tm} requested twice")
 
     def as_dict(self) -> dict:
         d = asdict(self)

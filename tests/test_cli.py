@@ -194,6 +194,15 @@ def test_profile_infinite_delta_is_rejected(capsys):
     assert err == "error: anisotropy must be finite with delta >= 1, got inf\n"
 
 
+def test_repeated_sector_is_rejected(capsys):
+    for command in ("spectrum", "sweep"):
+        argv = [command, "-J", "1", "-L", "1", "--two-m=1,-1,1", "--delta-inv", "0.4", "--k", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: two_m=1 requested twice\n"
+
+
 def test_profile_huge_delta(capsys):
     args = ["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta"]
     assert main(args + ["1e200"]) == 0

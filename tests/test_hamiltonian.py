@@ -186,18 +186,32 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
     down = basis.down.astype(np.int64)
     raise_lower = (down[:, :-1] >= 1) & (down[:, 1:] <= 126)
     lower_raise = (down[:, :-1] <= 126) & (down[:, 1:] >= 1)
-    assert s.rows.size == raise_lower.sum() + lower_raise.sum()
+    # one direction is stored: every raise-at-a move, and nothing else
+    assert s.rows.size == raise_lower.sum()
     for r, c, v in zip(s.rows, s.cols, s.values):
+        assert c < r
         step = down[c] - down[r]
         a = int(np.nonzero(step)[0][0])
-        assert step[a] in (-1, 1)
-        assert step.tolist() == [0] * a + [step[a], -step[a]] + [0] * (basis.n_sites - a - 2)
+        assert step.tolist() == [0] * a + [-1, 1] + [0] * (basis.n_sites - a - 2)
         ma, mb = (H(127 - 2 * int(d)) for d in down[r, a:a + 2])
-        if step[a] == -1:  # raised at a, lowered at a+1
-            radicand = ladder_radicand(J, ma, "up") * ladder_radicand(J, mb, "down")
-        else:
-            radicand = ladder_radicand(J, ma, "down") * ladder_radicand(J, mb, "up")
+        radicand = ladder_radicand(J, ma, "up") * ladder_radicand(J, mb, "down")
         assert v == -0.5 * math.sqrt(radicand)
+    # assembly adds the transpose: both directions, exactly symmetric
+    h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis, structure=s).matrix
+    assert h1.nnz == raise_lower.sum() + lower_raise.sum()
+    assert (h1 != h1.T).nnz == 0
+
+
+@pytest.mark.parametrize("two_j, L, two_m", [
+    (1, 4, -1), (2, 3, 0), (3, 3, -3), (4, 2, 2), (5, 2, -5), (127, 1, -127), (127, 2, 621),
+])
+def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
+    s = hopping_structure(SectorBasis(H(two_j), L, H(two_m)))
+    assert s.rows.size > 0
+    assert s.rows.dtype == s.cols.dtype == np.int32
+    assert s.values.dtype == np.float64
+    assert (s.cols < s.rows).all()
+    assert s.rows.nbytes + s.cols.nbytes + s.values.nbytes == 16 * s.rows.size
 
 
 def test_kink_antikink_unitary_equivalence():
