@@ -222,20 +222,22 @@ def _cmd_certify(args) -> int:
     for two_m in range(-J.twice, J.twice + 1, 2):
         m = HalfInt(two_m)
         sets = excitation_sets(J, m)
-        for sign, pairs in (("+", sets.plus), ("-", sets.minus)):
-            for n, energy in pairs:
-                iso = isolation_distance(J, L, m, energy, max_enumeration=args.max_enum)
-                cert = certificate_constants(J, energy, iso.distance, iso.exact)
-                above = series_margin(cert.c1, cert.c2, cert.delta_star * (1 + 1e-9))
-                if above <= 0.0:
-                    thresholds_ok = False
-                entry = cert.as_dict()
-                entry.update(
-                    two_m=two_m, sign=sign, n=n,
-                    simple_dominates=cert.delta_star <= cert.delta_simple,
-                    margin_above_threshold=above,
-                )
-                certificates.append(entry)
+        signed = [("+", n, e) for n, e in sets.plus] + [("-", n, e) for n, e in sets.minus]
+        # one enumeration of the sector serves all of its excitations
+        isolations = isolation_distance(J, L, m, [e for _, _, e in signed],
+                                        max_enumeration=args.max_enum)
+        for (sign, n, energy), iso in zip(signed, isolations):
+            cert = certificate_constants(J, energy, iso.distance, iso.exact)
+            above = series_margin(cert.c1, cert.c2, cert.delta_star * (1 + 1e-9))
+            if above <= 0.0:
+                thresholds_ok = False
+            entry = cert.as_dict()
+            entry.update(
+                two_m=two_m, sign=sign, n=n,
+                simple_dominates=cert.delta_star <= cert.delta_simple,
+                margin_above_threshold=above,
+            )
+            certificates.append(entry)
     payload = {
         "two_j": J.twice,
         "length": L,

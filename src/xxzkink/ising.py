@@ -202,26 +202,33 @@ class Isolation(NamedTuple):
     exact: bool
 
 
-def isolation_distance(J, L, M, E, max_enumeration: int = 10**6) -> Isolation:
-    """Distance from eigenvalue E to the nearest other distinct sector level.
+def isolation_distance(J, L, M, energies, max_enumeration: int = 10**6) -> list:
+    """Distance from each eigenvalue in ``energies`` to the nearest other
+    distinct sector level, one Isolation per energy.
 
-    Enumerates the sector diagonal when its dimension is at most
-    ``max_enumeration``; otherwise returns the certified lower bound 1 with
-    ``exact=False``.  All sector levels are integers, so the distance is too.
+    Enumerates the sector diagonal once when its dimension is at most
+    ``max_enumeration``; otherwise every energy gets the certified lower
+    bound 1 with ``exact=False``.  All sector levels are integers, so the
+    distances are too.
     """
-    E = int(E)
+    energies = [int(e) for e in energies]
+    if not energies:
+        return []
     dim = sector_dimension(J, L, M)
     if dim == 0:
         raise ValueError(f"magnetization {as_half(M)} unreachable for J={as_half(J)}, L={L}")
     if dim > max_enumeration:
-        return Isolation(1, False)
+        return [Isolation(1, False)] * len(energies)
     values = np.unique(ising_diagonal(SectorBasis(J, L, M)))
-    if E not in values:
-        raise ValueError(f"E={E} is not an eigenvalue of the sector")
-    others = values[values != E]
-    if others.size == 0:
-        raise ValueError("sector has a single distinct level; no isolation distance")
-    return Isolation(int(np.abs(others - E).min()), True)
+    out = []
+    for E in energies:
+        if E not in values:
+            raise ValueError(f"E={E} is not an eigenvalue of the sector")
+        others = values[values != E]
+        if others.size == 0:
+            raise ValueError("sector has a single distinct level; no isolation distance")
+        out.append(Isolation(int(np.abs(others - E).min()), True))
+    return out
 
 
 @dataclass(frozen=True)

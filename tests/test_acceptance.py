@@ -218,24 +218,24 @@ def test_c08b_simple_threshold_dominates():
     for two_j in (2, 3, 4, 5, 6, 7, 8):  # J = 1 .. 4
         for two_m in range(-two_j, two_j + 1, 2):
             sets = excitation_sets(H(two_j), H(two_m))
-            for _, pairs in (("+", sets.plus), ("-", sets.minus)):
-                for n, energy in pairs:
-                    iso = isolation_distance(H(two_j), 3, H(two_m), energy)
-                    cert = certificate_constants(H(two_j), energy, iso.distance, iso.exact)
-                    total += 1
-                    row = (two_j / 2, energy, iso.distance,
-                           round(cert.c1, 2), round(cert.delta_star, 2), round(cert.delta_simple, 2))
-                    dominates = cert.delta_star <= cert.delta_simple
-                    converges = series_margin(cert.c1, cert.c2, cert.delta_simple) > 0.0
-                    if dominates != converges:
-                        problems.append(("root", row))
-                    if dominates:
-                        continue
-                    violations.append(row)
-                    if two_j <= 3:
-                        problems.append(("J<=3/2", row))
-                    if not cert.c1 > cert.delta_simple:
-                        problems.append(("c1<=simple", row))
+            energies = [energy for _, energy in sets.plus + sets.minus]
+            isolations = isolation_distance(H(two_j), 3, H(two_m), energies)
+            for energy, iso in zip(energies, isolations):
+                cert = certificate_constants(H(two_j), energy, iso.distance, iso.exact)
+                total += 1
+                row = (two_j / 2, energy, iso.distance,
+                       round(cert.c1, 2), round(cert.delta_star, 2), round(cert.delta_simple, 2))
+                dominates = cert.delta_star <= cert.delta_simple
+                converges = series_margin(cert.c1, cert.c2, cert.delta_simple) > 0.0
+                if dominates != converges:
+                    problems.append(("root", row))
+                if dominates:
+                    continue
+                violations.append(row)
+                if two_j <= 3:
+                    problems.append(("J<=3/2", row))
+                if not cert.c1 > cert.delta_simple:
+                    problems.append(("c1<=simple", row))
     failing_spins = {row[0] for row in violations}
     missing = [tj / 2 for tj in (4, 5, 6, 7, 8) if tj / 2 not in failing_spins]
     _criterion(

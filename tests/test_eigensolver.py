@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import xxzkink.eigensolver
 from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.eigensolver import (
+    CONFIRM_TOL,
     DENSE_CAP,
     DENSE_MAX,
     DenseCapError,
@@ -117,6 +118,41 @@ def test_lanczos_determinism():
     b = lanczos_lowest(op, 4, seed=42)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.residuals, b.residuals)
+
+
+def _spy_on_eigsh(monkeypatch) -> list:
+    """Record (k, tol) of every ARPACK call lanczos_lowest makes."""
+    calls = []
+    real = xxzkink.eigensolver.eigsh
+
+    def spy(A, k, **kwargs):
+        calls.append((k, kwargs["tol"]))
+        return real(A, k=k, **kwargs)
+
+    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", spy)
+    return calls
+
+
+def test_lanczos_confirms_with_one_loose_probe(monkeypatch):
+    calls = _spy_on_eigsh(monkeypatch)
+    op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states, no cluster
+    rec = lanczos_lowest(op, 3, seed=0)
+    assert [k for k, _ in calls] == [3, 1]
+    assert calls[0][1] <= 1e-10 and calls[1][1] == CONFIRM_TOL
+    assert [m for _, m in rec.clusters] == [1, 1, 1]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+def test_lanczos_probe_inside_window_runs_full_tolerance(monkeypatch):
+    calls = _spy_on_eigsh(monkeypatch)
+    op = build_sector_operator(H(4), 2, H(0), "kink", 0.0)
+    rec = lanczos_lowest(op, 3, seed=7)
+    # the first run misses one copy of 3; the probe finds it inside the
+    # window, so a full-tolerance run pools it
+    tols = [tol for _, tol in calls]
+    assert tols[1] == CONFIRM_TOL and tols[2] <= 1e-10
+    assert np.allclose(rec.eigenvalues, [0.0, 3.0, 3.0], atol=1e-10)
+    assert rec.clusters[1] == (pytest.approx(3.0, abs=1e-10), 2)
 
 
 def test_lanczos_nonconvergence_error(monkeypatch):

@@ -120,19 +120,18 @@ def test_predicted_low_spectrum_matches_enumeration():
 
 
 def test_isolation_distance():
-    assert isolation_distance(H(3), 3, H(-3), 1) == (1, True)
+    assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, True)]
     with pytest.raises(ValueError):
-        isolation_distance(H(3), 3, H(-3), 2)  # 2 is not in that sector's spectrum
+        isolation_distance(H(3), 3, H(-3), [2])  # 2 is not in that sector's spectrum
     # cap exceeded -> certified lower bound with flag
-    assert isolation_distance(H(3), 3, H(-3), 1, max_enumeration=10) == (1, False)
+    assert isolation_distance(H(3), 3, H(-3), [1], max_enumeration=10) == [(1, False)]
     # distances are integers >= 1 across a small grid
     for two_m in reachable_sectors(H(4), 2):
         basis = SectorBasis(H(4), 2, H(two_m))
         values = np.unique(ising_diagonal(basis))
         if values.size < 2:
             continue
-        for e in values[:4]:
-            dist = isolation_distance(H(4), 2, H(two_m), int(e))
+        for dist in isolation_distance(H(4), 2, H(two_m), values[:4]):
             assert dist.exact and dist.distance >= 1
 
 
