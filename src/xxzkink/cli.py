@@ -81,7 +81,15 @@ def _checked(convert, ok, rule: str):
 
 # comparisons are false for nan, so the bounds below also reject it
 parse_delta = _checked(float, lambda d: d >= 1.0, "delta must be >= 1")
-parse_tol = _checked(float, lambda t: 0.0 < t < 1.0, "tol must satisfy 0 < tol < 1")
+# smallest --tol that double precision certifies: on the tier-1 sectors
+# (J <= 5/2 at L <= 3 and J = 3/2, L = 4, M = -3/2; delta_inv 0.4 and 1; k = 6)
+# dense residuals reach 2.0e-15 (1 + |H|_inf), and deflated Lanczos meets
+# tol = 3e-15 on all 44 Lanczos cases but 1e-15 on only 3; the floor keeps a
+# factor 3 above 3e-15
+TOL_FLOOR = 1e-14
+parse_tol = _checked(_checked(float, lambda t: 0.0 < t < 1.0, "tol must satisfy 0 < tol < 1"),
+                     lambda t: t >= TOL_FLOOR,
+                     f"tol must be >= {TOL_FLOOR:g}, the smallest that double precision certifies")
 parse_cluster_tol = _checked(float, lambda t: 0.0 <= t < math.inf,
                              "cluster-tol must be finite and >= 0")
 parse_seed = _checked(int, lambda s: s >= 0, "seed must be >= 0")

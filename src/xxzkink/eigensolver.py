@@ -14,6 +14,19 @@ when theta - r is above the window.  Only a probe that
 reaches into the window is followed by a full-tolerance run, whose pair is
 pooled; a probe's pair never is.  Every returned eigenpair carries an
 explicitly computed residual |H v - lambda v|.
+
+On sectors of at least FILTER_MIN_DIM states the full-tolerance runs are
+Chebyshev filtered (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219
+(2006) 172; Fang & Saad, SIAM J. Sci. Comput. 34 (2012) A2220).  ARPACK
+then sees p(H_d), where H_d is H with every pooled pair moved to hi = |H|_inf
+and p is the degree-FILTER_DEGREE Chebyshev polynomial that maps the
+unwanted interval [c, hi] into [-1, 1] and grows fast below c.  Each ARPACK
+step then costs FILTER_DEGREE matvecs but the run takes about that many
+times fewer steps, and a step's reorthogonalization, not its matvec, is what
+dominates on large sectors.  The cut c must lie above every wanted value.
+It comes from Cauchy interlacing: the j-th eigenvalue of a principal
+submatrix bounds the j-th eigenvalue of H from above.  Degree 1 is the
+affine operator of the small sectors and of the probes.
 """
 
 from __future__ import annotations
@@ -131,39 +144,114 @@ class LanczosError(RuntimeError):
 # ends 0.031 above the 3rd value (theta - r) after 41 matvecs, where a
 # full-tolerance run takes 131
 CONFIRM_TOL = 1e-3
+# filter degree: the first run on the 411k sector (k = 3, one BLAS thread)
+# took 208 / 216 / 168 / 210 / 252 matvecs and 3.4 / 3.4 / 2.3 / 2.8 / 3.3 s at
+# degree 4 / 6 / 8 / 10 / 12, against 179 matvecs and 6.6 s unfiltered
+FILTER_DEGREE = 8
+# smallest filtered sector: lanczos_lowest at k = 6, delta_inv = 0.4 took
+#   dim       2128   3535   8135   18351  27876
+#   degree 1  0.024  0.034  0.094  0.200  0.335 s
+#   filtered  0.028  0.032  0.074  0.170  0.306 s
+# and the 28 Lanczos jobs of J = 3/2, L = 3 (dim <= 2128) 0.33 s unfiltered
+# against 0.48 s filtered; at delta_inv = 0.1 and 1 the filter also lost one
+# k = 3 case each at 3535, 8135 and 13051 states and won every case at 27876
+FILTER_MIN_DIM = 10000
+# size of the interlacing submatrix: on the 411k sector 300 states give
+# mu_1..mu_4 = 0.0005, 1.121, 1.969, 2.038 against 0, 1.117, 1.958, 2.026 in
+# about 0.1 s with the sort; 100 and 600 states cost the same 168 matvecs
+CUT_STATES = 300
+# the cut is mu_j with j >= pooled + want + CUT_MARGIN: margins 3 / 6 / 12 took
+# 288 / 168 / 288 matvecs in the first run on the 411k sector
+CUT_MARGIN = 6
 
 
-def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, deflate: list,
-                   scale: float, *, probe_tol: float | None = None):
-    """One implicitly restarted Lanczos run (ARPACK) in the complement of ``deflate``.
+def _interlacing_bounds(op) -> np.ndarray:
+    """Eigenvalues mu_1 <= mu_2 <= ... of H on its CUT_STATES lowest-diagonal
+    configurations (a stable sort); by Cauchy interlacing mu_j >= lambda_j(H)."""
+    rows = np.sort(np.argsort(op.diagonal(), kind="stable")[:CUT_STATES])
+    return eigh(op.matrix[rows][:, rows].toarray(), eigvals_only=True)
 
-    ARPACK sees H + scale*I + 2*scale*V V^T, where V holds the deflated
-    eigenvectors.  The identity shift makes the operator positive definite:
-    ARPACK's smallest-algebraic mode can miss an exact zero eigenvalue of a
-    singular H.  With scale = 1 + |H|_inf the deflation shift lifts every
-    found pair strictly above the rest of the spectrum, whatever its sign, so
-    the lowest Ritz pairs belong to the complement.  Returns (values, vectors,
-    residuals) for the ``want`` lowest pairs, with Rayleigh quotients of the
-    unshifted H and explicit residuals, or None when ARPACK did not converge
-    within ``max_iter`` restarts or a residual exceeds tol_abs.  A probe
+
+def _interlacing_cut(op, index: int, hi: float, sep: float):
+    """A filter cut strictly above the ``index`` lowest eigenvalues of H, or None.
+
+    The cut is the first mu_j of ``_interlacing_bounds`` with
+    j >= index + CUT_MARGIN that exceeds mu_index by more than ``sep``, so it
+    lies above lambda_index; None when there is no such mu_j below hi - sep.
+    """
+    if index + CUT_MARGIN > min(CUT_STATES, op.dim):
+        return None
+    mu = _interlacing_bounds(op)
+    above = mu[index + CUT_MARGIN - 1:]
+    above = above[above > mu[index - 1] + sep]
+    if above.size == 0 or above[0] >= hi - sep:
+        return None
+    return float(above[0])
+
+
+def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals: list,
+                   pool_vecs: list, scale: float, *, probe_tol: float | None = None,
+                   cut: float | None = None):
+    """One implicitly restarted Lanczos run (ARPACK) in the complement of the pool.
+
+    Without a ``cut`` ARPACK sees H + scale*I + 2*scale*V V^T, where V holds
+    the pooled eigenvectors.  The identity shift makes the operator positive
+    definite: ARPACK's smallest-algebraic mode can miss an exact zero
+    eigenvalue of a singular H.  With scale = 1 + |H|_inf the deflation shift
+    lifts every found pair strictly above the rest of the spectrum, whatever
+    its sign, so the lowest Ritz pairs belong to the complement.  With a
+    ``cut`` c ARPACK sees the largest values of T_m(Y(H_d)), where
+    H_d = H + V diag(hi - pool_vals) V^T, hi = scale - 1 and Y maps [c, hi]
+    onto [1, -1]; everything at or above c, the pool included, lands in
+    [-1, 1] and every value below c above 1.  Returns (values, vectors,
+    residuals) for the ``want`` lowest pairs, with Rayleigh quotients of H
+    and explicit residuals, or None when ARPACK did not converge within
+    ``max_iter`` restarts or a residual exceeds tol_abs.  A probe
     (``probe_tol`` given) runs ARPACK at that tolerance and has no residual cap.
     """
     n = op.dim
-    V = np.column_stack(deflate) if deflate else None
-
-    def shifted(x):
-        y = op.matvec(x)
-        y += scale * x
-        if V is not None:
-            y += V @ ((2.0 * scale) * (V.T @ x))
-        return y
-
-    A = LinearOperator((n, n), matvec=shifted, dtype=float)
-    # ARPACK stops at Ritz residuals <= tol * theta; the wanted theta are at
-    # most 2 * scale, so this asks for half the certified bound
+    V = np.column_stack(pool_vecs) if pool_vecs else None
+    # ARPACK stops at Ritz residuals <= tol * theta; unfiltered, the wanted
+    # theta are at most 2 * scale, so this asks for half the certified bound.
+    # Filtered, the explicit residual check below is what certifies.
     tol = tol_abs / (4.0 * scale) if probe_tol is None else probe_tol
+    if cut is None:
+        def apply(x):
+            y = op.matvec(x)
+            y += scale * x
+            if V is not None:
+                y += V @ ((2.0 * scale) * (V.T @ x))
+            return y
+
+        which = "SA"
+    else:
+        hi = scale - 1.0
+        center, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
+        lift = hi - np.asarray(pool_vals)
+
+        def y_of_h(x):
+            y = op.matvec(x)
+            if V is not None:
+                y += V @ (lift * (V.T @ x))
+            y -= center * x
+            y *= -1.0 / half
+            return y
+
+        def apply(x):
+            # three-term recurrence T_{j+1} = 2 Y T_j - T_{j-1}
+            prev, cur = x, y_of_h(x)
+            for _ in range(FILTER_DEGREE - 1):
+                nxt = y_of_h(cur)
+                nxt *= 2.0
+                nxt -= prev
+                prev, cur = cur, nxt
+            return cur
+
+        which = "LA"
+
+    A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, X = eigsh(A, k=want, which="SA", v0=rng.standard_normal(n), maxiter=max_iter,
+        _, X = eigsh(A, k=want, which=which, v0=rng.standard_normal(n), maxiter=max_iter,
                      tol=tol)
     except ArpackNoConvergence:
         return None
@@ -196,6 +284,17 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     same rule is applied to its value.  Like that rule, the probe does not
     prove that the complement holds nothing lower: ARPACK may converge to a
     higher eigenvalue when the start vector barely overlaps a lower one.
+
+    On sectors of at least FILTER_MIN_DIM states every full-tolerance run is
+    Chebyshev filtered.  Its cut is an interlacing bound mu_j with
+    j >= pooled + want + CUT_MARGIN (``_interlacing_cut``): removing the
+    pooled values from the spectrum leaves its i-th value at most
+    lambda_{pooled+i}(H), so every wanted value lies below the cut.  A sector
+    whose submatrix gives no cut below |H|_inf, and a filtered run that does
+    not converge or misses the residual bound, run at degree 1 instead.  The
+    probes always run at degree 1: a filtered probe cannot stop before ncv
+    steps of FILTER_DEGREE matvecs each (168 matvecs against 41 on the 411k
+    sector).
     """
     n = op.dim
     if not 1 <= k < n:
@@ -221,12 +320,20 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
             break
         if len(pool_vals) >= k:
             # an eigenvalue of H lies within r of the probe's theta
-            probe = _lanczos_sweep(op, 1, tol_abs, max_iter, rng, pool_vecs, scale,
+            probe = _lanczos_sweep(op, 1, tol_abs, max_iter, rng, pool_vals, pool_vecs, scale,
                                    probe_tol=CONFIRM_TOL)
             if probe is not None and settled(probe[0][0] - probe[2][0]):
                 break
         want = min(k - len(pool_vals), comp) if len(pool_vals) < k else 1
-        got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vecs, scale)
+        cut = None
+        if n >= FILTER_MIN_DIM:
+            cut = _interlacing_cut(op, len(pool_vals) + want, scale - 1.0, tol_abs)
+        got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs, scale,
+                             cut=cut)
+        if got is None and cut is not None:
+            # the same complement at degree 1, from the next start vector
+            got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs,
+                                 scale)
         if got is None:
             raise LanczosError(
                 f"no convergence within {max_iter} restarts",

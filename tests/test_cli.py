@@ -171,6 +171,10 @@ def test_bad_tol_is_rejected(capsys):
             _rejected(capsys, [*command, f"--tol={tol}"], "tol must satisfy 0 < tol < 1")
 
 
+def test_uncertifiable_tol_is_rejected(capsys):
+    _rejected(capsys, [*SOLVER_COMMANDS[0], "--tol=1e-18"], "tol must be >= 1e-14")
+
+
 def test_bad_cluster_tol_is_rejected(capsys):
     for command in SOLVER_COMMANDS:
         for tol in ("nan", "inf", "-1e-8"):

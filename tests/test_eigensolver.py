@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -12,7 +14,11 @@ from xxzkink.eigensolver import (
     DENSE_CAP,
     DENSE_MAX,
     DenseCapError,
+    FILTER_MIN_DIM,
     LanczosError,
+    _interlacing_bounds,
+    _interlacing_cut,
+    _lanczos_sweep,
     dense_spectrum,
     group_multiplicities,
     lanczos_lowest,
@@ -120,13 +126,13 @@ def test_lanczos_determinism():
     assert np.array_equal(a.residuals, b.residuals)
 
 
-def _spy_on_eigsh(monkeypatch) -> list:
-    """Record (k, tol) of every ARPACK call lanczos_lowest makes."""
+def _spy_on_eigsh(monkeypatch, keys=("tol",)) -> list:
+    """Record (k, *kwargs[keys]) of every ARPACK call lanczos_lowest makes."""
     calls = []
     real = xxzkink.eigensolver.eigsh
 
     def spy(A, k, **kwargs):
-        calls.append((k, kwargs["tol"]))
+        calls.append((k, *(kwargs[key] for key in keys)))
         return real(A, k=k, **kwargs)
 
     monkeypatch.setattr(xxzkink.eigensolver, "eigsh", spy)
@@ -220,4 +226,96 @@ def test_lanczos_matches_dense_property(sector, variant, delta_inv, k, seed):
     rec = lanczos_lowest(op, k, seed=seed)
     assert np.abs(rec.eigenvalues - ref).max() <= 1e-8
     assert [m for _, m in rec.clusters] == [m for _, m in group_multiplicities(ref)]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    sector=st.sampled_from(SMALL_SECTORS),
+    delta_inv=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    size=st.integers(1, 60),
+    index=st.integers(1, 12),
+)
+# Ising limit of J = 1, L = 3, M = 0: the values 0, 2 x 7, 3 x 8, so mu_8 = lambda_2
+@example(sector=(2, 3, 0), delta_inv=0.0, size=60, index=2)
+def test_interlacing_bounds_lie_above_the_spectrum(sector, delta_inv, size, index):
+    two_j, L, two_m = sector
+    op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
+    exact = dense_spectrum(op).eigenvalues
+    hi = op.inf_norm()
+    with mock.patch.object(xxzkink.eigensolver, "CUT_STATES", size):
+        mu = _interlacing_bounds(op)
+        cut = _interlacing_cut(op, index, hi, 1e-10 * (1.0 + hi))
+    assert mu.size == min(size, op.dim)
+    assert (mu >= exact[:mu.size] - 1e-12 * (1.0 + hi)).all()
+    if cut is not None:
+        assert exact[index - 1] < cut < hi
+
+
+FILTERED = (3, 4, -9)  # 13051 states
+
+
+def test_filtered_lanczos_matches_degree_one(monkeypatch):
+    op = build_sector_operator(H(FILTERED[0]), FILTERED[1], H(FILTERED[2]), "kink", 0.4)
+    assert op.dim >= FILTER_MIN_DIM
+    calls = _spy_on_eigsh(monkeypatch, ("which", "tol"))
+    rec = lanczos_lowest(op, 6, seed=4)
+    # a filtered first run, then a degree-1 probe
+    assert [(k, which) for k, which, _ in calls] == [(6, "LA"), (1, "SA")]
+    assert calls[0][2] <= 1e-10 and calls[1][2] == CONFIRM_TOL
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", op.dim + 1)
+    ref = lanczos_lowest(op, 6, seed=4)
+    assert calls[2][1] == "SA"
+    assert np.abs(rec.eigenvalues - ref.eigenvalues).max() <= 1e-8
+    assert [m for _, m in rec.clusters] == [m for _, m in ref.clusters]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+def test_filtered_lanczos_degenerate_cluster(monkeypatch):
+    calls = _spy_on_eigsh(monkeypatch, ("which",))
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
+    test_lanczos_degenerate_cluster()
+    assert calls[0][1] == "LA"
+
+
+def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
+    calls = _spy_on_eigsh(monkeypatch, ("which",))
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
+    # {-5, 5 x 34} leaves no cut below |H|_inf = 5, so this runs at degree 1
+    test_lanczos_deflation_lifts_past_wide_gap()
+    assert {which for _, which in calls} == {"SA"}
+    # with the 34 values spread over [5, 6] the filter engages
+    base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
+    diag = np.concatenate(([-5.0], np.linspace(5.0, 6.0, base.dim - 1)))
+    op = SectorOperator(base.basis, "kink", 0.5, sparse.diags(diag, format="csr"), True)
+    calls.clear()
+    rec = lanczos_lowest(op, 2, seed=0)
+    assert calls[0][1] == "LA"
+    assert np.allclose(rec.eigenvalues, [-5.0, 5.0], atol=1e-10)
+    # a filtered run in the complement of the -5 pair moves it to |H|_inf
+    # inside the filter interval, so it finds 5 and not -5 again
+    scale = 1.0 + op.inf_norm()
+    found = np.zeros(op.dim)
+    found[0] = 1.0
+    vals, _, res = _lanczos_sweep(op, 1, 1e-10 * scale, op.dim, np.random.default_rng(1),
+                                  [-5.0], [found], scale, cut=5.5)
+    assert vals == pytest.approx([5.0], abs=1e-10) and res[0] <= 1e-10 * scale
+
+
+def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
+    real = xxzkink.eigensolver.eigsh
+    whiches = []
+
+    def no_filtered_convergence(A, k, **kwargs):
+        whiches.append(kwargs["which"])
+        if kwargs["which"] == "LA":
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+        return real(A, k=k, **kwargs)
+
+    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_filtered_convergence)
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
+    op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states
+    rec = lanczos_lowest(op, 3, seed=0)
+    assert whiches[:2] == ["LA", "SA"]
+    assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
