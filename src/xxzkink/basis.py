@@ -113,6 +113,20 @@ def sector_dimension(J, L, M) -> int:
     return _count_table(as_half(J).twice, n, total)[0][total]
 
 
+def hop_count(J, L, M) -> int:
+    """Exact number of one-direction hops of a sector (the strict lower
+    triangle of h1): on each bond, the configurations with d_a >= 1 and
+    d_{a+1} <= 2J - 1, by inclusion-exclusion on the two pinned digits."""
+    n, total = _sector_shape(J, L, M)
+    if total is None:
+        return 0
+    tj = as_half(J).twice
+    ways = _count_table(tj, n, total)
+    rest = total - tj  # digit sum left once d_{a+1} = 2J
+    pinned = ways[1][rest] - ways[2][rest] if rest >= 0 else 0
+    return (n - 1) * (ways[0][total] - ways[1][total] - pinned)
+
+
 def _cumulative_counts(ways64: np.ndarray, two_j: int) -> np.ndarray:
     """C[i, r, e] = number of digit choices d < e at site i given remaining sum r.
 

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .halfint import as_half
-from .hamiltonian import build_sector_operator, hopping_structure
+from .hamiltonian import build_sector_operator
 from .basis import SectorBasis
 from .spin import spin_matrices
 
@@ -169,8 +169,7 @@ def random_vector_bound_check(J, L, M, trials: int = 1000, seed: int = 0,
     J = as_half(J)
     if basis is None:
         basis = SectorBasis(J, L, M)
-    structure = hopping_structure(basis)
-    h1 = build_sector_operator(J, L, M, "h1", basis=basis, structure=structure)
+    h1 = build_sector_operator(J, L, M, "h1", basis=basis)
     h0 = build_sector_operator(J, L, M, "ising_kink", basis=basis)
     jf = float(J)
     slope = math.sqrt(jf * jf + 2.0 * jf**3)

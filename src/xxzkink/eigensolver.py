@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import daxpy, dgemv
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .hamiltonian import SectorOperator
@@ -169,7 +170,7 @@ def _interlacing_bounds(op) -> np.ndarray:
     """Eigenvalues mu_1 <= mu_2 <= ... of H on its CUT_STATES lowest-diagonal
     configurations (a stable sort); by Cauchy interlacing mu_j >= lambda_j(H)."""
     rows = np.sort(np.argsort(op.diagonal(), kind="stable")[:CUT_STATES])
-    return eigh(op.matrix[rows][:, rows].toarray(), eigvals_only=True)
+    return eigh(op.to_dense(rows), eigvals_only=True)
 
 
 def _interlacing_cut(op, index: int, hi: float, sep: float):
@@ -190,7 +191,7 @@ def _interlacing_cut(op, index: int, hi: float, sep: float):
 
 
 def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals: list,
-                   pool_vecs: list, scale: float, *, probe_tol: float | None = None,
+                   pool_vecs: np.ndarray, scale: float, *, probe_tol: float | None = None,
                    cut: float | None = None):
     """One implicitly restarted Lanczos run (ARPACK) in the complement of the pool.
 
@@ -210,17 +211,22 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     (``probe_tol`` given) runs ARPACK at that tolerance and has no residual cap.
     """
     n = op.dim
-    V = np.column_stack(pool_vecs) if pool_vecs else None
+    V = pool_vecs if pool_vecs.shape[1] else None
     # ARPACK stops at Ritz residuals <= tol * theta; unfiltered, the wanted
     # theta are at most 2 * scale, so this asks for half the certified bound.
     # Filtered, the explicit residual check below is what certifies.
     tol = tol_abs / (4.0 * scale) if probe_tol is None else probe_tol
+
+    def add_pool(y, x, lift):
+        # y += V diag(lift) V^T x
+        dgemv(1.0, V.T, lift * (V.T @ x), beta=1.0, y=y, trans=1, overwrite_y=True)
+
     if cut is None:
         def apply(x):
             y = op.matvec(x)
-            y += scale * x
+            daxpy(x, y, a=scale)
             if V is not None:
-                y += V @ ((2.0 * scale) * (V.T @ x))
+                add_pool(y, x, 2.0 * scale)
             return y
 
         which = "SA"
@@ -232,8 +238,8 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
         def y_of_h(x):
             y = op.matvec(x)
             if V is not None:
-                y += V @ (lift * (V.T @ x))
-            y -= center * x
+                add_pool(y, x, lift)
+            daxpy(x, y, a=-center)
             y *= -1.0 / half
             return y
 
@@ -255,7 +261,7 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
                      tol=tol)
     except ArpackNoConvergence:
         return None
-    vals, vecs, res = [], [], []
+    vals, res = [], []
     for x in X.T:
         hx = op.matvec(x)
         theta = float(x @ hx)
@@ -263,9 +269,8 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
         if probe_tol is None and r > tol_abs:
             return None
         vals.append(theta)
-        vecs.append(x)
         res.append(r)
-    return np.asarray(vals), vecs, res
+    return np.asarray(vals), X, res
 
 
 def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
@@ -304,7 +309,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     max_iter = min(n, max(300, 20 * k))
     rng = np.random.default_rng(seed)
     pool_vals: list = []
-    pool_vecs: list = []
+    pool_vecs = np.empty((n, 0))
     pool_res: list = []
     max_sweeps = 2 * k + 8
 
@@ -324,6 +329,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                                    probe_tol=CONFIRM_TOL)
             if probe is not None and settled(probe[0][0] - probe[2][0]):
                 break
+            del probe
         want = min(k - len(pool_vals), comp) if len(pool_vals) < k else 1
         cut = None
         if n >= FILTER_MIN_DIM:
@@ -341,8 +347,10 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
             )
         new_vals, new_vecs, new_res = got
         pool_vals.extend(float(v) for v in new_vals)
-        pool_vecs.extend(new_vecs)
+        pool_vecs = np.hstack([pool_vecs, new_vecs])
         pool_res.extend(new_res)
+        # ARPACK's returned block would otherwise sit beside the next run's workspace
+        del got, new_vecs
         # the sweep minimum is the smallest eigenvalue left in the complement
         if len(pool_vals) >= k and settled(float(new_vals.min())):
             break
@@ -357,8 +365,22 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     res = np.asarray(pool_res)[order]
     vecs = None
     if keep_vectors:
-        vecs = np.column_stack([pool_vecs[i] for i in order])
+        vecs = pool_vecs[:, order]
     return _record(op, vals, res, "lanczos", cluster_tol, vecs)
+
+
+def _dense_route(n: int, k: int) -> bool:
+    return n <= DENSE_MAX or k >= n
+
+
+def solve_bytes(n: int, k: int) -> int:
+    """Bytes that solve_lowest allocates for the k lowest pairs of an n-state
+    sector with hopping: H and its eigenvectors on the dense route; else
+    ARPACK's max(2k+1, 20) basis vectors, the equal-size block scipy
+    allocates to extract Ritz vectors from them, and the k pooled vectors."""
+    if _dense_route(n, k):
+        return 2 * n * n * 8
+    return n * (2 * max(2 * k + 1, 20) + k) * 8
 
 
 def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
@@ -368,7 +390,7 @@ def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
     k = int(k)
     if k < 1:
         raise ValueError("need k >= 1")
-    if op.diagonal_only or op.dim <= DENSE_MAX or k >= op.dim:
+    if op.diagonal_only or _dense_route(op.dim, k):
         return dense_spectrum(op, k, keep_vectors=keep_vectors, cluster_tol=cluster_tol)
     return lanczos_lowest(op, k, tol=tol, seed=seed, keep_vectors=keep_vectors,
                           cluster_tol=cluster_tol)

@@ -17,10 +17,13 @@ the supported variants are
 
 Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
-product formed in exact integers and square-rooted once.  Only one hop
-direction is built (the strict lower triangle, int32 ranks) and assembly
-adds its transpose.  The decomposition kink = ising_kink + delta_inv * h1 +
-(1 - s) * h2 holds entrywise, as does ising_free = ising_kink + h2.
+product formed in exact integers and square-rooted once.  The table is
+also the storage: an operator is its diagonal vector plus a hop scale
+(delta_inv, 1 or 0) over the sector's unscaled h1 CSR, which is built once
+per sector from one hop direction (the strict lower triangle, int32 ranks)
+and shared by every operator of the sector.  So kink = ising_kink +
+delta_inv * h1 + (1 - s) * h2 holds entrywise, as does ising_free =
+ising_kink + h2.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import IsingConfig, SectorBasis
+from .basis import IsingConfig, SectorBasis, hop_count
 from .halfint import as_half
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
@@ -76,9 +79,9 @@ def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
 
 @dataclass
 class HoppingStructure:
-    """COO triplets of the pure hopping term (the h1 variant), reusable across
-    anisotropy values for one sector: one hop direction only, the strict lower
-    triangle (cols < rows) with int32 ranks; assembly adds the transpose."""
+    """COO triplets of the pure hopping term (the h1 variant): one hop
+    direction only, the strict lower triangle (cols < rows) with int32 ranks;
+    ``hopping_matrix`` turns them into the h1 CSR."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -110,59 +113,109 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     rad_down = (tj - drange) * (drange + 1)   # lower m at a site holding d units
     ranks = np.arange(dim, dtype=np.int32)
     prefix = np.zeros(dim, dtype=np.int32)
-    rows_parts, cols_parts, vals_parts = [], [], []
+    # every bond has the same number of moves, so the triplets are filled in place
+    size = hop_count(basis.J, basis.L, basis.M)
+    out = HoppingStructure(np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size))
+    per_bond = size // (n - 1)
     for a in range(n - 1):
         da, db = down[:, a], down[:, a + 1]
         mask = (da >= 1) & (db <= tj - 1)
-        if mask.any():
-            dam, dbm = da[mask], db[mask]
-            ram = basis.total_down - prefix[mask]
-            rbm = ram - dam
-            delta = (
-                cum[a, ram, dam - 1]
-                - cum[a, ram, dam]
-                + cum[a + 1, rbm + 1, dbm + 1]
-                - cum[a + 1, rbm, dbm]
-            )
-            rows = ranks[mask]
-            rows_parts.append(rows)
-            cols_parts.append((rows + delta).astype(np.int32))
-            vals_parts.append(-0.5 * np.sqrt((rad_up[dam] * rad_down[dbm]).astype(float)))
-        prefix += da
-    if rows_parts:
-        return HoppingStructure(
-            np.concatenate(rows_parts), np.concatenate(cols_parts), np.concatenate(vals_parts)
+        dam, dbm = da[mask], db[mask]
+        ram = basis.total_down - prefix[mask]
+        rbm = ram - dam
+        delta = (
+            cum[a, ram, dam - 1]
+            - cum[a, ram, dam]
+            + cum[a + 1, rbm + 1, dbm + 1]
+            - cum[a + 1, rbm, dbm]
         )
-    empty = np.zeros(0, dtype=np.int32)
-    return HoppingStructure(empty, empty, np.zeros(0))
+        part = slice(a * per_bond, (a + 1) * per_bond)
+        out.rows[part] = ranks[mask]
+        out.cols[part] = out.rows[part] + delta
+        out.values[part] = -0.5 * np.sqrt((rad_up[dam] * rad_down[dbm]).astype(float))
+        prefix += da
+    return out
+
+
+def hopping_matrix(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
+    """The unscaled h1 CSR (int32 indices) from ``hopping_structure``'s triplets.
+
+    A counting sort on rows, each row's lower entries before its upper ones.
+    The triplets come bond by bond with ascending rows.  The neighbor a rank
+    reaches across bond a ranks below the one it reaches across a later bond,
+    and the rank reaching it across bond a ranks above the one reaching it
+    across a later bond.  So a run of ascending rows holds each rank at most
+    once as a row and once as a column, and scattering the runs forward (lower
+    entries), then backward (upper entries), leaves every row sorted.
+    """
+    rows, cols, vals = structure.rows, structure.cols, structure.values
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dim) + np.bincount(cols, minlength=dim),
+              out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    fill = indptr[:-1].copy()  # next free slot of each row
+    cuts = np.flatnonzero(rows[1:] <= rows[:-1]) + 1
+    runs = list(zip(np.r_[0, cuts], np.r_[cuts, rows.size]))
+    for key, other, order in ((rows, cols, runs), (cols, rows, runs[::-1])):
+        for a, b in order:
+            pos = fill[key[a:b]]
+            indices[pos], data[pos] = other[a:b], vals[a:b]
+            fill[key[a:b]] = pos + 1
+    if not np.array_equal(fill, indptr[1:]):
+        raise ValueError("triplets are not in hopping_structure's bond order")
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 @dataclass
 class SectorOperator:
-    """A variant restricted to one sector, stored as CSR (row index = rank)."""
+    """A variant restricted to one sector as diag + hop_scale * h1 (index =
+    rank); ``h1`` is the sector's unscaled hopping CSR, shared by every
+    operator of the sector (an empty CSR when none was built)."""
 
     basis: SectorBasis
     variant: str
     delta_inv: float | None
-    matrix: sparse.csr_matrix
-    diagonal_only: bool
+    diag: np.ndarray
+    h1: sparse.csr_matrix
+    hop_scale: float
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diag.size
+
+    @property
+    def diagonal_only(self) -> bool:
+        return self.hop_scale == 0.0 or self.h1.nnz == 0
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        """The operator as one CSR, assembled on demand for inspection (no
+        solve uses it); exactly zero diagonal entries are not stored."""
+        return sparse.diags(self.diag, format="csr") + self.hop_scale * self.h1
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        return self.diag
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        y = self.h1 @ v
+        # y = hop_scale * y + diag * v block by block: no n-vector temporary
+        for lo in range(0, y.size, 16384):
+            block = y[lo:lo + 16384]
+            block *= self.hop_scale
+            block += self.diag[lo:lo + 16384] * v[lo:lo + 16384]
+        return y
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+    def to_dense(self, rows=slice(None)) -> np.ndarray:
+        """The dense matrix, or its principal submatrix on the sorted ranks ``rows``."""
+        dense = (self.hop_scale * self.h1[rows][:, rows]).toarray()
+        np.fill_diagonal(dense, self.diag[rows])  # h1 has no diagonal entries
+        return dense
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum; used to scale residual tolerances."""
-        return float(abs(self.matrix).sum(axis=1).max())
+        # every hop entry is negative, so -h1 @ 1 holds h1's absolute row sums
+        sums = np.abs(self.diag) - self.hop_scale * (self.h1 @ np.ones(self.dim))
+        return float(sums.max())
 
 
 def build_sector_operator(
@@ -172,14 +225,15 @@ def build_sector_operator(
     variant: str = "kink",
     delta_inv: float | None = None,
     basis: SectorBasis | None = None,
-    structure: HoppingStructure | None = None,
+    h1: sparse.csr_matrix | None = None,
 ) -> SectorOperator:
-    """Assemble one sector-restricted variant as a real symmetric CSR matrix.
+    """One sector-restricted variant as diag + hop_scale * h1.
 
     ``delta_inv`` is required (in [0, 1]) for the kink and antikink variants
     and must be omitted for the parameter-free ones.  A prebuilt ``basis``
-    and hopping ``structure`` may be passed to share work across variants and
-    anisotropy values.
+    and ``h1`` (``hopping_matrix``) may be passed to share them across
+    variants and anisotropy values; h1 is built here only when the variant
+    hops and none is given.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -201,46 +255,21 @@ def build_sector_operator(
     if basis.dim == 0:
         raise ValueError(f"sector M={M} is empty for J={J}, L={L}")
 
-    hop_scale = 0.0
-    if variant == "h1":
-        hop_scale = 1.0
-    elif variant in ("kink", "antikink"):
-        hop_scale = delta_inv
-
-    if variant == "kink":
-        s = math.sqrt(1.0 - delta_inv * delta_inv)
-        diag = ising_diagonal(basis) + (1.0 - s) * boundary_diagonal(basis)
-    elif variant == "antikink":
-        s = math.sqrt(1.0 - delta_inv * delta_inv)
-        diag = free_diagonal(basis) + s * boundary_diagonal(basis)
-    elif variant == "ising_kink":
-        diag = ising_diagonal(basis).astype(float)
-    elif variant == "ising_free":
-        diag = free_diagonal(basis)
-    elif variant == "h2":
-        diag = boundary_diagonal(basis)
-    else:  # h1
-        diag = None
-
-    dim = basis.dim
-    ranks = np.arange(dim, dtype=np.int32)
-    rows, cols, data = [], [], []
-    if diag is not None:
-        rows.append(ranks)
-        cols.append(ranks)
-        data.append(diag.astype(float))
-    diagonal_only = True
-    if hop_scale != 0.0:
-        if structure is None:
-            structure = hopping_structure(basis)
-        # the stored triangle and its transpose share one scaled value array
-        hops = hop_scale * structure.values
-        rows += [structure.rows, structure.cols]
-        cols += [structure.cols, structure.rows]
-        data += [hops, hops]
-        diagonal_only = structure.rows.size == 0
-
-    matrix = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
-    return SectorOperator(basis, variant, delta_inv, matrix, diagonal_only)
+    s = None if delta_inv is None else math.sqrt(1.0 - delta_inv * delta_inv)
+    # variant -> (its diagonal over the sector, its hop scale)
+    terms = {
+        "kink": (lambda: ising_diagonal(basis) + (1.0 - s) * boundary_diagonal(basis), delta_inv),
+        "antikink": (lambda: free_diagonal(basis) + s * boundary_diagonal(basis), delta_inv),
+        "ising_kink": (lambda: ising_diagonal(basis).astype(float), 0.0),
+        "ising_free": (lambda: free_diagonal(basis), 0.0),
+        "h1": (lambda: np.zeros(basis.dim), 1.0),
+        "h2": (lambda: boundary_diagonal(basis), 0.0),
+    }
+    diagonal, hop_scale = terms[variant]
+    if h1 is None and hop_scale == 0.0:
+        h1 = sparse.csr_matrix((basis.dim, basis.dim))
+    elif h1 is None:
+        h1 = hopping_matrix(hopping_structure(basis), basis.dim)
+    elif h1.shape != (basis.dim, basis.dim):
+        raise ValueError("supplied h1 does not match the basis")
+    return SectorOperator(basis, variant, delta_inv, diagonal(), h1, hop_scale)

@@ -10,15 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import resource
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SectorBasis
-from .eigensolver import solve_lowest
+from .basis import SectorBasis, hop_count, sector_dimension
+from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt
-from .hamiltonian import HoppingStructure, hopping_structure, build_sector_operator
+from .hamiltonian import build_sector_operator, hopping_matrix, hopping_structure
 
 SWEEP_FIELDS = (
     "two_j",
@@ -81,8 +83,8 @@ def _job_seed(plan_seed: int, job_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=plan_seed, spawn_key=(job_index,))
 
 
-def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
-                 structure: HoppingStructure | None, delta_inv: float) -> list:
+def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, h1,
+                 delta_inv: float) -> list:
     base = {
         "two_j": plan.two_j,
         "L": plan.L,
@@ -93,7 +95,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
     try:
         op = build_sector_operator(
             HalfInt(plan.two_j), plan.L, HalfInt(basis.two_m), "kink", delta_inv,
-            basis=basis, structure=structure,
+            basis=basis, h1=h1,
         )
         record = solve_lowest(
             op, plan.k, tol=plan.tol, seed=_job_seed(plan.seed, job_index),
@@ -120,21 +122,46 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis,
     return rows
 
 
+def memory_limit() -> int:
+    """Bytes this process may use: its RLIMIT_AS soft limit, else physical memory."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _preflight(plan: SweepPlan) -> None:
+    """Refuse, before anything is built, a sector whose h1 CSR and solve need
+    more memory than the process may use."""
+    limit = memory_limit()
+    J = HalfInt(plan.two_j)
+    for tm in plan.two_m_list:
+        n = sector_dimension(J, plan.L, HalfInt(tm))
+        need = 24 * hop_count(J, plan.L, HalfInt(tm)) + 4 * (n + 1) + solve_bytes(n, plan.k)
+        if need > limit:
+            raise ValueError(f"sector two_m={tm} with k={plan.k} needs about "
+                             f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "
+                             "this process may use")
+
+
 def run_sweep(plan: SweepPlan) -> list:
     """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
 
     Each sector is built, run over the whole grid and dropped before the next
-    one; its hopping structure is built once, and only if some delta_inv > 0.
+    one; its h1 CSR is built once, only if some delta_inv > 0, and every grid
+    point's operator shares it.
     """
     plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
+    if needs_hops:  # delta_inv = 0 jobs are exact sorts
+        _preflight(plan)
     n_grid = len(plan.delta_inv_grid)
     rows = []
     for s, tm in enumerate(plan.two_m_list):
         basis = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
-        structure = hopping_structure(basis) if needs_hops else None
+        h1 = hopping_matrix(hopping_structure(basis), basis.dim) if needs_hops else None
         for g, dv in enumerate(plan.delta_inv_grid):
-            rows.extend(_sector_rows(plan, s * n_grid + g, basis, structure, dv))
+            rows.extend(_sector_rows(plan, s * n_grid + g, basis, h1, dv))
     return rows
 
 

@@ -30,7 +30,12 @@ from xxzkink.cli import main as cli_main
 from xxzkink.eigensolver import DENSE_MAX, dense_spectrum, lanczos_lowest, solve_lowest
 from xxzkink.groundstate import groundstate_vector
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import build_sector_operator, hopping_structure, ising_diagonal
+from xxzkink.hamiltonian import (
+    build_sector_operator,
+    hopping_matrix,
+    hopping_structure,
+    ising_diagonal,
+)
 from xxzkink.ising import (
     EdgeSectorError,
     band_edge_multiplicity_lower_bound,
@@ -334,10 +339,10 @@ def test_c11_solver_cross_validation(tmp_path):
                 if not 8 <= dim <= 2000:
                     continue
                 basis = SectorBasis(H(two_j), L, H(two_m))
-                structure = hopping_structure(basis)
+                h1 = hopping_matrix(hopping_structure(basis), basis.dim)
                 for dv in grid:
                     op = build_sector_operator(
-                        H(two_j), L, H(two_m), "kink", dv, basis=basis, structure=structure
+                        H(two_j), L, H(two_m), "kink", dv, basis=basis, h1=h1
                     )
                     ref = dense_spectrum(op).eigenvalues[:6]
                     got = lanczos_lowest(op, 6, tol=1e-10, seed=13).eigenvalues

@@ -198,6 +198,18 @@ def test_profile_infinite_delta_is_rejected(capsys):
     assert err == "error: anisotropy must be finite with delta >= 1, got inf\n"
 
 
+def test_memory_preflight_refuses_with_exit_2(capsys, monkeypatch):
+    # the limit is pinned, so the outcome does not depend on the machine's memory
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**30)
+    args = ["spectrum", "-J", "3/2", "-L", "4", "--two-m=-3/2", "--delta-inv", "0.4"]
+    assert main(args + ["--k", "27000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sector two_m=-3 with k=27000 needs about 28.0 GiB")
+    assert err.count("\n") == 1
+    # the same sector fits at k = 3
+    assert main(args + ["--k", "3"]) == 0
+
+
 def test_repeated_sector_is_rejected(capsys):
     for command in ("spectrum", "sweep"):
         argv = [command, "-J", "1", "-L", "1", "--two-m=1,-1,1", "--delta-inv", "0.4", "--k", "2"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oracles import (
     brute_config_energy,
@@ -16,6 +17,7 @@ from xxzkink.hamiltonian import (
     boundary_diagonal,
     build_sector_operator,
     free_diagonal,
+    hopping_matrix,
     hopping_structure,
     ising_bond_energy,
     ising_config_energy,
@@ -87,14 +89,14 @@ def test_decomposition_identity():
     # kink(dv) == ising_kink + dv * h1 + (1 - sqrt(1 - dv^2)) * h2, entrywise
     for two_m in reachable_sectors(H(3), 3):
         basis = SectorBasis(H(3), 3, H(two_m))
-        structure = hopping_structure(basis)
+        h1 = hopping_matrix(hopping_structure(basis), basis.dim)
         parts = {
-            v: build_sector_operator(H(3), 3, H(two_m), v, basis=basis, structure=structure)
+            v: build_sector_operator(H(3), 3, H(two_m), v, basis=basis, h1=h1)
             for v in ("ising_kink", "h1", "h2")
         }
         for dv in (0.1, 0.4, 0.9):
             kink = build_sector_operator(
-                H(3), 3, H(two_m), "kink", dv, basis=basis, structure=structure
+                H(3), 3, H(two_m), "kink", dv, basis=basis, h1=h1
             )
             recombined = (
                 parts["ising_kink"].matrix
@@ -197,7 +199,8 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
         radicand = ladder_radicand(J, ma, "up") * ladder_radicand(J, mb, "down")
         assert v == -0.5 * math.sqrt(radicand)
     # assembly adds the transpose: both directions, exactly symmetric
-    h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis, structure=s).matrix
+    h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis,
+                               h1=hopping_matrix(s, basis.dim)).matrix
     assert h1.nnz == raise_lower.sum() + lower_raise.sum()
     assert (h1 != h1.T).nnz == 0
 
@@ -212,6 +215,42 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     assert s.values.dtype == np.float64
     assert (s.cols < s.rows).all()
     assert s.rows.nbytes + s.cols.nbytes + s.values.nbytes == 16 * s.rows.size
+
+
+@pytest.mark.parametrize("two_j, L, two_m", [
+    (1, 4, -1), (2, 3, 0), (3, 3, -3), (4, 2, 2), (5, 2, -5), (127, 1, -127), (127, 2, 621),
+])
+def test_hopping_matrix_equals_both_direction_coo(two_j, L, two_m):
+    basis = SectorBasis(H(two_j), L, H(two_m))
+    s = hopping_structure(basis)
+    h1 = hopping_matrix(s, basis.dim)
+    ref = sparse.csr_matrix(
+        (np.concatenate([s.values, s.values]),
+         (np.concatenate([s.rows, s.cols]), np.concatenate([s.cols, s.rows]))),
+        shape=(basis.dim, basis.dim),
+    )
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(h1, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert h1.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("two_j, L, two_m, dv", [(3, 2, -1, 0.4), (3, 4, -3, 0.7), (127, 1, -127, 0.3)])
+def test_matvec_matches_assembled_matrix(two_j, L, two_m, dv):
+    # (3, 4, -3) has 27 876 states, so matvec works through several blocks
+    basis = SectorBasis(H(two_j), L, H(two_m))
+    h1 = hopping_matrix(hopping_structure(basis), basis.dim)
+    v = np.random.default_rng(5).standard_normal(basis.dim)
+    rows = np.arange(0, basis.dim, 7)
+    for variant in ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2"):
+        op = build_sector_operator(H(two_j), L, H(two_m), variant,
+                                   dv if variant in ("kink", "antikink") else None,
+                                   basis=basis, h1=h1)
+        matrix = op.matrix
+        norm = float(abs(matrix).sum(axis=1).max())
+        assert op.inf_norm() == pytest.approx(norm, rel=1e-14)
+        assert np.abs(op.matvec(v) - matrix @ v).max() <= 1e-13 * (1.0 + norm)
+        assert np.array_equal(op.to_dense(rows), matrix[rows][:, rows].toarray())
 
 
 def test_kink_antikink_unitary_equivalence():

@@ -76,9 +76,22 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
         return build(basis)
 
     patch(counted)
+    # every grid point of a sector shares that sector's one h1 object
+    build_op = xxzkink.sweep.build_sector_operator
+    shared = {}
+
+    def spied(J, L, M, variant, delta_inv, **kwargs):
+        op = build_op(J, L, M, variant, delta_inv, **kwargs)
+        shared.setdefault(M.twice, set()).add(id(kwargs["h1"]))
+        assert op.h1 is kwargs["h1"]
+        return op
+
+    monkeypatch.setattr(xxzkink.sweep, "build_sector_operator", spied)
     plan = small_plan(delta_inv_grid=(0.0, 0.2, 0.4))
     assert all_ok(run_sweep(plan))
     assert calls == list(plan.two_m_list)
+    assert sorted(shared) == sorted(plan.two_m_list)
+    assert all(len(ids) == 1 and id(None) not in ids for ids in shared.values())
 
 
 def test_failed_jobs_degrade_to_status_rows(monkeypatch):
