@@ -198,11 +198,12 @@ class SectorOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         y = self.h1 @ v
-        # y = hop_scale * y + diag * v block by block: no n-vector temporary
-        for lo in range(0, y.size, 16384):
-            block = y[lo:lo + 16384]
+        # y = hop_scale * y + diag * v in cache-sized blocks: no n-vector temporary
+        step = 16384
+        for lo in range(0, y.size, step):
+            block = y[lo:lo + step]
             block *= self.hop_scale
-            block += self.diag[lo:lo + 16384] * v[lo:lo + 16384]
+            block += self.diag[lo:lo + step] * v[lo:lo + step]
         return y
 
     def to_dense(self, rows=slice(None)) -> np.ndarray:
