@@ -36,7 +36,6 @@ from .ising import (
     predicted_low_spectrum,
 )
 from .groundstate import (
-    QParameter,
     SectorVector,
     groundstate_vector,
     magnetization_profile,

@@ -30,6 +30,8 @@ from .halfint import HalfInt, as_half
 
 _I64_MAX = np.iinfo(np.int64).max
 MAX_TWO_J = int(np.iinfo(np.int8).max)  # digits 0..2J are stored as int8
+# default cap on a sector's dimension, and on the steps of its counting table
+MAX_STATES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,14 @@ def _sector_shape(J, L, M):
 
 
 def _count_table(two_j: int, n: int, total: int) -> list:
-    """ways[i][r]: number of length-(n-i) digit tails with sum r, exact ints."""
+    """ways[i][r]: number of length-(n-i) digit tails with sum r, exact ints.
+
+    The fill takes about n * total * 2J steps on Python ints, so a table of
+    more than MAX_STATES steps is refused before anything is allocated.
+    """
+    if n * (total + 1) * (two_j + 1) > MAX_STATES:
+        raise ValueError(f"the counting table of {n} sites with 2J={two_j} and {total} down "
+                         f"units needs more than {MAX_STATES} steps")
     ways = [[0] * (total + 1) for _ in range(n + 1)]
     ways[n][0] = 1
     for i in range(n - 1, -1, -1):
@@ -186,7 +195,7 @@ class SectorBasis:
         ValueError; the rank/unrank tables stay int64.
     """
 
-    def __init__(self, J, L, M, max_states: int = 50_000_000):
+    def __init__(self, J, L, M, max_states: int = MAX_STATES):
         self.J = as_half(J)
         self.M = as_half(M)
         self.L = int(L)
@@ -200,7 +209,6 @@ class SectorBasis:
         if self.total_down is None:
             self.dim = 0
             self.down = np.zeros((0, self.n_sites), dtype=np.int8)
-            self._ways = None
             self._cum = None
             return
         ways = _count_table(self.two_j, self.n_sites, self.total_down)
@@ -210,9 +218,9 @@ class SectorBasis:
         if dim > max_states:
             raise ValueError(f"sector dimension {dim} exceeds max_states={max_states}")
         self.dim = dim
-        self._ways = np.array(ways, dtype=np.int64)
-        self._cum = _cumulative_counts(self._ways, self.two_j)
-        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, self._ways)
+        ways64 = np.array(ways, dtype=np.int64)
+        self._cum = _cumulative_counts(ways64, self.two_j)
+        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, ways64)
 
     @property
     def prefix_counts(self) -> np.ndarray:

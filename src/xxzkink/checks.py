@@ -87,10 +87,10 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
     """Run the per-sector checks over every sector of the (J, L) chain."""
     J = as_half(J)
     L = int(L)
-    total_states = (J.twice + 1) ** (2 * L + 1)
-    if total_states > budget:
+    if (J.twice + 1) ** (2 * L + 1) > budget:
+        # printed as a power: the decimal form can exceed int-to-str limits
         raise ValueError(
-            f"state space size {total_states} exceeds the exhaustive budget {budget}"
+            f"state space size {J.twice + 1}^{2 * L + 1} exceeds the exhaustive budget {budget}"
         )
     band = J.twice  # the level 2J as an exact integer
     sectors = []

@@ -3,7 +3,8 @@ perturbation certificates; CSV/JSON emission.
 
 Half-integer flags accept three spellings, all normalized to doubled
 integers: a bare integer is the doubled value (``--two-j 3`` is spin 3/2),
-while fraction strings (``3/2``) and decimals (``1.5``) are values.
+while fraction strings (``3/2``) and decimals (``1.5``) are values, read
+exactly as fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .basis import reachable_sectors
 from .certificates import certificate_constants, local_inequality_margin, series_margin
 from .checks import verify_ising_theorems
-from .halfint import HalfInt
+from .halfint import HalfInt, as_half
 from .ising import excitation_sets, isolation_distance
 from .sweep import (
     PROFILE_FIELDS,
@@ -36,22 +37,23 @@ from .sweep import (
 def parse_doubled(text: str) -> int:
     """Doubled-integer value of a half-integer flag (see module docstring)."""
     text = text.strip()
-    if "/" in text:
-        frac = Fraction(text)
-        doubled = 2 * frac
-        if doubled.denominator != 1:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
-        return int(doubled)
-    if "." in text or "e" in text.lower():
-        doubled = 2.0 * float(text)
-        if doubled != int(doubled):
-            raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
-        return int(doubled)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return as_half(Fraction(text)).twice
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer") from None
 
 
 def parse_sector_list(text: str) -> tuple:
     return tuple(parse_doubled(part) for part in text.split(",") if part.strip())
+
+
+# largest start:stop:count grid: the grid tuple is materialized and echoed
+# in the JSON plan, and every point is one solve per sector
+MAX_GRID_POINTS = 10_000
 
 
 def parse_grid(text: str) -> tuple:
@@ -62,8 +64,9 @@ def parse_grid(text: str) -> tuple:
         if len(pieces) != 3:
             raise argparse.ArgumentTypeError("grid must be start:stop:count")
         start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid count must lie in [1, {MAX_GRID_POINTS}], got {count}")
         return tuple(float(v) for v in np.linspace(start, stop, count))
     return tuple(float(part) for part in text.split(",") if part.strip())
 
@@ -108,26 +111,29 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _add_common(parser, sectors: bool) -> None:
+def _add_common(parser, fmt: bool) -> None:
     parser.add_argument("-J", "--two-j", type=parse_doubled, required=True,
                         metavar="J2", help="spin: doubled int, fraction, or decimal")
     parser.add_argument("-L", "--length", type=int, required=True,
                         help="half-length; sites run from -L to L")
-    if sectors:
-        group = parser.add_mutually_exclusive_group(required=True)
-        group.add_argument("--two-m", type=parse_sector_list, metavar="M2[,M2...]",
-                           help="sector magnetizations (same spellings as --two-j)")
-        group.add_argument("--all-sectors", action="store_true",
-                           help="every reachable sector")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_solver(parser) -> None:
-    parser.add_argument("--k", type=int, default=6, help="eigenvalues per job")
+def _add_sectors(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--two-m", type=parse_sector_list, metavar="M2[,M2...]",
+                       help="sector magnetizations (same spellings as --two-j)")
+    group.add_argument("--all-sectors", action="store_true", help="every reachable sector")
+
+
+def _add_solver(parser, per_job: bool) -> None:
     parser.add_argument("--tol", type=parse_tol, default=1e-10, help="residual tolerance scale")
-    parser.add_argument("--cluster-tol", type=parse_cluster_tol, default=1e-8)
     parser.add_argument("--seed", type=parse_seed, default=0)
+    if per_job:  # profile always solves for two pairs and groups nothing
+        parser.add_argument("--k", type=int, default=6, help="eigenvalues per job")
+        parser.add_argument("--cluster-tol", type=parse_cluster_tol, default=1e-8)
 
 
 def _grid_arguments(parser, single: bool) -> None:
@@ -145,7 +151,7 @@ def _grid_arguments(parser, single: bool) -> None:
 
 
 def _resolve_sectors(args) -> tuple:
-    if getattr(args, "all_sectors", False):
+    if args.all_sectors:
         return tuple(reachable_sectors(HalfInt(args.two_j), args.length))
     return tuple(args.two_m)
 
@@ -206,10 +212,8 @@ def _cmd_ising_check(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    if args.all_sectors or len(args.two_m) != 1:
-        raise ValueError("profile takes exactly one sector: --two-m=M2")
     rows = profile_table(
-        HalfInt(args.two_j), args.length, HalfInt(args.two_m[0]), args.delta,
+        HalfInt(args.two_j), args.length, HalfInt(args.two_m), args.delta,
         tol=args.tol, seed=args.seed,
     )
     _emit(rows_to_csv(rows, PROFILE_FIELDS), args.out)
@@ -267,31 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="eigenvalues of one or more sectors at one anisotropy")
-    _add_common(p, sectors=True)
+    _add_common(p, fmt=True)
+    _add_sectors(p)
     _grid_arguments(p, single=True)
-    _add_solver(p)
+    _add_solver(p, per_job=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("sweep", help="sectors x anisotropy grid")
-    _add_common(p, sectors=True)
+    _add_common(p, fmt=True)
+    _add_sectors(p)
     _grid_arguments(p, single=False)
-    _add_solver(p)
+    _add_solver(p, per_job=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ising-check", help="exhaustive diagonal-limit verification")
-    _add_common(p, sectors=False)
+    _add_common(p, fmt=True)
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="largest admissible total state-space size")
     p.set_defaults(func=_cmd_ising_check)
 
     p = sub.add_parser("profile", help="ground and first-excited magnetization profiles")
-    _add_common(p, sectors=True)
+    _add_common(p, fmt=False)
+    p.add_argument("--two-m", type=parse_doubled, required=True, metavar="M2",
+                   help="sector magnetization (same spellings as --two-j)")
     p.add_argument("--delta", type=float, required=True, help="anisotropy > 1")
-    _add_solver(p)
+    _add_solver(p, per_job=False)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("certify", help="perturbation certificates as JSON")
-    _add_common(p, sectors=False)
+    _add_common(p, fmt=False)
     p.add_argument("--max-enum", type=int, default=10**6,
                    help="largest sector enumerated for isolation distances")
     p.set_defaults(func=_cmd_certify)

@@ -43,11 +43,6 @@ from .hamiltonian import SectorOperator
 
 @dataclass
 class SpectrumRecord:
-    two_j: int
-    L: int
-    two_m: int
-    variant: str
-    delta_inv: float | None
     eigenvalues: np.ndarray
     residuals: np.ndarray
     solver: str
@@ -76,23 +71,6 @@ def group_multiplicities(values, cluster_tol: float = 1e-8) -> list:
     return clusters
 
 
-def _record(op: SectorOperator, vals, residuals, solver, cluster_tol, vecs=None):
-    b = op.basis
-    vals = np.asarray(vals, dtype=float)
-    return SpectrumRecord(
-        two_j=b.two_j,
-        L=b.L,
-        two_m=b.two_m,
-        variant=op.variant,
-        delta_inv=op.delta_inv,
-        eigenvalues=vals,
-        residuals=np.asarray(residuals, dtype=float),
-        solver=solver,
-        clusters=group_multiplicities(vals, cluster_tol),
-        eigenvectors=vecs,
-    )
-
-
 # largest sector for the dense route: with one BLAS thread and k = 6, a full
 # eigh plus its residuals ties with Lanczos between n = 161 and n = 203
 DENSE_MAX = 200
@@ -119,7 +97,9 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
         if keep_vectors:
             vecs = np.zeros((n, k))
             vecs[order, np.arange(k)] = 1.0
-        return _record(op, diag[order].astype(float), np.zeros(k), "dense", cluster_tol, vecs)
+        vals = diag[order].astype(float)
+        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals, cluster_tol),
+                              vecs)
     if n > DENSE_CAP:
         raise DenseCapError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     H = op.to_dense()
@@ -130,7 +110,8 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
         stop = min(start + 512, k)
         block = H @ V[:, start:stop] - V[:, start:stop] * vals[start:stop]
         residuals[start:stop] = np.linalg.norm(block, axis=0)
-    return _record(op, vals, residuals, "dense", cluster_tol, V if keep_vectors else None)
+    return SpectrumRecord(vals, residuals, "dense", group_multiplicities(vals, cluster_tol),
+                          V if keep_vectors else None)
 
 
 class LanczosError(RuntimeError):
@@ -366,7 +347,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     vecs = None
     if keep_vectors:
         vecs = pool_vecs[:, order]
-    return _record(op, vals, res, "lanczos", cluster_tol, vecs)
+    return SpectrumRecord(vals, res, "lanczos", group_multiplicities(vals, cluster_tol), vecs)
 
 
 def _dense_route(n: int, k: int) -> bool:

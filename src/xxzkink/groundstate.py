@@ -24,13 +24,7 @@ from .basis import SectorBasis
 from .halfint import as_half
 
 
-@dataclass(frozen=True)
-class QParameter:
-    q: float
-    delta: float
-
-
-def q_from_delta(delta: float) -> QParameter:
+def q_from_delta(delta: float) -> float:
     """The root q in (0, 1] of (q + 1/q)/2 = delta, for finite delta >= 1.
 
     Uses the reciprocal form to avoid cancellation at large delta, and
@@ -47,7 +41,7 @@ def q_from_delta(delta: float) -> QParameter:
         raise ValueError(f"anisotropy {delta} is too large: q = 1/(2 delta) underflows")
     if abs(0.5 * (q + 1.0 / q) - delta) > 1e-12 * max(1.0, delta):
         raise RuntimeError("q parameter failed its round-trip check")
-    return QParameter(q, delta)
+    return q
 
 
 @dataclass
@@ -56,10 +50,6 @@ class SectorVector:
 
     basis: SectorBasis
     amplitudes: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) -> SectorVector:
@@ -76,7 +66,7 @@ def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) 
         raise ValueError("supplied basis does not match (J, L, M)")
     if basis.dim == 0:
         raise ValueError(f"sector M={M} is empty for J={J}, L={L}")
-    q = q_from_delta(delta).q
+    q = q_from_delta(delta)
     tj = basis.two_j
     log_binom = np.array(
         [math.lgamma(tj + 1) - math.lgamma(d + 1) - math.lgamma(tj - d + 1) for d in range(tj + 1)]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import IsingConfig, SectorBasis, hop_count
+from .basis import IsingConfig, SectorBasis, hop_count, sector_dimension
 from .halfint import as_half
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
@@ -166,15 +166,19 @@ def hopping_matrix(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
+def hopping_bytes(J, L, M) -> int:
+    """Bytes of the h1 CSR that ``hopping_matrix`` builds for a sector: an int32
+    index and a float64 value per entry (both hop directions) plus int32 row
+    pointers; known from exact counts before anything is built."""
+    return 2 * hop_count(J, L, M) * (4 + 8) + 4 * (sector_dimension(J, L, M) + 1)
+
+
 @dataclass
 class SectorOperator:
     """A variant restricted to one sector as diag + hop_scale * h1 (index =
     rank); ``h1`` is the sector's unscaled hopping CSR, shared by every
     operator of the sector (an empty CSR when none was built)."""
 
-    basis: SectorBasis
-    variant: str
-    delta_inv: float | None
     diag: np.ndarray
     h1: sparse.csr_matrix
     hop_scale: float
@@ -273,4 +277,4 @@ def build_sector_operator(
         h1 = hopping_matrix(hopping_structure(basis), basis.dim)
     elif h1.shape != (basis.dim, basis.dim):
         raise ValueError("supplied h1 does not match the basis")
-    return SectorOperator(basis, variant, delta_inv, diagonal(), h1, hop_scale)
+    return SectorOperator(diagonal(), h1, hop_scale)

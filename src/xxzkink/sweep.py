@@ -16,11 +16,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, hop_count, sector_dimension
+from .basis import SectorBasis, sector_dimension
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt
-from .hamiltonian import build_sector_operator, hopping_matrix, hopping_structure
+from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_matrix,
+                          hopping_structure)
 
 SWEEP_FIELDS = (
     "two_j",
@@ -66,11 +67,13 @@ class SweepPlan:
             if not 0.0 <= dv <= 1.0:
                 raise ValueError(f"delta_inv {dv} outside [0, 1]")
         top = (2 * self.L + 1) * self.two_j
-        for i, tm in enumerate(self.two_m_list):
+        seen = set()
+        for tm in self.two_m_list:
             if abs(tm) > top or (tm - top) % 2 != 0:
                 raise ValueError(f"two_m={tm} labels an unreachable sector")
-            if tm in self.two_m_list[:i]:
+            if tm in seen:
                 raise ValueError(f"two_m={tm} requested twice")
+            seen.add(tm)
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -136,8 +139,8 @@ def _preflight(plan: SweepPlan) -> None:
     limit = memory_limit()
     J = HalfInt(plan.two_j)
     for tm in plan.two_m_list:
-        n = sector_dimension(J, plan.L, HalfInt(tm))
-        need = 24 * hop_count(J, plan.L, HalfInt(tm)) + 4 * (n + 1) + solve_bytes(n, plan.k)
+        M = HalfInt(tm)
+        need = hopping_bytes(J, plan.L, M) + solve_bytes(sector_dimension(J, plan.L, M), plan.k)
         if need > limit:
             raise ValueError(f"sector two_m={tm} with k={plan.k} needs about "
                              f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import xxzkink
-from xxzkink.basis import sector_dimension
+from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.cli import main, parse_doubled, parse_grid, parse_sector_list
 from xxzkink.eigensolver import DENSE_MAX
 from xxzkink.halfint import HalfInt
@@ -134,11 +135,6 @@ def test_certify_spin_half_margin_not_applicable(capsys):
     assert payload["certificates"] == []
 
 
-def test_profile_needs_exactly_one_sector(capsys):
-    for sectors in (["--all-sectors"], ["--two-m=1,3"]):
-        assert main(["profile", "-J", "3/2", "-L", "2", *sectors, "--delta", "2.5"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: profile takes exactly one sector: --two-m=M2\n"
 
 
 def test_spectrum_delta_below_one_is_rejected(capsys):
@@ -156,6 +152,19 @@ def _rejected(capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def _refused(capsys, argv, message):
+    # parsed, then refused by the program: one error line, exit 2
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_profile_needs_exactly_one_sector(capsys):
+    for sectors, message in ((["--all-sectors"], "the following arguments are required: --two-m"),
+                             (["--two-m=1,3"], "'1,3' is not a half-integer")):
+        _rejected(capsys, ["profile", "-J", "3/2", "-L", "2", *sectors, "--delta", "2.5"], message)
 
 
 SOLVER_COMMANDS = (
@@ -176,10 +185,11 @@ def test_uncertifiable_tol_is_rejected(capsys):
 
 
 def test_bad_cluster_tol_is_rejected(capsys):
-    for command in SOLVER_COMMANDS:
+    for command in SOLVER_COMMANDS[:2]:
         for tol in ("nan", "inf", "-1e-8"):
             _rejected(capsys, [*command, f"--cluster-tol={tol}"],
                       "cluster-tol must be finite and >= 0")
+    _rejected(capsys, [*SOLVER_COMMANDS[2], "--cluster-tol=nan"], "unrecognized arguments")
 
 
 def test_negative_seed_is_rejected(capsys):
@@ -190,6 +200,53 @@ def test_negative_seed_is_rejected(capsys):
 def test_route_flags_are_gone(capsys):
     for flag in (["--solver", "lanczos"], ["--dense-cap", "10"]):
         _rejected(capsys, [*SOLVER_COMMANDS[0], *flag], "unrecognized arguments")
+
+
+def test_unread_flags_are_gone(capsys):
+    profile, certify = SOLVER_COMMANDS[2], ["certify", "-J", "3/2", "-L", "2"]
+    for argv in ([*profile, "--all-sectors"], [*profile, "--format", "json"],
+                 [*profile, "--k", "99"], [*profile, "--cluster-tol", "0.5"],
+                 [*certify, "--format", "csv"]):
+        _rejected(capsys, argv, "unrecognized arguments")
+
+
+def test_huge_half_integer_is_rejected(capsys):
+    # read exactly as fractions: no float overflow while parsing
+    _refused(capsys, ["spectrum", "-J", "1e400", "-L", "2", "--two-m=1/2", "--delta-inv", "0.4"],
+             "two_m=1 labels an unreachable sector")
+    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "2", "--two-m=1e400", "--delta-inv", "0.4"],
+             "labels an unreachable sector")
+    _rejected(capsys, ["spectrum", "-J", "1e-400", "-L", "2", "--two-m=1", "--delta-inv", "0"],
+              "'1e-400' is not a half-integer")
+
+
+def test_grid_count_is_bounded(capsys):
+    _rejected(capsys, ["sweep", "-J", "3/2", "-L", "2", "--two-m=1/2",
+                       "--delta-inv", "0:0.4:100000000000"],
+              "grid count must lie in [1, 10000], got 100000000000")
+
+
+def test_oversized_chain_is_refused_before_any_table(capsys):
+    # a 40001 x 20001 counting table: refused before it is allocated
+    _refused(capsys,
+             ["spectrum", "-J", "1/2", "-L", "20000", "--two-m=1/2", "--delta-inv", "0.4"],
+             "the counting table of 40001 sites")
+
+
+def test_many_sectors_reach_the_table_guard_quickly(capsys):
+    # the 20 448 sectors of J = 127/2, L = 80, then a repeat
+    sectors = ",".join(map(str, reachable_sectors(HalfInt(127), 80))) + ",1"
+    argv = ["sweep", "-J", "127/2", "-L", "80", "--delta-inv", "0.4"]
+    start = time.perf_counter()
+    _refused(capsys, [*argv, f"--two-m={sectors}"], "two_m=1 requested twice")
+    assert time.perf_counter() - start < 1.0
+    _refused(capsys, [*argv, "--all-sectors"], "the counting table of 161 sites")
+
+
+def test_ising_check_budget_is_printed_as_a_power(capsys):
+    # 2^40001 has 12042 decimal digits, above Python's int-to-str limit
+    _refused(capsys, ["ising-check", "-J", "1/2", "-L", "20000"],
+             "state space size 2^40001 exceeds the exhaustive budget 10000000")
 
 
 def test_profile_infinite_delta_is_rejected(capsys):
