@@ -53,7 +53,6 @@ from .certificates import (
     two_site_operators,
 )
 from .eigensolver import (
-    DenseCapError,
     LanczosError,
     SpectrumRecord,
     dense_spectrum,

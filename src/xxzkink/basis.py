@@ -80,12 +80,15 @@ class IsingConfig:
 
 
 def _sector_shape(J, L, M):
-    """(n_sites, total_down) of a sector; total_down is None when unreachable."""
+    """(n_sites, total_down) of a sector; total_down is None when unreachable.
+    The one check of spin and length, made before anything is built."""
     J = as_half(J)
     M = as_half(M)
     L = int(L)
     if J.twice < 1:
         raise ValueError("spin magnitude must be at least 1/2")
+    if J.twice > MAX_TWO_J:
+        raise ValueError(f"spin J={J} exceeds the int8 digit limit 2J <= {MAX_TWO_J}")
     if L < 1:
         raise ValueError("need L >= 1")
     n = 2 * L + 1
@@ -95,15 +98,19 @@ def _sector_shape(J, L, M):
     return n, doubled // 2
 
 
-def _count_table(two_j: int, n: int, total: int) -> list:
-    """ways[i][r]: number of length-(n-i) digit tails with sum r, exact ints.
-
-    The fill takes about n * total * 2J steps on Python ints, so a table of
-    more than MAX_STATES steps is refused before anything is allocated.
-    """
-    if n * (total + 1) * (two_j + 1) > MAX_STATES:
+def _check_table(two_j: int, n: int, total: int) -> None:
+    """Refuse a counting table of more than MAX_STATES steps: n * total * 2J
+    additions of ints of up to n * log2(2J + 1) bits, a step per 64-bit word."""
+    words = 1 + n * two_j.bit_length() // 64
+    if n * (total + 1) * (two_j + 1) * words > MAX_STATES:
         raise ValueError(f"the counting table of {n} sites with 2J={two_j} and {total} down "
                          f"units needs more than {MAX_STATES} steps")
+
+
+def _count_table(two_j: int, n: int, total: int) -> list:
+    """ways[i][r]: number of length-(n-i) digit tails with sum r, exact ints,
+    refused by _check_table before anything is allocated."""
+    _check_table(two_j, n, total)
     ways = [[0] * (total + 1) for _ in range(n + 1)]
     ways[n][0] = 1
     for i in range(n - 1, -1, -1):
@@ -195,16 +202,12 @@ class SectorBasis:
         ValueError; the rank/unrank tables stay int64.
     """
 
-    def __init__(self, J, L, M, max_states: int = MAX_STATES):
+    def __init__(self, J, L, M):
         self.J = as_half(J)
         self.M = as_half(M)
         self.L = int(L)
         self.two_j = self.J.twice
         self.two_m = self.M.twice
-        if self.two_j > MAX_TWO_J:
-            raise ValueError(
-                f"spin J={self.J} exceeds the int8 digit limit 2J <= {MAX_TWO_J}"
-            )
         self.n_sites, self.total_down = _sector_shape(self.J, self.L, self.M)
         if self.total_down is None:
             self.dim = 0
@@ -215,8 +218,8 @@ class SectorBasis:
         dim = ways[0][self.total_down]
         if any(c > _I64_MAX for row in ways for c in row):
             raise OverflowError("sector counting tables exceed 64-bit range")
-        if dim > max_states:
-            raise ValueError(f"sector dimension {dim} exceeds max_states={max_states}")
+        if dim > MAX_STATES:
+            raise ValueError(f"sector dimension {dim} exceeds the limit of {MAX_STATES} states")
         self.dim = dim
         ways64 = np.array(ways, dtype=np.int64)
         self._cum = _cumulative_counts(ways64, self.two_j)
@@ -268,8 +271,10 @@ class SectorBasis:
 
 
 def reachable_sectors(J, L) -> list:
-    """All doubled magnetizations with a nonempty sector, ascending."""
+    """All doubled magnetizations with a nonempty sector, ascending; refused
+    before the list is built when the central (largest) sector is."""
     J = as_half(J)
-    L = int(L)
-    top = (2 * L + 1) * J.twice
+    top = (2 * int(L) + 1) * J.twice
+    n, total = _sector_shape(J, L, HalfInt(top % 2))
+    _check_table(J.twice, n, total)
     return list(range(-top, top + 1, 2))

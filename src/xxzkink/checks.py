@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .basis import SectorBasis, reachable_sectors
+from .basis import SectorBasis, _sector_shape, reachable_sectors
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal
 from .ising import EdgeSectorError, band_edge_multiplicity_lower_bound, predicted_low_spectrum
@@ -87,11 +87,14 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
     """Run the per-sector checks over every sector of the (J, L) chain."""
     J = as_half(J)
     L = int(L)
-    if (J.twice + 1) ** (2 * L + 1) > budget:
-        # printed as a power: the decimal form can exceed int-to-str limits
-        raise ValueError(
-            f"state space size {J.twice + 1}^{2 * L + 1} exceeds the exhaustive budget {budget}"
-        )
+    n, _ = _sector_shape(J, L, J)  # spin and length first: the base is then >= 2
+    size = 1
+    for _ in range(n):  # so at most log2(budget) + 1 factors before the exit
+        size *= J.twice + 1
+        if size > budget:
+            # printed as a power: the decimal form can exceed int-to-str limits
+            raise ValueError(
+                f"state space size {J.twice + 1}^{n} exceeds the exhaustive budget {budget}")
     band = J.twice  # the level 2J as an exact integer
     sectors = []
     for two_m in reachable_sectors(J, L):

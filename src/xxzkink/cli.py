@@ -4,7 +4,7 @@ perturbation certificates; CSV/JSON emission.
 Half-integer flags accept three spellings, all normalized to doubled
 integers: a bare integer is the doubled value (``--two-j 3`` is spin 3/2),
 while fraction strings (``3/2``) and decimals (``1.5``) are values, read
-exactly as fractions.
+exactly as fractions; a doubled magnitude above 2**63 - 1 is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import reachable_sectors
+from .basis import _I64_MAX, _sector_shape, reachable_sectors
 from .certificates import certificate_constants, local_inequality_margin, series_margin
 from .checks import verify_ising_theorems
 from .halfint import HalfInt, as_half
@@ -38,13 +38,15 @@ def parse_doubled(text: str) -> int:
     """Doubled-integer value of a half-integer flag (see module docstring)."""
     text = text.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        return as_half(Fraction(text)).twice
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer") from None
+        try:
+            value = as_half(Fraction(text)).twice
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer") from None
+    if abs(value) > _I64_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds the doubled-value limit {_I64_MAX}")
+    return value
 
 
 def parse_sector_list(text: str) -> tuple:
@@ -192,8 +194,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ising_check(args) -> int:
     report = verify_ising_theorems(HalfInt(args.two_j), args.length, budget=args.budget)
+    # a JSON payload on stdout keeps stdout parseable
+    stream = sys.stderr if args.format == "json" and args.out is None else sys.stdout
     for line in report.lines():
-        print(line)
+        print(line, file=stream)
     if args.out is not None or args.format == "json":
         payload = {
             "two_j": report.two_j,
@@ -223,8 +227,7 @@ def _cmd_profile(args) -> int:
 def _cmd_certify(args) -> int:
     J = HalfInt(args.two_j)
     L = args.length
-    if L < 1:  # spin 1/2 issues no certificates, so no basis would refuse it
-        raise ValueError("need L >= 1")
+    _sector_shape(J, L, J)  # spin 1/2 issues no certificates, so no basis would check it
     margin = local_inequality_margin(J)
     # the J-weighted inequality holds only for J >= 1; spin 1/2 issues no
     # certificates, so the margin has nothing to certify there

@@ -74,18 +74,12 @@ def group_multiplicities(values, cluster_tol: float = 1e-8) -> list:
 # largest sector for the dense route: with one BLAS thread and k = 6, a full
 # eigh plus its residuals ties with Lanczos between n = 161 and n = 203
 DENSE_MAX = 200
-# memory guard of the dense route: H and its eigenvectors are n x n doubles
-DENSE_CAP = 4000
-
-
-class DenseCapError(ValueError):
-    """Sector too large for the dense route."""
 
 
 def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool = False,
                    cluster_tol: float = 1e-8) -> SpectrumRecord:
     """The k lowest pairs (all when k is None): an exact sort of a diagonal-only
-    operator at any size, else a direct symmetric solve of at most DENSE_CAP states."""
+    operator at any size, else a direct symmetric solve (solve_bytes prices it)."""
     n = op.dim
     if n == 0:
         raise ValueError("empty sector")
@@ -100,8 +94,6 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
         vals = diag[order].astype(float)
         return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals, cluster_tol),
                               vecs)
-    if n > DENSE_CAP:
-        raise DenseCapError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     H = op.to_dense()
     vals, V = eigh(H)
     vals, V = vals[:k], V[:, :k]
@@ -356,11 +348,15 @@ def _dense_route(n: int, k: int) -> bool:
 
 def solve_bytes(n: int, k: int) -> int:
     """Bytes that solve_lowest allocates for the k lowest pairs of an n-state
-    sector with hopping: H and its eigenvectors on the dense route; else
-    ARPACK's max(2k+1, 20) basis vectors, the equal-size block scipy
-    allocates to extract Ritz vectors from them, and the k pooled vectors."""
+    sector with hopping: on the dense route H, eigh's copy of it, the
+    eigenvectors and LAPACK's O(n) workspace; else ARPACK's max(2k+1, 20)
+    basis vectors, the equal-size block scipy allocates to extract Ritz
+    vectors from them, and the k pooled vectors."""
     if _dense_route(n, k):
-        return 2 * n * n * 8
+        # dense_spectrum(op, n) grew ru_maxrss by 106 / 157 / 289 / 564 MiB at
+        # n = 2128 / 2598 / 3535 / 4950 (one BLAS thread): 3.07 / 3.04 / 3.03 /
+        # 3.02 n^2 doubles, all below 3 n^2 + 200 n
+        return (3 * n + 200) * n * 8
     return n * (2 * max(2 * k + 1, 20) + k) * 8
 
 

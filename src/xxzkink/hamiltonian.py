@@ -102,7 +102,7 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     prefix-count table: only the site-a digit and the site-(a+1) digit and
     remaining sum change, so two table lookups per site give the rank
     difference in O(1) per row.  The remaining sum at a is total_down minus a
-    running int32 prefix; ranks are int32, as the default max_states < 2**31.
+    running int32 prefix; ranks are int32, as MAX_STATES < 2**31.
     """
     dim, n = basis.down.shape
     tj = basis.two_j

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, sector_dimension
+from .basis import SectorBasis, _sector_shape, sector_dimension
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
-from .halfint import HalfInt
+from .halfint import HalfInt, as_half
 from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_matrix,
                           hopping_structure)
 
@@ -53,10 +53,6 @@ class SweepPlan:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.two_j < 1:
-            raise ValueError("two_j must be a positive doubled spin")
-        if self.L < 1:
-            raise ValueError("need L >= 1")
         if self.k < 1:
             raise ValueError("need k >= 1")
         if not self.two_m_list:
@@ -66,10 +62,9 @@ class SweepPlan:
         for dv in self.delta_inv_grid:
             if not 0.0 <= dv <= 1.0:
                 raise ValueError(f"delta_inv {dv} outside [0, 1]")
-        top = (2 * self.L + 1) * self.two_j
         seen = set()
         for tm in self.two_m_list:
-            if abs(tm) > top or (tm - top) % 2 != 0:
+            if _sector_shape(HalfInt(self.two_j), self.L, HalfInt(tm))[1] is None:
                 raise ValueError(f"two_m={tm} labels an unreachable sector")
             if tm in seen:
                 raise ValueError(f"two_m={tm} requested twice")
@@ -133,18 +128,15 @@ def memory_limit() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _preflight(plan: SweepPlan) -> None:
-    """Refuse, before anything is built, a sector whose h1 CSR and solve need
-    more memory than the process may use."""
+def _preflight(J, L, M, k: int) -> None:
+    """Refuse, before anything is built, a sector whose h1 CSR and solve of
+    the k lowest pairs need more memory than the process may use."""
     limit = memory_limit()
-    J = HalfInt(plan.two_j)
-    for tm in plan.two_m_list:
-        M = HalfInt(tm)
-        need = hopping_bytes(J, plan.L, M) + solve_bytes(sector_dimension(J, plan.L, M), plan.k)
-        if need > limit:
-            raise ValueError(f"sector two_m={tm} with k={plan.k} needs about "
-                             f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "
-                             "this process may use")
+    need = hopping_bytes(J, L, M) + solve_bytes(sector_dimension(J, L, M), k)
+    if need > limit:
+        raise ValueError(f"sector two_m={M.twice} with k={k} needs about "
+                         f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "
+                         "this process may use")
 
 
 def run_sweep(plan: SweepPlan) -> list:
@@ -157,7 +149,8 @@ def run_sweep(plan: SweepPlan) -> list:
     plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
     if needs_hops:  # delta_inv = 0 jobs are exact sorts
-        _preflight(plan)
+        for tm in plan.two_m_list:
+            _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k)
     n_grid = len(plan.delta_inv_grid)
     rows = []
     for s, tm in enumerate(plan.two_m_list):
@@ -199,6 +192,7 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
     delta = float(delta)
     if delta <= 1.0:
         raise ValueError("profiles need delta > 1")
+    _preflight(J, L, as_half(M), 2)
     basis = SectorBasis(J, L, M)
     if basis.dim == 0:
         raise ValueError("empty sector")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_sector_rows
+import xxzkink.basis
 from xxzkink.basis import (
     MAX_TWO_J,
     IsingConfig,
@@ -106,9 +107,11 @@ def test_config_validation():
         cfg.value_at(2)
 
 
-def test_max_states_guard():
-    with pytest.raises(ValueError):
-        SectorBasis(H(2), 4, H(0), max_states=10)
+def test_max_states_guard(monkeypatch):
+    # 270 counting-table steps pass, the 3139 states do not
+    monkeypatch.setattr(xxzkink.basis, "MAX_STATES", 300)
+    with pytest.raises(ValueError, match="sector dimension 3139"):
+        SectorBasis(H(2), 4, H(0))
 
 
 def test_digits_are_int8_up_to_the_spin_limit():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import xxzkink
-from xxzkink.basis import reachable_sectors, sector_dimension
+from xxzkink.basis import sector_dimension
 from xxzkink.cli import main, parse_doubled, parse_grid, parse_sector_list
 from xxzkink.eigensolver import DENSE_MAX
 from xxzkink.halfint import HalfInt
@@ -87,6 +87,11 @@ def test_sweep_json_plan_echo(tmp_path):
 def test_ising_check_exit_codes(capsys, tmp_path):
     assert main(["ising-check", "-J", "1", "-L", "2"]) == 0
     assert "all sectors pass" in capsys.readouterr().out
+    # a JSON payload on stdout leaves the report to stderr
+    assert main(["ising-check", "-J", "1", "-L", "1", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is True
+    assert "all sectors pass" in captured.err
     out = tmp_path / "check.json"
     assert main(["ising-check", "-J", "4", "-L", "2", "--format", "json", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -211,11 +216,12 @@ def test_unread_flags_are_gone(capsys):
 
 
 def test_huge_half_integer_is_rejected(capsys):
-    # read exactly as fractions: no float overflow while parsing
-    _refused(capsys, ["spectrum", "-J", "1e400", "-L", "2", "--two-m=1/2", "--delta-inv", "0.4"],
-             "two_m=1 labels an unreachable sector")
-    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "2", "--two-m=1e400", "--delta-inv", "0.4"],
-             "labels an unreachable sector")
+    # read exactly as fractions (no float overflow), then refused above
+    # 2**63 - 1, so that no later message has to print them
+    for flags in (["-J", "1e400", "--two-m=1/2"], ["-J", "3/2", "--two-m=1e400"],
+                  ["-J", "1e5000", "--two-m=1/2"], ["-J", "3/2", "--two-m=1e5000"]):
+        _rejected(capsys, ["spectrum", *flags, "-L", "2", "--delta-inv", "0.4"],
+                  "exceeds the doubled-value limit 9223372036854775807")
     _rejected(capsys, ["spectrum", "-J", "1e-400", "-L", "2", "--two-m=1", "--delta-inv", "0"],
               "'1e-400' is not a half-integer")
 
@@ -231,16 +237,33 @@ def test_oversized_chain_is_refused_before_any_table(capsys):
     _refused(capsys,
              ["spectrum", "-J", "1/2", "-L", "20000", "--two-m=1/2", "--delta-inv", "0.4"],
              "the counting table of 40001 sites")
+    # 9 M additions, but of integers of up to 3001 bits: 812 MiB and 5.8 s a table
+    _refused(capsys,
+             ["spectrum", "-J", "1/2", "-L", "1500", "--two-m=1/2", "--delta-inv", "0.4"],
+             "the counting table of 3001 sites")
 
 
 def test_many_sectors_reach_the_table_guard_quickly(capsys):
     # the 20 448 sectors of J = 127/2, L = 80, then a repeat
-    sectors = ",".join(map(str, reachable_sectors(HalfInt(127), 80))) + ",1"
+    sectors = ",".join(map(str, range(-161 * 127, 161 * 127 + 1, 2))) + ",1"
     argv = ["sweep", "-J", "127/2", "-L", "80", "--delta-inv", "0.4"]
     start = time.perf_counter()
     _refused(capsys, [*argv, f"--two-m={sectors}"], "two_m=1 requested twice")
     assert time.perf_counter() - start < 1.0
     _refused(capsys, [*argv, "--all-sectors"], "the counting table of 161 sites")
+
+
+def test_long_chains_are_refused_quickly(capsys):
+    # neither the sector list nor the power 128^(2L+1) is built
+    for argv, message in (
+        (["spectrum", "-J", "1/2", "-L", "100000000", "--all-sectors", "--delta-inv", "0.4"],
+         "the counting table of 200000001 sites"),
+        (["ising-check", "-J", "127/2", "-L", "100000000"],
+         "state space size 128^200000001 exceeds the exhaustive budget"),
+    ):
+        start = time.perf_counter()
+        _refused(capsys, argv, message)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_ising_check_budget_is_printed_as_a_power(capsys):
@@ -265,6 +288,25 @@ def test_memory_preflight_refuses_with_exit_2(capsys, monkeypatch):
     assert err.count("\n") == 1
     # the same sector fits at k = 3
     assert main(args + ["--k", "3"]) == 0
+
+
+def test_profile_is_preflighted_like_spectrum(capsys, monkeypatch):
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**27)
+    sector = ["-J", "3/2", "-L", "5", "--two-m=-3/2", "--delta", "2.5"]
+    errors = []
+    for argv in (["spectrum", *sector, "--k", "2"], ["profile", *sector]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: sector two_m=-3 with k=2 needs about 0.2 GiB")
+    assert errors[0].count("\n") == 1
+
+
+def test_dense_route_is_priced_by_the_preflight(capsys, monkeypatch):
+    # 4950 states at k >= dim: about 3 n^2 doubles (0.55 GiB), above 0.5 GiB
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**29)
+    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "4", "--two-m=-13/2", "--delta-inv", "0.4",
+                      "--k", "30000"], "sector two_m=-13 with k=30000 needs about 0.6 GiB")
 
 
 def test_repeated_sector_is_rejected(capsys):

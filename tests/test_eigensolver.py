@@ -10,9 +10,7 @@ import xxzkink.eigensolver
 from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.eigensolver import (
     CONFIRM_TOL,
-    DENSE_CAP,
     DENSE_MAX,
-    DenseCapError,
     FILTER_MIN_DIM,
     LanczosError,
     _interlacing_bounds,
@@ -52,13 +50,9 @@ def test_dense_diagonal_is_exact():
     assert rec.clusters == [(0.0, 1), (1.0, 4)]
 
 
-def test_dense_cap():
-    op = build_sector_operator(H(3), 4, H(-13), "kink", 0.4)  # 4950 states
-    assert op.dim > DENSE_CAP
-    with pytest.raises(DenseCapError):
-        dense_spectrum(op)
-    # the exact sort of a diagonal-only sector runs before the guard and
-    # builds only the eigenvector columns it returns
+def test_dense_sort_of_a_large_diagonal_sector():
+    # the exact sort of a 4950-state diagonal-only sector builds only the
+    # eigenvector columns it returns
     ising = build_sector_operator(H(3), 4, H(-13), "kink", 0.0)
     rec = dense_spectrum(ising, 4, keep_vectors=True)
     assert rec.eigenvectors.shape == (ising.dim, 4)
