@@ -107,9 +107,12 @@ def _check_table(two_j: int, n: int, total: int) -> None:
                          f"units needs more than {MAX_STATES} steps")
 
 
-def _count_table(two_j: int, n: int, total: int) -> list:
-    """ways[i][r]: number of length-(n-i) digit tails with sum r, exact ints,
-    refused by _check_table before anything is allocated."""
+def _count_table(two_j: int, n: int, total: int) -> tuple:
+    """(ways, dim, hops), refused by _check_table before anything is allocated.
+    ways[i][r] is the number of length-(n-i) digit tails with sum r, exact
+    ints; dim = ways[0][total]; hops counts one hop direction (h1's strict
+    lower triangle): on each bond, the configurations with d_a >= 1 and
+    d_{a+1} <= 2J - 1, by inclusion-exclusion on the two pinned digits."""
     _check_table(two_j, n, total)
     ways = [[0] * (total + 1) for _ in range(n + 1)]
     ways[n][0] = 1
@@ -118,29 +121,26 @@ def _count_table(two_j: int, n: int, total: int) -> list:
         row = ways[i]
         for r in range(total + 1):
             row[r] = sum(nxt[r - d] for d in range(min(two_j, r) + 1))
-    return ways
+    rest = total - two_j  # digit sum left once d_{a+1} = 2J
+    pinned = ways[1][rest] - ways[2][rest] if rest >= 0 else 0
+    return ways, ways[0][total], (n - 1) * (ways[0][total] - ways[1][total] - pinned)
+
+
+def sector_counts(J, L, M) -> tuple:
+    """Exact (dimension, hop count) of a sector, (0, 0) if unreachable."""
+    n, total = _sector_shape(J, L, M)
+    return (0, 0) if total is None else _count_table(as_half(J).twice, n, total)[1:]
 
 
 def sector_dimension(J, L, M) -> int:
     """Exact number of configurations with total magnetization M (0 if unreachable)."""
-    n, total = _sector_shape(J, L, M)
-    if total is None:
-        return 0
-    return _count_table(as_half(J).twice, n, total)[0][total]
+    return sector_counts(J, L, M)[0]
 
 
-def hop_count(J, L, M) -> int:
-    """Exact number of one-direction hops of a sector (the strict lower
-    triangle of h1): on each bond, the configurations with d_a >= 1 and
-    d_{a+1} <= 2J - 1, by inclusion-exclusion on the two pinned digits."""
-    n, total = _sector_shape(J, L, M)
-    if total is None:
-        return 0
-    tj = as_half(J).twice
-    ways = _count_table(tj, n, total)
-    rest = total - tj  # digit sum left once d_{a+1} = 2J
-    pinned = ways[1][rest] - ways[2][rest] if rest >= 0 else 0
-    return (n - 1) * (ways[0][total] - ways[1][total] - pinned)
+def _check_dimension(dim: int, two_m: int) -> None:
+    """The one limit on a sector's size; dim, maybe hundreds of digits, is not printed."""
+    if dim > MAX_STATES:
+        raise ValueError(f"sector two_m={two_m} has more than the limit of {MAX_STATES} states")
 
 
 def _cumulative_counts(ways64: np.ndarray, two_j: int) -> np.ndarray:
@@ -200,6 +200,7 @@ class SectorBasis:
         Down-unit digits of every configuration, row index = rank,
         rows in enumeration order.  Spins above 2J = 127 are refused with
         ValueError; the rank/unrank tables stay int64.
+    prefix_counts : the C[i, r, e] ranking table (see _cumulative_counts)
     """
 
     def __init__(self, J, L, M):
@@ -210,25 +211,17 @@ class SectorBasis:
         self.two_m = self.M.twice
         self.n_sites, self.total_down = _sector_shape(self.J, self.L, self.M)
         if self.total_down is None:
-            self.dim = 0
+            self.dim = self.hops = 0
             self.down = np.zeros((0, self.n_sites), dtype=np.int8)
-            self._cum = None
+            self.prefix_counts = None
             return
-        ways = _count_table(self.two_j, self.n_sites, self.total_down)
-        dim = ways[0][self.total_down]
+        ways, self.dim, self.hops = _count_table(self.two_j, self.n_sites, self.total_down)
+        _check_dimension(self.dim, self.two_m)
         if any(c > _I64_MAX for row in ways for c in row):
             raise OverflowError("sector counting tables exceed 64-bit range")
-        if dim > MAX_STATES:
-            raise ValueError(f"sector dimension {dim} exceeds the limit of {MAX_STATES} states")
-        self.dim = dim
         ways64 = np.array(ways, dtype=np.int64)
-        self._cum = _cumulative_counts(ways64, self.two_j)
+        self.prefix_counts = _cumulative_counts(ways64, self.two_j)
         self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, ways64)
-
-    @property
-    def prefix_counts(self) -> np.ndarray:
-        """The C[i, r, e] ranking table (see _cumulative_counts)."""
-        return self._cum
 
     def __len__(self) -> int:
         return self.dim
@@ -242,7 +235,7 @@ class SectorBasis:
         rows = np.asarray(rows, dtype=np.int64)
         suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
         sites = np.arange(self.n_sites)[None, :]
-        return self._cum[sites, suffix, rows].sum(axis=1)
+        return self.prefix_counts[sites, suffix, rows].sum(axis=1)
 
     def rank(self, config: IsingConfig) -> int:
         if config.L != self.L:
@@ -262,7 +255,7 @@ class SectorBasis:
         r = index
         remaining = self.total_down
         for i in range(self.n_sites):
-            row = self._cum[i, remaining]
+            row = self.prefix_counts[i, remaining]
             d = int(np.searchsorted(row, r, side="right")) - 1
             r -= int(row[d])
             remaining -= d

@@ -28,7 +28,7 @@ and ``delta_star`` below is the exact root of that threshold equation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class Certificate:
     c2: float
     delta_star: float
     delta_simple: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def series_margin(c1: float, c2: float, delta: float) -> float:

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -35,17 +36,26 @@ from .sweep import (
 
 
 def parse_doubled(text: str) -> int:
-    """Doubled-integer value of a half-integer flag (see module docstring)."""
+    """Doubled-integer value of a half-integer flag (see module docstring).  A
+    nonzero decimal N 10^q is refused before 10**|q| is built: too large if
+    adjusted >= 19; if -q >= 2 len(text), 5^-q > N, so 10^-q cannot divide 2N."""
     text = text.strip()
+    too_large = argparse.ArgumentTypeError(f"{text!r} exceeds the doubled-value limit {_I64_MAX}")
     try:
         value = int(text)
     except ValueError:
         try:
-            value = as_half(Fraction(text)).twice
-        except (ValueError, ZeroDivisionError):
+            number = Fraction(text) if "/" in text else Decimal(text)
+            if isinstance(number, Decimal) and number.is_finite() and number:
+                if number.adjusted() >= 19:
+                    raise too_large
+                if -number.as_tuple().exponent >= 2 * len(text):
+                    raise ValueError(text)
+            value = as_half(Fraction(number)).twice
+        except (ValueError, ArithmeticError):  # Decimal's errors are ArithmeticError
             raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer") from None
     if abs(value) > _I64_MAX:
-        raise argparse.ArgumentTypeError(f"{text!r} exceeds the doubled-value limit {_I64_MAX}")
+        raise too_large
     return value
 
 
@@ -239,14 +249,13 @@ def _cmd_certify(args) -> int:
         sets = excitation_sets(J, m)
         signed = [("+", n, e) for n, e in sets.plus] + [("-", n, e) for n, e in sets.minus]
         # one enumeration of the sector serves all of its excitations
-        isolations = isolation_distance(J, L, m, [e for _, _, e in signed],
-                                        max_enumeration=args.max_enum)
+        isolations = isolation_distance(J, L, m, [e for _, _, e in signed])
         for (sign, n, energy), iso in zip(signed, isolations):
             cert = certificate_constants(J, energy, iso.distance, iso.exact)
             above = series_margin(cert.c1, cert.c2, cert.delta_star * (1 + 1e-9))
             if above <= 0.0:
                 thresholds_ok = False
-            entry = cert.as_dict()
+            entry = asdict(cert)
             entry.update(
                 two_m=two_m, sign=sign, n=n,
                 simple_dominates=cert.delta_star <= cert.delta_simple,
@@ -303,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="perturbation certificates as JSON")
     _add_common(p, fmt=False)
-    p.add_argument("--max-enum", type=int, default=10**6,
-                   help="largest sector enumerated for isolation distances")
     p.set_defaults(func=_cmd_certify)
     return parser
 

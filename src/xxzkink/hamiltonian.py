@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import IsingConfig, SectorBasis, hop_count, sector_dimension
+from .basis import IsingConfig, SectorBasis
 from .halfint import as_half
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
@@ -114,7 +114,7 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     ranks = np.arange(dim, dtype=np.int32)
     prefix = np.zeros(dim, dtype=np.int32)
     # every bond has the same number of moves, so the triplets are filled in place
-    size = hop_count(basis.J, basis.L, basis.M)
+    size = basis.hops
     out = HoppingStructure(np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size))
     per_bond = size // (n - 1)
     for a in range(n - 1):
@@ -166,11 +166,10 @@ def hopping_matrix(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def hopping_bytes(J, L, M) -> int:
-    """Bytes of the h1 CSR that ``hopping_matrix`` builds for a sector: an int32
-    index and a float64 value per entry (both hop directions) plus int32 row
-    pointers; known from exact counts before anything is built."""
-    return 2 * hop_count(J, L, M) * (4 + 8) + 4 * (sector_dimension(J, L, M) + 1)
+def hopping_bytes(dim: int, hops: int) -> int:
+    """Bytes of the h1 CSR of a sector with ``sector_counts`` (dim, hops): an
+    int32 index and a float64 value per entry plus int32 row pointers."""
+    return 2 * hops * (4 + 8) + 4 * (dim + 1)
 
 
 @dataclass

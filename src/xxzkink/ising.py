@@ -24,6 +24,8 @@ from .basis import IsingConfig, SectorBasis, sector_dimension, _sector_shape
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal
 
+MAX_ENUMERATION = 10**6  # largest sector whose diagonal isolation_distance enumerates
+
 
 class EdgeSectorError(ValueError):
     """Ground wall sits on the boundary: the closed-form excitation list
@@ -202,12 +204,12 @@ class Isolation(NamedTuple):
     exact: bool
 
 
-def isolation_distance(J, L, M, energies, max_enumeration: int = 10**6) -> list:
+def isolation_distance(J, L, M, energies) -> list:
     """Distance from each eigenvalue in ``energies`` to the nearest other
     distinct sector level, one Isolation per energy.
 
     Enumerates the sector diagonal once when its dimension is at most
-    ``max_enumeration``; otherwise every energy gets the certified lower
+    MAX_ENUMERATION; otherwise every energy gets the certified lower
     bound 1 with ``exact=False``.  All sector levels are integers, so the
     distances are too.
     """
@@ -217,7 +219,7 @@ def isolation_distance(J, L, M, energies, max_enumeration: int = 10**6) -> list:
     dim = sector_dimension(J, L, M)
     if dim == 0:
         raise ValueError(f"magnetization {as_half(M)} unreachable for J={as_half(J)}, L={L}")
-    if dim > max_enumeration:
+    if dim > MAX_ENUMERATION:
         return [Isolation(1, False)] * len(energies)
     values = np.unique(ising_diagonal(SectorBasis(J, L, M)))
     out = []

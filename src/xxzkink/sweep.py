@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, _sector_shape, sector_dimension
+from .basis import SectorBasis, _check_dimension, _sector_shape, sector_counts
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
@@ -129,10 +129,12 @@ def memory_limit() -> int:
 
 
 def _preflight(J, L, M, k: int) -> None:
-    """Refuse, before anything is built, a sector whose h1 CSR and solve of
-    the k lowest pairs need more memory than the process may use."""
+    """Refuse, from one counting table, a sector over the dimension limit or
+    whose h1 CSR and k-pair solve need more memory than the process may use."""
+    dim, hops = sector_counts(J, L, M)
+    _check_dimension(dim, M.twice)
     limit = memory_limit()
-    need = hopping_bytes(J, L, M) + solve_bytes(sector_dimension(J, L, M), k)
+    need = hopping_bytes(dim, hops) + solve_bytes(dim, k)
     if need > limit:
         raise ValueError(f"sector two_m={M.twice} with k={k} needs about "
                          f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "

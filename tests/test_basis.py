@@ -110,7 +110,7 @@ def test_config_validation():
 def test_max_states_guard(monkeypatch):
     # 270 counting-table steps pass, the 3139 states do not
     monkeypatch.setattr(xxzkink.basis, "MAX_STATES", 300)
-    with pytest.raises(ValueError, match="sector dimension 3139"):
+    with pytest.raises(ValueError, match="sector two_m=0 has more than the limit of 300 states"):
         SectorBasis(H(2), 4, H(0))
 
 

@@ -164,6 +164,7 @@ def _refused(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    return err
 
 
 def test_profile_needs_exactly_one_sector(capsys):
@@ -241,6 +242,48 @@ def test_oversized_chain_is_refused_before_any_table(capsys):
     _refused(capsys,
              ["spectrum", "-J", "1/2", "-L", "1500", "--two-m=1/2", "--delta-inv", "0.4"],
              "the counting table of 3001 sites")
+
+
+def test_huge_sectors_are_refused_on_their_dimension(capsys):
+    # both tables pass the step guard; the dimensions have about 420 and 300 digits
+    for L in ("700", "500"):
+        err = _refused(capsys,
+                       ["spectrum", "-J", "1/2", "-L", L, "--two-m=1/2", "--delta-inv", "0.4"],
+                       "sector two_m=1 has more than the limit of 50000000 states")
+        assert len(err) < 200
+
+
+def test_huge_decimal_exponents_are_rejected_quickly(capsys):
+    # Fraction would compute 10**30000000 before any check
+    for spin, message in (("1e30000000", "exceeds the doubled-value limit"),
+                          ("1e-30000000", "is not a half-integer")):
+        start = time.perf_counter()
+        _rejected(capsys, ["spectrum", "-J", spin, "-L", "2", "--two-m=1/2", "--delta-inv", "0.4"],
+                  message)
+        assert time.perf_counter() - start < 1.0
+    assert parse_doubled("0e-30000000") == 0
+    assert parse_doubled("15e-1") == 3
+
+
+def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
+    # once for the memory preflight, once for the basis
+    builds = []
+    count_table = xxzkink.basis._count_table
+
+    def counted(*args):
+        builds.append(args)
+        return count_table(*args)
+
+    monkeypatch.setattr(xxzkink.basis, "_count_table", counted)
+    for argv, tables in (
+        (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
+        (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
+        (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 44),
+    ):
+        builds.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(builds) == tables, argv
 
 
 def test_many_sectors_reach_the_table_guard_quickly(capsys):

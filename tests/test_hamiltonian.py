@@ -11,12 +11,13 @@ from oracles import (
     kron_kink_hamiltonian,
     sector_kron_indices,
 )
-from xxzkink.basis import IsingConfig, SectorBasis, reachable_sectors
+from xxzkink.basis import IsingConfig, SectorBasis, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (
     boundary_diagonal,
     build_sector_operator,
     free_diagonal,
+    hopping_bytes,
     hopping_matrix,
     hopping_structure,
     ising_bond_energy,
@@ -209,12 +210,19 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
     (1, 4, -1), (2, 3, 0), (3, 3, -3), (4, 2, 2), (5, 2, -5), (127, 1, -127), (127, 2, 621),
 ])
 def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
-    s = hopping_structure(SectorBasis(H(two_j), L, H(two_m)))
+    basis = SectorBasis(H(two_j), L, H(two_m))
+    s = hopping_structure(basis)
     assert s.rows.size > 0
     assert s.rows.dtype == s.cols.dtype == np.int32
     assert s.values.dtype == np.float64
     assert (s.cols < s.rows).all()
     assert s.rows.nbytes + s.cols.nbytes + s.values.nbytes == 16 * s.rows.size
+    # one counting table gives both sizes, and the preflight prices the CSR exactly
+    assert sector_counts(H(two_j), L, H(two_m)) == (basis.dim, s.rows.size)
+    assert basis.hops == s.rows.size
+    h1 = hopping_matrix(s, basis.dim)
+    assert hopping_bytes(basis.dim, basis.hops) == (
+        h1.data.nbytes + h1.indices.nbytes + h1.indptr.nbytes)
 
 
 @pytest.mark.parametrize("two_j, L, two_m", [

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import xxzkink.ising
 from xxzkink.basis import SectorBasis, reachable_sectors
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import ising_config_energy, ising_diagonal
@@ -119,12 +120,10 @@ def test_predicted_low_spectrum_matches_enumeration():
                 assert all(mult <= 2 for mult in predicted.values())
 
 
-def test_isolation_distance():
+def test_isolation_distance(monkeypatch):
     assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, True)]
     with pytest.raises(ValueError):
         isolation_distance(H(3), 3, H(-3), [2])  # 2 is not in that sector's spectrum
-    # cap exceeded -> certified lower bound with flag
-    assert isolation_distance(H(3), 3, H(-3), [1], max_enumeration=10) == [(1, False)]
     # distances are integers >= 1 across a small grid
     for two_m in reachable_sectors(H(4), 2):
         basis = SectorBasis(H(4), 2, H(two_m))
@@ -133,6 +132,9 @@ def test_isolation_distance():
             continue
         for dist in isolation_distance(H(4), 2, H(two_m), values[:4]):
             assert dist.exact and dist.distance >= 1
+    # cap exceeded -> certified lower bound with flag
+    monkeypatch.setattr(xxzkink.ising, "MAX_ENUMERATION", 10)
+    assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, False)]
 
 
 def test_degenerate_pairs():
