@@ -4,7 +4,6 @@ spin chain with domain-wall (kink) boundary fields."""
 from .halfint import HalfInt, as_half
 from .spin import SpinMatrices, ladder_coefficient, ladder_radicand, spin_matrices
 from .basis import (
-    IsingConfig,
     SectorBasis,
     reachable_sectors,
     sector_dimension,
@@ -14,8 +13,6 @@ from .hamiltonian import (
     VARIANTS,
     build_sector_operator,
     hopping_structure,
-    ising_bond_energy,
-    ising_config_energy,
     ising_diagonal,
 )
 from .ising import (

@@ -5,8 +5,9 @@ configuration assigns each site a local eigenvalue m_alpha in {-J, ..., J};
 the sector with total magnetization M collects every configuration with
 sum(m_alpha) = M.
 
-Internally a configuration is a vector of "down units" d_alpha = J - m_alpha,
-an integer in 0..2J per site, and the sector constraint becomes
+Throughout the package a configuration is its row of "down units"
+d_alpha = J - m_alpha, an integer in 0..2J per site, and the sector
+constraint becomes
 
     sum(d_alpha) = D = ((2L+1) * 2J - 2M) / 2 .
 
@@ -22,8 +23,6 @@ int64.  Consumers that multiply or add digits widen them first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .halfint import HalfInt, as_half
@@ -32,51 +31,6 @@ _I64_MAX = np.iinfo(np.int64).max
 MAX_TWO_J = int(np.iinfo(np.int8).max)  # digits 0..2J are stored as int8
 # default cap on a sector's dimension, and on the steps of its counting table
 MAX_STATES = 50_000_000
-
-
-@dataclass(frozen=True)
-class IsingConfig:
-    """One local eigenvalue per site alpha = -L..L (index 0 is site -L)."""
-
-    L: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("need L >= 1")
-        vals = tuple(as_half(v) for v in self.values)
-        if len(vals) != 2 * self.L + 1:
-            raise ValueError(f"expected {2 * self.L + 1} values, got {len(vals)}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_sites(self) -> int:
-        return 2 * self.L + 1
-
-    def value_at(self, alpha: int) -> HalfInt:
-        if not -self.L <= alpha <= self.L:
-            raise IndexError(f"site {alpha} outside [-{self.L}, {self.L}]")
-        return self.values[alpha + self.L]
-
-    @property
-    def magnetization(self) -> HalfInt:
-        return HalfInt(sum(v.twice for v in self.values))
-
-    def down_units(self, J) -> np.ndarray:
-        """Integer vector d = J - m per site; rejects values off the ladder."""
-        tj = as_half(J).twice
-        out = np.empty(self.n_sites, dtype=np.int64)
-        for i, v in enumerate(self.values):
-            t = tj - v.twice
-            if t < 0 or t > 2 * tj or t % 2 != 0:
-                raise ValueError(f"value {v} at site {i - self.L} is not on the spin ladder")
-            out[i] = t // 2
-        return out
-
-    @classmethod
-    def from_down_units(cls, J, L: int, down) -> "IsingConfig":
-        tj = as_half(J).twice
-        return cls(L, tuple(HalfInt(tj - 2 * int(d)) for d in down))
 
 
 def _sector_shape(J, L, M):
@@ -192,24 +146,25 @@ def _enumerate_down(two_j: int, n: int, total: int, ways64: np.ndarray) -> np.nd
 
 
 class SectorBasis:
-    """Ordered basis of one magnetization sector with rank/unrank tables.
+    """Ordered basis of one magnetization sector: its digit rows and the
+    table that ranks them.
 
     Attributes
     ----------
     down : (dim, n_sites) C-ordered int8 array
         Down-unit digits of every configuration, row index = rank,
-        rows in enumeration order.  Spins above 2J = 127 are refused with
-        ValueError; the rank/unrank tables stay int64.
-    prefix_counts : the C[i, r, e] ranking table (see _cumulative_counts)
+        rows in enumeration order, so ``down[i]`` is the row of rank i.
+        Spins above 2J = 127 are refused with ValueError; the ranking
+        table stays int64.
+    prefix_counts : the C[i, r, e] ranking table (see _cumulative_counts),
+        read by ``rank_rows``
     """
 
     def __init__(self, J, L, M):
-        self.J = as_half(J)
-        self.M = as_half(M)
         self.L = int(L)
-        self.two_j = self.J.twice
-        self.two_m = self.M.twice
-        self.n_sites, self.total_down = _sector_shape(self.J, self.L, self.M)
+        self.two_j = as_half(J).twice
+        self.two_m = as_half(M).twice
+        self.n_sites, self.total_down = _sector_shape(J, L, M)
         if self.total_down is None:
             self.dim = self.hops = 0
             self.down = np.zeros((0, self.n_sites), dtype=np.int8)
@@ -223,44 +178,12 @@ class SectorBasis:
         self.prefix_counts = _cumulative_counts(ways64, self.two_j)
         self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, ways64)
 
-    def __len__(self) -> int:
-        return self.dim
-
-    def __iter__(self):
-        for row in self.down:
-            yield IsingConfig.from_down_units(self.J, self.L, row)
-
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector."""
         rows = np.asarray(rows, dtype=np.int64)
         suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
         sites = np.arange(self.n_sites)[None, :]
         return self.prefix_counts[sites, suffix, rows].sum(axis=1)
-
-    def rank(self, config: IsingConfig) -> int:
-        if config.L != self.L:
-            raise ValueError(f"config has L={config.L}, basis has L={self.L}")
-        row = config.down_units(self.J)
-        if int(row.sum()) != self.total_down:
-            raise ValueError(
-                f"config magnetization {config.magnetization} does not match sector {self.M}"
-            )
-        return int(self.rank_rows(row[None, :])[0])
-
-    def unrank(self, index: int) -> IsingConfig:
-        index = int(index)
-        if not 0 <= index < self.dim:
-            raise ValueError(f"rank {index} outside [0, {self.dim})")
-        digits = []
-        r = index
-        remaining = self.total_down
-        for i in range(self.n_sites):
-            row = self.prefix_counts[i, remaining]
-            d = int(np.searchsorted(row, r, side="right")) - 1
-            r -= int(row[d])
-            remaining -= d
-            digits.append(d)
-        return IsingConfig.from_down_units(self.J, self.L, digits)
 
 
 def reachable_sectors(J, L) -> list:

@@ -48,6 +48,16 @@ def two_site_operators(J):
     return h0, h1
 
 
+def two_site_bytes(J) -> int:
+    """Bytes that local_inequality_margin allocates: at most four dense N x N
+    doubles live at once, N = (2J+1)^2 (h0, h1, and J h0 +/- h1 with its
+    temporary or eigvalsh's copy).  Its ru_maxrss grew by 4.03 / 4.08 N^2
+    doubles at 2J = 63 / 45 (one BLAS thread); below that, freed blocks stay
+    in the heap, at most 21.5 MiB above 4 N^2 (2J = 39)."""
+    n = (as_half(J).twice + 1) ** 2
+    return 4 * n * n * 8 + 2**25
+
+
 def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> float:
     """Smallest certified c with -cA <= B <= cA, namely |B| / lambda_1(A).
 

@@ -34,27 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import IsingConfig, SectorBasis
+from .basis import SectorBasis
 from .halfint import as_half
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
-
-
-def ising_bond_energy(J, m, mp) -> int:
-    """(J + m)(J - m'), the energy of one oriented bond; exact integer >= 0."""
-    J = as_half(J)
-    m = as_half(m)
-    mp = as_half(mp)
-    for v in (m, mp):
-        if abs(v.twice) > J.twice or (J.twice - v.twice) % 2 != 0:
-            raise ValueError(f"{v} is not on the spin-{J} ladder")
-    return (J + m).as_integer() * (J - mp).as_integer()
-
-
-def ising_config_energy(J, config: IsingConfig) -> int:
-    """Sum of the 2L bond energies of a configuration; exact integer >= 0."""
-    vals = config.values
-    return sum(ising_bond_energy(J, vals[i], vals[i + 1]) for i in range(len(vals) - 1))
 
 
 def ising_diagonal(basis: SectorBasis) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import IsingConfig, SectorBasis, sector_dimension, _sector_shape
+from .basis import SectorBasis, sector_dimension, _sector_shape
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal
 
@@ -66,20 +66,20 @@ def ground_descriptor(J, L, M) -> GroundDescriptor:
     return GroundDescriptor(x, HalfInt(tm), coincident)
 
 
-def ground_config(J, L, M) -> IsingConfig:
-    """The unique zero-energy configuration of the sector."""
+def _wall_row(J, L: int, x: int, m) -> np.ndarray:
+    """Digit row d = J - m of the wall (x, m): 2J left of x, J - m at x, 0 right of x."""
+    row = np.zeros(2 * L + 1, dtype=np.int8)
+    row[:x + L] = J.twice
+    row[x + L] = (J - m).as_integer()
+    return row
+
+
+def ground_config(J, L, M) -> np.ndarray:
+    """The unique zero-energy configuration of the sector, as an int8 digit row."""
     J = as_half(J)
     L = int(L)
     desc = ground_descriptor(J, L, M)
-    values = []
-    for alpha in range(-L, L + 1):
-        if alpha < desc.x:
-            values.append(-J)
-        elif alpha == desc.x:
-            values.append(desc.m)
-        else:
-            values.append(J)
-    return IsingConfig(L, tuple(values))
+    return _wall_row(J, L, desc.x, desc.m)
 
 
 def excitation_energy(J, m, n: int, sign: int) -> int:
@@ -115,55 +115,37 @@ def excitation_sets(J, m) -> ExcitationSets:
     return ExcitationSets(out[+1], out[-1])
 
 
-def excitation_config(J, L, x: int, m, n: int, sign: int) -> IsingConfig:
-    """Configuration obtained from the wall (x, m) by moving n units across it."""
+def excitation_config(J, L, x: int, m, n: int, sign: int) -> np.ndarray:
+    """Digit row obtained from the wall (x, m) by moving n units across it:
+    rightward (sign +1) digits x, x+1 change by -n, +n; leftward (sign -1)
+    digits x-1, x do."""
     J = as_half(J)
     m = as_half(m)
     L = int(L)
     n = int(n)
     if not -L + 1 <= x <= L - 1:
         raise ValueError(f"wall position x={x} must be interior to [-{L}, {L}]")
-    if sign == +1:
-        if not 1 <= n <= (J - m).as_integer():
-            raise ValueError(f"need 1 <= n <= J - m, got n={n}")
-        values = []
-        for alpha in range(-L, L + 1):
-            if alpha <= x - 1:
-                values.append(-J)
-            elif alpha == x:
-                values.append(m + n)
-            elif alpha == x + 1:
-                values.append(J - n)
-            else:
-                values.append(J)
-    elif sign == -1:
-        if not 1 <= n <= (J + m).as_integer():
-            raise ValueError(f"need 1 <= n <= J + m, got n={n}")
-        values = []
-        for alpha in range(-L, L + 1):
-            if alpha <= x - 2:
-                values.append(-J)
-            elif alpha == x - 1:
-                values.append(-J + n)
-            elif alpha == x:
-                values.append(m - n)
-            else:
-                values.append(J)
-    else:
+    if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return IsingConfig(L, tuple(values))
+    if not 1 <= n <= ((J - m) if sign > 0 else (J + m)).as_integer():
+        raise ValueError(f"need 1 <= n <= J {'-' if sign > 0 else '+'} m, got n={n}")
+    row = _wall_row(J, L, x, m)
+    a = x + L if sign > 0 else x + L - 1
+    row[a] -= n
+    row[a + 1] += n
+    return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field: field-wise == and hash would fail
 class KinkExcitation:
     sign: int
     n: int
     energy: int
-    config: IsingConfig
+    config: np.ndarray  # int8 digit row
 
 
 def localized_excitations(J, L, M) -> list:
-    """All below-band excitations of a bulk sector, as explicit configurations."""
+    """All below-band excitations of a bulk sector, each with its digit row."""
     J = as_half(J)
     L = int(L)
     desc = ground_descriptor(J, L, M)
@@ -180,22 +162,14 @@ def localized_excitations(J, L, M) -> list:
 
 
 def predicted_low_spectrum(J, L, M) -> dict:
-    """Energies below 2J with multiplicities: {0: 1} plus the merged
-    excitation energies, collisions across the two families counting twice.
+    """Energies below 2J with multiplicities: {0: 1} plus the energies of
+    localized_excitations, collisions across the two families counting twice.
 
     Raises EdgeSectorError when the sector's wall touches the boundary.
     """
-    J = as_half(J)
-    L = int(L)
-    desc = ground_descriptor(J, L, M)
-    if not -L + 1 <= desc.x <= L - 1:
-        raise EdgeSectorError(
-            f"sector M={as_half(M)} has its wall at x={desc.x}; no closed-form prediction"
-        )
-    sets = excitation_sets(J, desc.m)
     out = {0: 1}
-    for _, e in sets.plus + sets.minus:
-        out[e] = out.get(e, 0) + 1
+    for exc in localized_excitations(J, L, M):
+        out[exc.energy] = out.get(exc.energy, 0) + 1
     return out
 
 

@@ -128,31 +128,37 @@ def memory_limit() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _preflight(J, L, M, k: int) -> None:
+def check_memory(need: int, what: str) -> None:
+    """Refuse work that needs more bytes than this process may use."""
+    limit = memory_limit()
+    if need > limit:
+        raise ValueError(f"{what} needs about {need / 2**30:.1f} GiB, above the "
+                         f"{limit / 2**30:.1f} GiB this process may use")
+
+
+def _preflight(J, L, M, k: int | None) -> None:
     """Refuse, from one counting table, a sector over the dimension limit or
-    whose h1 CSR and k-pair solve need more memory than the process may use."""
+    whose h1 CSR and k-pair solve need more memory than the process may use;
+    k is None when every job is a delta_inv = 0 exact sort, which prices nothing."""
     dim, hops = sector_counts(J, L, M)
     _check_dimension(dim, M.twice)
-    limit = memory_limit()
-    need = hopping_bytes(dim, hops) + solve_bytes(dim, k)
-    if need > limit:
-        raise ValueError(f"sector two_m={M.twice} with k={k} needs about "
-                         f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "
-                         "this process may use")
+    if k is not None:
+        check_memory(hopping_bytes(dim, hops) + solve_bytes(dim, k),
+                     f"sector two_m={M.twice} with k={k}")
 
 
 def run_sweep(plan: SweepPlan) -> list:
     """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
 
-    Each sector is built, run over the whole grid and dropped before the next
-    one; its h1 CSR is built once, only if some delta_inv > 0, and every grid
-    point's operator shares it.
+    Every sector is checked before the first is built.  Each sector is built,
+    run over the whole grid and dropped before the next one; its h1 CSR is
+    built once, only if some delta_inv > 0, and every grid point's operator
+    shares it.
     """
     plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
-    if needs_hops:  # delta_inv = 0 jobs are exact sorts
-        for tm in plan.two_m_list:
-            _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k)
+    for tm in plan.two_m_list:
+        _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
     n_grid = len(plan.delta_inv_grid)
     rows = []
     for s, tm in enumerate(plan.two_m_list):

@@ -5,7 +5,6 @@ from oracles import brute_sector_rows
 import xxzkink.basis
 from xxzkink.basis import (
     MAX_TWO_J,
-    IsingConfig,
     SectorBasis,
     reachable_sectors,
     sector_dimension,
@@ -35,11 +34,12 @@ def test_enumeration_matches_brute_force(two_j, L):
 
 def test_enumeration_examples():
     basis = SectorBasis(H(1), 2, H(5))
-    assert [tuple(v.twice for v in c.values) for c in basis] == [(1, 1, 1, 1, 1)]
+    # doubled values 2m = 2J - 2d
+    assert [[1 - 2 * d for d in row] for row in basis.down.tolist()] == [[1, 1, 1, 1, 1]]
     basis = SectorBasis(H(2), 1, H(0))
-    tuples = [tuple(float(v) for v in c.values) for c in basis]
+    tuples = [tuple(1 - d for d in row) for row in basis.down.tolist()]  # m = J - d
     assert len(tuples) == 7
-    assert (1.0, 0.0, -1.0) in tuples and (0.0, 0.0, 0.0) in tuples
+    assert (1, 0, -1) in tuples and (0, 0, 0) in tuples
     # first emitted config is the m-lexicographically greatest (smallest down units)
     assert tuple(basis.down[0]) == min(tuple(r) for r in basis.down)
 
@@ -56,25 +56,10 @@ def test_rank_unrank_roundtrip_exhaustive():
 
 
 def test_rank_unrank_config_objects():
+    # m = (-1/2, 1/2, 1/2) is the last of the three rows of J = 1/2, L = 1, M = 1/2
     basis = SectorBasis(H(1), 1, H(1))
-    cfg = IsingConfig(1, (H(-1), H(1), H(1)))
-    assert basis.rank(cfg) == 2
-    assert basis.unrank(2) == cfg
-    assert basis.rank(basis.unrank(0)) == 0
-    for i in range(basis.dim):
-        assert basis.rank(basis.unrank(i)) == i
-
-
-def test_rank_errors():
-    basis = SectorBasis(H(1), 2, H(3))
-    with pytest.raises(ValueError):
-        basis.rank(IsingConfig(2, (H(1),) * 5))  # wrong magnetization
-    with pytest.raises(ValueError):
-        basis.unrank(basis.dim)
-    with pytest.raises(ValueError):
-        basis.unrank(-1)
-    with pytest.raises(ValueError):
-        basis.rank(IsingConfig(1, (H(1), H(1), H(1))))  # wrong length
+    assert basis.down.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert basis.rank_rows([[1, 0, 0]]).tolist() == [2]
 
 
 def test_total_dimension_identity():
@@ -93,18 +78,6 @@ def test_spin_flip_counting_symmetry():
                 assert sector_dimension(H(two_j), L, H(tm)) == sector_dimension(
                     H(two_j), L, H(-tm)
                 )
-
-
-def test_config_validation():
-    cfg = IsingConfig(1, (H(1), H(-1), H(1)))
-    assert cfg.magnetization == H(1)
-    assert cfg.value_at(-1) == H(1)
-    with pytest.raises(ValueError):
-        IsingConfig(1, (H(1), H(1)))
-    with pytest.raises(ValueError):
-        cfg.down_units(H(2))  # parity mismatch with J=1
-    with pytest.raises(IndexError):
-        cfg.value_at(2)
 
 
 def test_max_states_guard(monkeypatch):

@@ -352,6 +352,28 @@ def test_dense_route_is_priced_by_the_preflight(capsys, monkeypatch):
                       "--k", "30000"], "sector two_m=-13 with k=30000 needs about 0.6 GiB")
 
 
+def test_certify_is_refused_when_its_two_site_matrices_do_not_fit(capsys, monkeypatch):
+    # spin 3/2: four 16 x 16 matrices plus 32 MiB of heap slack, above a 16 MiB limit
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**24)
+    _refused(capsys, ["certify", "-J", "3/2", "-L", "1"],
+             "certify at spin 3/2 needs about 0.0 GiB, above the 0.0 GiB")
+
+
+def test_unwritable_out_is_refused(capsys, tmp_path):
+    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta-inv", "0.4",
+                      "--k", "2", "--out", str(tmp_path / "missing" / "x.csv")],
+             "No such file or directory")
+
+
+def test_ising_limit_sweep_checks_every_sector_before_building(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a basis was built before every sector was checked")
+
+    monkeypatch.setattr(xxzkink.sweep, "SectorBasis", unreachable)
+    _refused(capsys, ["sweep", "-J", "1/2", "-L", "25", "--all-sectors", "--delta-inv", "0",
+                      "--k", "1"], "sector two_m=-37 has more than the limit of 50000000 states")
+
+
 def test_repeated_sector_is_rejected(capsys):
     for command in ("spectrum", "sweep"):
         argv = [command, "-J", "1", "-L", "1", "--two-m=1,-1,1", "--delta-inv", "0.4", "--k", "2"]

@@ -11,7 +11,7 @@ from oracles import (
     kron_kink_hamiltonian,
     sector_kron_indices,
 )
-from xxzkink.basis import IsingConfig, SectorBasis, reachable_sectors, sector_counts
+from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (
     boundary_diagonal,
@@ -20,8 +20,6 @@ from xxzkink.hamiltonian import (
     hopping_bytes,
     hopping_matrix,
     hopping_structure,
-    ising_bond_energy,
-    ising_config_energy,
     ising_diagonal,
 )
 from xxzkink.spin import ladder_coefficient, ladder_radicand
@@ -29,38 +27,38 @@ from xxzkink.spin import ladder_coefficient, ladder_radicand
 H = HalfInt
 
 
-def test_bond_energy_examples():
-    for two_j in (1, 2, 3):
-        assert ising_bond_energy(H(two_j), H(-two_j), H(two_j - 2)) == 0
-    assert ising_bond_energy(H(3), H(3), H(-3)) == 9
-    assert ising_bond_energy(H(2), H(0), H(0)) == 1
-    with pytest.raises(ValueError):
-        ising_bond_energy(H(1), H(3), H(1))
+def _bond_energies(two_j, row):
+    """E(c) = sum_a (J + m_a)(J - m_{a+1}) in Fractions, from m = J - d."""
+    J = Fraction(two_j, 2)
+    m = [J - d for d in row]
+    return sum((J + a) * (J - b) for a, b in zip(m, m[1:]))
 
 
-def test_bond_energy_nonnegative_integer():
-    for two_j in (1, 2, 3):
-        for tm in range(-two_j, two_j + 1, 2):
-            for tn in range(-two_j, two_j + 1, 2):
-                e = ising_bond_energy(H(two_j), H(tm), H(tn))
-                assert isinstance(e, int) and e >= 0
+def _diagonal_at(two_j, L, row):
+    """ising_diagonal's entry for one digit row, located by rank_rows."""
+    two_m = (2 * L + 1) * two_j - 2 * sum(row)
+    basis = SectorBasis(H(two_j), L, H(two_m))
+    index = int(basis.rank_rows([row])[0])
+    assert basis.down[index].tolist() == row
+    return ising_diagonal(basis)[index]
 
 
 def test_config_energy_examples():
-    assert ising_config_energy(H(2), IsingConfig(1, (H(2), H(0), H(2)))) == 2
-    # ground configurations have energy zero
-    assert ising_config_energy(H(3), IsingConfig(2, (H(-3), H(-3), H(1), H(3), H(3)))) == 0
+    # m = (1, 0, 1) at J = 1
+    assert _diagonal_at(2, 1, [0, 1, 0]) == _bond_energies(2, [0, 1, 0]) == 2
+    # ground configurations have energy zero: m = (-3/2, -3/2, 1/2, 3/2, 3/2)
+    assert _diagonal_at(3, 2, [3, 3, 1, 0, 0]) == _bond_energies(3, [3, 3, 1, 0, 0]) == 0
     # against the brute-force oracle on a whole small space
-    for row in brute_sector_rows(3, 1, -1):
-        cfg = IsingConfig.from_down_units(H(3), 1, row)
-        assert ising_config_energy(H(3), cfg) == brute_config_energy(3, row)
+    rows = brute_sector_rows(3, 1, -1)
+    diag = ising_diagonal(SectorBasis(H(3), 1, H(-1)))
+    assert diag.tolist() == [brute_config_energy(3, row) for row in rows]
 
 
 def test_ising_diagonal_matches_scalar_energy():
     basis = SectorBasis(H(3), 2, H(1))
     diag = ising_diagonal(basis)
-    for i, cfg in enumerate(basis):
-        assert diag[i] == ising_config_energy(H(3), cfg)
+    for i, row in enumerate(basis.down.tolist()):
+        assert diag[i] == brute_config_energy(3, row) == _bond_energies(3, row)
     assert diag.dtype == np.int64
     assert (diag >= 0).all()
 
@@ -161,17 +159,13 @@ def test_hopping_entries_are_ladder_products():
 # bond terms reach 127 * 127 and a digit pair sums to 254.
 @pytest.mark.parametrize("two_m", [-379, -127, 127, 379])
 def test_diagonals_exact_at_the_int8_spin_limit(two_m):
-    J = H(127)
-    basis = SectorBasis(J, 1, H(two_m))
+    basis = SectorBasis(H(127), 1, H(two_m))
     assert basis.down.dtype == np.int8
-    configs = list(basis)
-    energy = [ising_config_energy(J, c) for c in configs]
-    free = [
-        float(sum(Fraction(127 * 127 - a.twice * b.twice, 4)
-                  for a, b in zip(c.values, c.values[1:])))
-        for c in configs
-    ]
-    edge = [float(Fraction(127 * (c.values[-1].twice - c.values[0].twice), 4)) for c in configs]
+    J = Fraction(127, 2)
+    configs = [[J - d for d in row] for row in basis.down.tolist()]  # m = J - d
+    energy = [_bond_energies(127, row) for row in basis.down.tolist()]
+    free = [float(sum(J * J - a * b for a, b in zip(m, m[1:]))) for m in configs]
+    edge = [float(J * (m[-1] - m[0])) for m in configs]
     diag = ising_diagonal(basis)
     assert diag.dtype == np.int64
     assert diag.tolist() == energy

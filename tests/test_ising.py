@@ -3,10 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import brute_config_energy
 import xxzkink.ising
 from xxzkink.basis import SectorBasis, reachable_sectors
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import ising_config_energy, ising_diagonal
+from xxzkink.hamiltonian import ising_diagonal
 from xxzkink.ising import (
     EdgeSectorError,
     band_edge_multiplicity_lower_bound,
@@ -45,9 +46,11 @@ def test_ground_config_is_unique_zero_energy_state():
                 basis = SectorBasis(H(two_j), L, H(two_m))
                 diag = ising_diagonal(basis)
                 assert int((diag == 0).sum()) == 1
-                cfg = ground_config(H(two_j), L, H(two_m))
-                assert cfg.magnetization == H(two_m)
-                assert diag[basis.rank(cfg)] == 0
+                row = ground_config(H(two_j), L, H(two_m))
+                assert row.dtype == np.int8
+                index = int(basis.rank_rows(row[None, :])[0])
+                assert np.array_equal(basis.down[index], row)
+                assert diag[index] == 0 == brute_config_energy(two_j, row.tolist())
 
 
 def test_excitation_set_examples():
@@ -77,10 +80,19 @@ def test_excitation_configs_reproduce_energies():
                     excitations = localized_excitations(H(two_j), L, H(two_m))
                 except EdgeSectorError:
                     continue
+                basis = SectorBasis(H(two_j), L, H(two_m))
+                ground = ground_config(H(two_j), L, H(two_m)).astype(int)
                 for exc in excitations:
-                    assert exc.config.magnetization == H(two_m)
-                    assert ising_config_energy(H(two_j), exc.config) == exc.energy
+                    row = exc.config
+                    index = int(basis.rank_rows(row[None, :])[0])
+                    assert np.array_equal(basis.down[index], row)
+                    assert brute_config_energy(two_j, row.tolist()) == exc.energy
                     assert 0 < exc.energy < two_j
+                    # n units cross the wall: two adjacent digits change by -n, +n
+                    change = row - ground
+                    moved = np.flatnonzero(change)
+                    assert moved.size == 2 and moved[1] == moved[0] + 1
+                    assert change[moved].tolist() == [-exc.n, exc.n]
 
 
 def test_coincident_labels_describe_one_config():
@@ -94,8 +106,12 @@ def test_coincident_labels_describe_one_config():
 
 def test_first_excitation_from_extremal_wall():
     # moving one unit across the wall of an (x, -J) label costs exactly 1
-    cfg = excitation_config(H(3), 2, 0, H(-3), 1, +1)
-    assert ising_config_energy(H(3), cfg) == 1 == excitation_energy(H(3), H(-3), 1, +1)
+    row = excitation_config(H(3), 2, 0, H(-3), 1, +1)
+    assert row.tolist() == [3, 3, 2, 1, 0]
+    assert brute_config_energy(3, row.tolist()) == 1 == excitation_energy(H(3), H(-3), 1, +1)
+    for x, n, sign in ((2, 1, +1), (0, 1, 0), (0, 0, +1), (0, 4, +1), (0, 1, -1)):
+        with pytest.raises(ValueError):  # wall on the edge, bad sign, n out of range
+            excitation_config(H(3), 2, x, H(-3), n, sign)
 
 
 def test_predicted_low_spectrum_examples():
