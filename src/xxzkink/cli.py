@@ -10,8 +10,10 @@ exactly as fractions; a doubled magnitude above 2**63 - 1 is refused.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal
@@ -115,6 +117,21 @@ parse_seed = _checked(int, lambda s: s >= 0, "seed must be >= 0")
 def parse_delta_list(text: str) -> tuple:
     """Comma list of anisotropy values delta >= 1, converted to delta_inv."""
     return tuple(1.0 / parse_delta(part) for part in text.split(",") if part.strip())
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out whose directory is missing or not writable, before any
+    work and without creating the file."""
+    if out is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), folder)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -322,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)

@@ -15,18 +15,21 @@ reaches into the window is followed by a full-tolerance run, whose pair is
 pooled; a probe's pair never is.  Every returned eigenpair carries an
 explicitly computed residual |H v - lambda v|.
 
-On sectors of at least FILTER_MIN_DIM states the full-tolerance runs are
-Chebyshev filtered (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219
-(2006) 172; Fang & Saad, SIAM J. Sci. Comput. 34 (2012) A2220).  ARPACK
-then sees p(H_d), where H_d is H with every pooled pair moved to hi = |H|_inf
-and p is the degree-FILTER_DEGREE Chebyshev polynomial that maps the
-unwanted interval [c, hi] into [-1, 1] and grows fast below c.  Each ARPACK
-step then costs FILTER_DEGREE matvecs but the run takes about that many
-times fewer steps, and a step's reorthogonalization, not its matvec, is what
-dominates on large sectors.  The cut c must lie above every wanted value.
-It comes from Cauchy interlacing: the j-th eigenvalue of a principal
-submatrix bounds the j-th eigenvalue of H from above.  Degree 1 is the
-affine operator of the small sectors and of the probes.
+Every ARPACK run applies one operator and asks for its largest values: the
+Chebyshev polynomial T_p of an affine map Y of H_d, where H_d is H with
+every pooled pair lifted out of the wanted range (``_lanczos_sweep``).
+Probes, sectors under FILTER_MIN_DIM states and runs without a cut take
+p = 1: Y = -(H + scale) with scale = 1 + |H|_inf and the pool lifted by
+2 scale.  The other full-tolerance runs are Chebyshev filtered (Zhou, Saad,
+Tiago & Chelikowsky, J. Comput. Phys. 219 (2006) 172; Fang & Saad, SIAM J.
+Sci. Comput. 34 (2012) A2220): p = FILTER_DEGREE, every pooled pair is
+moved to hi = |H|_inf, and Y maps the unwanted interval [c, hi] onto
+[1, -1], so T_p(Y) stays in [-1, 1] there and grows fast below c.  Each
+ARPACK step then costs FILTER_DEGREE matvecs but the run takes about that
+many times fewer steps, and a step's reorthogonalization, not its matvec,
+is what dominates on large sectors.  The cut c must lie above every wanted
+value.  It comes from Cauchy interlacing: the j-th eigenvalue of a
+principal submatrix bounds the j-th eigenvalue of H from above.
 """
 
 from __future__ import annotations
@@ -107,11 +110,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
 
 
 class LanczosError(RuntimeError):
-    """Lanczos did not converge; carries the best Ritz values found so far."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Lanczos did not converge."""
 
 
 # ARPACK tolerance of a confirmation probe: on the 411k sector a probe at 1e-3
@@ -168,69 +167,59 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
                    cut: float | None = None):
     """One implicitly restarted Lanczos run (ARPACK) in the complement of the pool.
 
-    Without a ``cut`` ARPACK sees H + scale*I + 2*scale*V V^T, where V holds
-    the pooled eigenvectors.  The identity shift makes the operator positive
-    definite: ARPACK's smallest-algebraic mode can miss an exact zero
-    eigenvalue of a singular H.  With scale = 1 + |H|_inf the deflation shift
-    lifts every found pair strictly above the rest of the spectrum, whatever
-    its sign, so the lowest Ritz pairs belong to the complement.  With a
-    ``cut`` c ARPACK sees the largest values of T_m(Y(H_d)), where
-    H_d = H + V diag(hi - pool_vals) V^T, hi = scale - 1 and Y maps [c, hi]
-    onto [1, -1]; everything at or above c, the pool included, lands in
-    [-1, 1] and every value below c above 1.  Returns (values, vectors,
-    residuals) for the ``want`` lowest pairs, with Rayleigh quotients of H
-    and explicit residuals, or None when ARPACK did not converge within
-    ``max_iter`` restarts or a residual exceeds tol_abs.  A probe
-    (``probe_tol`` given) runs ARPACK at that tolerance and has no residual cap.
+    ARPACK sees the largest values of T_p(Y), the degree-p Chebyshev
+    polynomial of Y = (center - H - V diag(lift) V^T) / half, where V holds
+    the pooled eigenvectors.  Without a ``cut``, p = 1 and
+    (center, half, lift) = (-scale, 1, 2 scale): Y = -(H + scale*I +
+    2*scale*V V^T).  The identity shift keeps Y negative definite, so an
+    exact zero eigenvalue of a singular H is not missed, and with
+    scale = 1 + |H|_inf the lift moves every found pair strictly below the
+    rest of Y's spectrum, whatever its sign, so the largest Ritz pairs belong
+    to the complement.  With a ``cut`` c, p = FILTER_DEGREE and
+    (center, half) = ((hi + c) / 2, (hi - c) / 2) with hi = scale - 1, and
+    lift = hi - pool_vals moves every pooled pair to hi: Y maps [c, hi] onto
+    [1, -1], so everything at or above c, the pool included, lands in [-1, 1]
+    and every value below c above 1.  Returns (values, vectors, residuals)
+    for the ``want`` lowest pairs, with Rayleigh quotients of H and explicit
+    residuals, or None when ARPACK did not converge within ``max_iter``
+    restarts or a residual exceeds tol_abs.  A probe (``probe_tol`` given)
+    runs ARPACK at that tolerance and has no residual cap.
     """
     n = op.dim
     V = pool_vecs if pool_vecs.shape[1] else None
-    # ARPACK stops at Ritz residuals <= tol * theta; unfiltered, the wanted
-    # theta are at most 2 * scale, so this asks for half the certified bound.
+    # ARPACK stops at Ritz residuals <= tol * |theta|; at degree 1 the wanted
+    # |theta| are at most 2 * scale, so this asks for half the certified bound.
     # Filtered, the explicit residual check below is what certifies.
     tol = tol_abs / (4.0 * scale) if probe_tol is None else probe_tol
-
-    def add_pool(y, x, lift):
-        # y += V diag(lift) V^T x
-        dgemv(1.0, V.T, lift * (V.T @ x), beta=1.0, y=y, trans=1, overwrite_y=True)
-
     if cut is None:
-        def apply(x):
-            y = op.matvec(x)
-            daxpy(x, y, a=scale)
-            if V is not None:
-                add_pool(y, x, 2.0 * scale)
-            return y
-
-        which = "SA"
+        degree, center, half, lift = 1, -scale, 1.0, 2.0 * scale
     else:
         hi = scale - 1.0
-        center, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
+        degree, center, half = FILTER_DEGREE, 0.5 * (hi + cut), 0.5 * (hi - cut)
         lift = hi - np.asarray(pool_vals)
 
-        def y_of_h(x):
-            y = op.matvec(x)
-            if V is not None:
-                add_pool(y, x, lift)
-            daxpy(x, y, a=-center)
-            y *= -1.0 / half
-            return y
+    def y_of_h(x):
+        y = op.matvec(x)
+        if V is not None:
+            # y += V diag(lift) V^T x
+            dgemv(1.0, V.T, lift * (V.T @ x), beta=1.0, y=y, trans=1, overwrite_y=True)
+        daxpy(x, y, a=-center)
+        y *= -1.0 / half
+        return y
 
-        def apply(x):
-            # three-term recurrence T_{j+1} = 2 Y T_j - T_{j-1}
-            prev, cur = x, y_of_h(x)
-            for _ in range(FILTER_DEGREE - 1):
-                nxt = y_of_h(cur)
-                nxt *= 2.0
-                nxt -= prev
-                prev, cur = cur, nxt
-            return cur
-
-        which = "LA"
+    def apply(x):
+        # three-term recurrence T_{j+1} = 2 Y T_j - T_{j-1}
+        prev, cur = x, y_of_h(x)
+        for _ in range(degree - 1):
+            nxt = y_of_h(cur)
+            nxt *= 2.0
+            nxt -= prev
+            prev, cur = cur, nxt
+        return cur
 
     A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, X = eigsh(A, k=want, which=which, v0=rng.standard_normal(n), maxiter=max_iter,
+        _, X = eigsh(A, k=want, which="LA", v0=rng.standard_normal(n), maxiter=max_iter,
                      tol=tol)
     except ArpackNoConvergence:
         return None
@@ -314,10 +303,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
             got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs,
                                  scale)
         if got is None:
-            raise LanczosError(
-                f"no convergence within {max_iter} restarts",
-                best=np.asarray(sorted(pool_vals)),
-            )
+            raise LanczosError(f"no convergence within {max_iter} restarts")
         new_vals, new_vecs, new_res = got
         pool_vals.extend(float(v) for v in new_vals)
         pool_vecs = np.hstack([pool_vecs, new_vecs])
@@ -328,10 +314,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         if len(pool_vals) >= k and settled(float(new_vals.min())):
             break
     if len(pool_vals) < k:
-        raise LanczosError(
-            f"found only {len(pool_vals)} of {k} eigenpairs",
-            best=np.asarray(sorted(pool_vals)),
-        )
+        raise LanczosError(f"found only {len(pool_vals)} of {k} eigenpairs")
 
     order = np.argsort(np.asarray(pool_vals), kind="stable")[:k]
     vals = np.asarray(pool_vals)[order]

@@ -155,6 +155,19 @@ def hopping_bytes(dim: int, hops: int) -> int:
     return 2 * hops * (4 + 8) + 4 * (dim + 1)
 
 
+def sector_bytes(dim: int, n_sites: int) -> int:
+    """Bytes that building a sector's basis and its operator's diagonal take:
+    the int8 digit rows plus the larger of the enumeration's int64 node
+    arrays and ising_diagonal's int8 and int16 (dim, n_sites - 1) copies with
+    its int64 sum.  The float diagonals and the exact sort's argsort come
+    after those temporaries are freed and stay below them."""
+    # ru_maxrss per state, less the n digit bytes: building the basis took
+    # 44 / 47 / 65 / 60 at (2J, L) = (3, 5), (3, 6), (1, 12), (1, 20), and the
+    # kink diagonal 97 / 133 at (1, 16), (1, 20); ten more sectors with 2J up
+    # to 127, sorted at delta_inv = 0, stayed below this bound as well
+    return dim * (n_sites + max(72, 3 * n_sites + 16))
+
+
 @dataclass
 class SectorOperator:
     """A variant restricted to one sector as diag + hop_scale * h1 (index =

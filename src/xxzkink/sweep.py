@@ -21,7 +21,7 @@ from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
 from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_matrix,
-                          hopping_structure)
+                          hopping_structure, sector_bytes)
 
 SWEEP_FIELDS = (
     "two_j",
@@ -121,11 +121,18 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, h1,
 
 
 def memory_limit() -> int:
-    """Bytes this process may use: its RLIMIT_AS soft limit, else physical memory."""
+    """Bytes this process may still use: its RLIMIT_AS soft limit less the
+    address space it already maps, else physical memory."""
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    page = os.sysconf("SC_PAGE_SIZE")
     if soft != resource.RLIM_INFINITY:
+        try:  # the mapped size counts against the limit; /proc is Linux only
+            with open("/proc/self/statm") as statm:
+                soft -= int(statm.read().split()[0]) * page
+        except OSError:
+            pass
         return soft
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return page * os.sysconf("SC_PHYS_PAGES")
 
 
 def check_memory(need: int, what: str) -> None:
@@ -138,13 +145,16 @@ def check_memory(need: int, what: str) -> None:
 
 def _preflight(J, L, M, k: int | None) -> None:
     """Refuse, from one counting table, a sector over the dimension limit or
-    whose h1 CSR and k-pair solve need more memory than the process may use;
-    k is None when every job is a delta_inv = 0 exact sort, which prices nothing."""
+    whose basis and diagonal, plus its h1 CSR and k-pair solve when it hops,
+    need more memory than the process may use; k is None when every job is a
+    delta_inv = 0 exact sort."""
     dim, hops = sector_counts(J, L, M)
     _check_dimension(dim, M.twice)
+    need, what = sector_bytes(dim, 2 * int(L) + 1), f"sector two_m={M.twice}"
     if k is not None:
-        check_memory(hopping_bytes(dim, hops) + solve_bytes(dim, k),
-                     f"sector two_m={M.twice} with k={k}")
+        need += hopping_bytes(dim, hops) + solve_bytes(dim, k)
+        what += f" with k={k}"
+    check_memory(need, what)
 
 
 def run_sweep(plan: SweepPlan) -> list:

@@ -359,17 +359,37 @@ def test_certify_is_refused_when_its_two_site_matrices_do_not_fit(capsys, monkey
              "certify at spin 3/2 needs about 0.0 GiB, above the 0.0 GiB")
 
 
-def test_unwritable_out_is_refused(capsys, tmp_path):
-    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta-inv", "0.4",
-                      "--k", "2", "--out", str(tmp_path / "missing" / "x.csv")],
-             "No such file or directory")
+def _forbid_basis(monkeypatch):
+    """Make building any sweep basis fail the test: the refusal must come first."""
+    def unreachable(*args):
+        raise AssertionError("a basis was built before the refusal")
+
+    monkeypatch.setattr(xxzkink.sweep, "SectorBasis", unreachable)
+
+
+def test_unwritable_out_is_refused(capsys, monkeypatch, tmp_path):
+    # refused before the 411 334-state solve, and nothing is created
+    _forbid_basis(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    _refused(capsys, ["spectrum", "-J", "3/2", "-L", "5", "--two-m=-3/2", "--delta-inv", "0.4",
+                      "--k", "3", "--out", str(out)],
+             f"No such file or directory: '{out.parent}'")
+    assert not out.parent.exists()
+
+
+def test_exact_sort_route_is_priced_before_any_basis(capsys, monkeypatch):
+    # 18 009 460 int8 rows of 51 digits and the int16 Ising temporaries
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**31)
+    _forbid_basis(monkeypatch)
+    _refused(capsys, ["spectrum", "-J", "1/2", "-L", "25", "--two-m=-39", "--delta-inv", "0",
+                      "--k", "1"], "sector two_m=-39 needs about 3.7 GiB, above the 2.0 GiB")
 
 
 def test_ising_limit_sweep_checks_every_sector_before_building(capsys, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a basis was built before every sector was checked")
-
-    monkeypatch.setattr(xxzkink.sweep, "SectorBasis", unreachable)
+    # two_m=-39 (3.7 GiB) fits this pinned limit, so the outcome does not depend
+    # on the machine's memory
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**40)
+    _forbid_basis(monkeypatch)
     _refused(capsys, ["sweep", "-J", "1/2", "-L", "25", "--all-sectors", "--delta-inv", "0",
                       "--k", "1"], "sector two_m=-37 has more than the limit of 50000000 states")
 

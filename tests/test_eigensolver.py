@@ -11,6 +11,7 @@ from xxzkink.basis import reachable_sectors, sector_dimension
 from xxzkink.eigensolver import (
     CONFIRM_TOL,
     DENSE_MAX,
+    FILTER_DEGREE,
     FILTER_MIN_DIM,
     LanczosError,
     _interlacing_bounds,
@@ -132,6 +133,20 @@ def _spy_on_eigsh(monkeypatch, keys=("tol",)) -> list:
     return calls
 
 
+def _spy_on_sweeps(monkeypatch) -> list:
+    """Record the Chebyshev degree of every ARPACK run lanczos_lowest makes:
+    FILTER_DEGREE when the run is given a cut, else 1."""
+    degrees = []
+    real = xxzkink.eigensolver._lanczos_sweep
+
+    def spy(*args, cut=None, **kwargs):
+        degrees.append(1 if cut is None else FILTER_DEGREE)
+        return real(*args, cut=cut, **kwargs)
+
+    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", spy)
+    return degrees
+
+
 def test_lanczos_confirms_with_one_loose_probe(monkeypatch):
     calls = _spy_on_eigsh(monkeypatch)
     op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states, no cluster
@@ -160,9 +175,8 @@ def test_lanczos_nonconvergence_error(monkeypatch):
 
     monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_convergence)
     op = build_sector_operator(H(3), 3, H(-3), "kink", 0.9)
-    with pytest.raises(LanczosError) as info:
+    with pytest.raises(LanczosError):
         lanczos_lowest(op, 4, tol=1e-12, seed=0)
-    assert info.value.best is not None
 
 
 def test_lanczos_k_range():
@@ -251,14 +265,15 @@ FILTERED = (3, 4, -9)  # 13051 states
 def test_filtered_lanczos_matches_degree_one(monkeypatch):
     op = build_sector_operator(H(FILTERED[0]), FILTERED[1], H(FILTERED[2]), "kink", 0.4)
     assert op.dim >= FILTER_MIN_DIM
-    calls = _spy_on_eigsh(monkeypatch, ("which", "tol"))
+    calls = _spy_on_eigsh(monkeypatch)
+    degrees = _spy_on_sweeps(monkeypatch)
     rec = lanczos_lowest(op, 6, seed=4)
     # a filtered first run, then a degree-1 probe
-    assert [(k, which) for k, which, _ in calls] == [(6, "LA"), (1, "SA")]
-    assert calls[0][2] <= 1e-10 and calls[1][2] == CONFIRM_TOL
+    assert [k for k, _ in calls] == [6, 1] and degrees == [FILTER_DEGREE, 1]
+    assert calls[0][1] <= 1e-10 and calls[1][1] == CONFIRM_TOL
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", op.dim + 1)
     ref = lanczos_lowest(op, 6, seed=4)
-    assert calls[2][1] == "SA"
+    assert degrees[2] == 1
     assert np.abs(rec.eigenvalues - ref.eigenvalues).max() <= 1e-8
     assert [m for _, m in rec.clusters] == [m for _, m in ref.clusters]
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
@@ -266,24 +281,29 @@ def test_filtered_lanczos_matches_degree_one(monkeypatch):
 
 def test_filtered_lanczos_degenerate_cluster(monkeypatch):
     calls = _spy_on_eigsh(monkeypatch, ("which",))
+    degrees = _spy_on_sweeps(monkeypatch)
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
     test_lanczos_degenerate_cluster()
-    assert calls[0][1] == "LA"
+    # one operator T_p(Y) at both degrees: a filtered first run, then a
+    # degree-1 probe in the complement of the three pooled pairs, each
+    # asking ARPACK for the largest values
+    assert degrees == [FILTER_DEGREE, 1]
+    assert [which for _, which in calls] == ["LA", "LA"]
 
 
 def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
-    calls = _spy_on_eigsh(monkeypatch, ("which",))
+    degrees = _spy_on_sweeps(monkeypatch)
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
     # {-5, 5 x 34} leaves no cut below |H|_inf = 5, so this runs at degree 1
     test_lanczos_deflation_lifts_past_wide_gap()
-    assert {which for _, which in calls} == {"SA"}
+    assert set(degrees) == {1}
     # with the 34 values spread over [5, 6] the filter engages
     base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
     diag = np.concatenate(([-5.0], np.linspace(5.0, 6.0, base.dim - 1)))
     op = SectorOperator(diag, base.h1, 0.0)
-    calls.clear()
+    degrees.clear()
     rec = lanczos_lowest(op, 2, seed=0)
-    assert calls[0][1] == "LA"
+    assert degrees[0] == FILTER_DEGREE
     assert np.allclose(rec.eigenvalues, [-5.0, 5.0], atol=1e-10)
     # a filtered run in the complement of the -5 pair moves it to |H|_inf
     # inside the filter interval, so it finds 5 and not -5 again
@@ -297,11 +317,10 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
 
 def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
     real = xxzkink.eigensolver.eigsh
-    whiches = []
+    degrees = _spy_on_sweeps(monkeypatch)
 
     def no_filtered_convergence(A, k, **kwargs):
-        whiches.append(kwargs["which"])
-        if kwargs["which"] == "LA":
+        if degrees[-1] == FILTER_DEGREE:
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
         return real(A, k=k, **kwargs)
 
@@ -309,6 +328,6 @@ def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
     op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states
     rec = lanczos_lowest(op, 3, seed=0)
-    assert whiches[:2] == ["LA", "SA"]
+    assert degrees[:2] == [FILTER_DEGREE, 1]
     assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
