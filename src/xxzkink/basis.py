@@ -18,7 +18,9 @@ refuse sectors whose counts do not fit.
 
 The digits of a materialized basis are stored as int8, one byte per site,
 which limits the spin to 2J <= 127; the counting and ranking tables stay
-int64.  Consumers that multiply or add digits widen them first.
+int64.  The digit array is site-major (Fortran order): each site's column
+is contiguous, so the per-bond kernels read two columns in one pass.
+Consumers that multiply or add digits widen them first.
 """
 
 from __future__ import annotations
@@ -118,26 +120,31 @@ def _cumulative_counts(ways64: np.ndarray, two_j: int) -> np.ndarray:
 
 
 def _enumerate_down(two_j: int, n: int, total: int, ways64: np.ndarray) -> np.ndarray:
-    """All digit rows of the sector in ascending lexicographic order, as int8.
+    """All digit rows of the sector in ascending lexicographic order, as
+    site-major int8.
 
-    Fills the output column by column.  A node of the enumeration tree at
-    site i (a prefix of i digits) with remaining sum r heads ways[i][r]
-    consecutive rows, so column i is every child digit repeated by the
-    completion count ways[i+1][r - d] of its subtree.  Only the per-node
-    arrays are int64, and the last digit is forced (it equals the remainder).
+    Fills the output column by column, each a contiguous run of dim bytes.
+    A node of the enumeration tree at site i (a prefix of i digits) with
+    remaining sum r heads ways[i][r] consecutive rows, so column i is every
+    child digit repeated by the completion count ways[i+1][r - d] of its
+    subtree.  The per-node arrays are int32: a reachable count is at most
+    dim <= MAX_STATES < 2**31, and the unreachable table entries, which may
+    be larger, are clipped to dim.  The last digit is forced (it equals the
+    remainder).
     """
     dim = int(ways64[0, total])
-    down = np.empty((dim, n), dtype=np.int8)
-    remaining = np.array([total], dtype=np.int64)
+    ways = np.minimum(ways64, dim).astype(np.int32)
+    down = np.empty((dim, n), dtype=np.int8, order="F")
+    remaining = np.array([total], dtype=np.int32)
     for i in range(n - 1):
         rest = (n - i - 1) * two_j
         lo = np.maximum(remaining - rest, 0)
         counts = np.minimum(remaining, two_j) - lo + 1
         # child digits lo..hi of each node, in node order
-        starts = np.cumsum(counts) - counts
-        digits = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+        starts = np.cumsum(counts, dtype=np.int32) - counts
+        digits = np.repeat(lo - starts, counts) + np.arange(counts.sum(), dtype=np.int32)
         remaining = np.repeat(remaining, counts) - digits
-        column = np.repeat(digits.astype(np.int8), ways64[i + 1, remaining])
+        column = np.repeat(digits.astype(np.int8), ways[i + 1, remaining])
         if column.size != dim:
             raise AssertionError("enumeration does not match the counting table")
         down[:, i] = column
@@ -151,9 +158,10 @@ class SectorBasis:
 
     Attributes
     ----------
-    down : (dim, n_sites) C-ordered int8 array
+    down : (dim, n_sites) site-major int8 array
         Down-unit digits of every configuration, row index = rank,
-        rows in enumeration order, so ``down[i]`` is the row of rank i.
+        rows in enumeration order, so ``down[i]`` is the row of rank i;
+        each site's column ``down[:, a]`` is contiguous.
         Spins above 2J = 127 are refused with ValueError; the ranking
         table stays int64.
     prefix_counts : the C[i, r, e] ranking table (see _cumulative_counts),
@@ -167,7 +175,7 @@ class SectorBasis:
         self.n_sites, self.total_down = _sector_shape(J, L, M)
         if self.total_down is None:
             self.dim = self.hops = 0
-            self.down = np.zeros((0, self.n_sites), dtype=np.int8)
+            self.down = np.zeros((0, self.n_sites), dtype=np.int8, order="F")
             self.prefix_counts = None
             return
         ways, self.dim, self.hops = _count_table(self.two_j, self.n_sites, self.total_down)

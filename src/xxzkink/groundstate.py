@@ -72,7 +72,8 @@ def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) 
         [math.lgamma(tj + 1) - math.lgamma(d + 1) - math.lgamma(tj - d + 1) for d in range(tj + 1)]
     )
     alphas = np.arange(-L, L + 1, dtype=float)
-    log_amp = 0.5 * log_binom[basis.down].sum(axis=1) + math.log(q) * (basis.down @ alphas)
+    down = np.ascontiguousarray(basis.down)  # float row sums in row-major order
+    log_amp = 0.5 * log_binom[down].sum(axis=1) + math.log(q) * (down @ alphas)
     amp = np.exp(log_amp - log_amp.max())
     return SectorVector(basis, amp / np.linalg.norm(amp))
 
@@ -80,7 +81,8 @@ def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) 
 def profile_from_amplitudes(basis: SectorBasis, amplitudes: np.ndarray) -> np.ndarray:
     """Site-resolved magnetization <S3_alpha> of a unit vector over the sector."""
     weights = np.asarray(amplitudes) ** 2
-    return 0.5 * basis.two_j - weights @ basis.down
+    # the sum over states runs in the row-major order of the digit rows
+    return 0.5 * basis.two_j - weights @ np.ascontiguousarray(basis.down)
 
 
 def magnetization_profile(vector: SectorVector) -> np.ndarray:

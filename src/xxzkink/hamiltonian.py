@@ -41,17 +41,27 @@ VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
 
 
 def ising_diagonal(basis: SectorBasis) -> np.ndarray:
-    """Vector of E(c) over the sector, exact int64, indexed by rank."""
+    """Vector of E(c) over the sector, exact int64, indexed by rank.
+
+    One pass per bond over two contiguous digit columns: the bond energy
+    (2J - d_a) d_{a+1} <= 127 * 127 is formed in one reused int16 vector and
+    added into the int64 sum."""
     d = basis.down
-    # int8 digits: widen before the product (up to 127 * 127)
-    return ((basis.two_j - d[:, :-1]).astype(np.int16) * d[:, 1:]).sum(axis=1, dtype=np.int64)
+    energy = np.zeros(basis.dim, dtype=np.int64)
+    bond = np.empty(basis.dim, dtype=np.int16)
+    for a in range(basis.n_sites - 1):
+        np.subtract(basis.two_j, d[:, a], out=bond, dtype=np.int16)
+        bond *= d[:, a + 1]
+        energy += bond
+    return energy
 
 
 def free_diagonal(basis: SectorBasis) -> np.ndarray:
-    """Vector of F(c) over the sector; exact multiples of 1/2 in float64."""
-    left = basis.down[:, :-1].astype(np.int16)
-    right = basis.down[:, 1:]
-    return (0.5 * basis.two_j * (left + right) - left * right).sum(axis=1)
+    """Vector of F(c) over the sector; exact multiples of 1/2 in float64.
+
+    F(c) - E(c) = sum_a J (m_{a+1} - m_a) telescopes to J (m_L - m_{-L}), so
+    F is the exact sum of the two per-bond and boundary vectors."""
+    return ising_diagonal(basis) + boundary_diagonal(basis)
 
 
 def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
@@ -157,14 +167,15 @@ def hopping_bytes(dim: int, hops: int) -> int:
 
 def sector_bytes(dim: int, n_sites: int) -> int:
     """Bytes that building a sector's basis and its operator's diagonal take:
-    the int8 digit rows plus the larger of the enumeration's int64 node
-    arrays and ising_diagonal's int8 and int16 (dim, n_sites - 1) copies with
-    its int64 sum.  The float diagonals and the exact sort's argsort come
-    after those temporaries are freed and stay below them."""
+    the int8 digit rows plus the enumeration's int32 node arrays.  The
+    per-bond diagonals (an int64 sum and one int16 bond vector), the float
+    diagonals and the exact sort's argsort come after those temporaries are
+    freed and stay below them."""
     # ru_maxrss per state, less the n digit bytes: building the basis took
-    # 44 / 47 / 65 / 60 at (2J, L) = (3, 5), (3, 6), (1, 12), (1, 20), and the
-    # kink diagonal 97 / 133 at (1, 16), (1, 20); ten more sectors with 2J up
-    # to 127, sorted at delta_inv = 0, stayed below this bound as well
+    # 30 / 29 / 40 / 41 / 47 at (2J, L, 2M) = (3, 5, 1), (3, 6, 1), (1, 12, 5),
+    # (1, 16, 19), (1, 20, 29), and 23 to 27 at four sectors with 2J = 7 to
+    # 127; the kink diagonal added nothing to those peaks.  The bound is looser
+    # than that, and it is kept so that the same sectors stay admitted.
     return dim * (n_sites + max(72, 3 * n_sites + 16))
 
 

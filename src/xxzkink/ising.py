@@ -195,7 +195,8 @@ def isolation_distance(J, L, M, energies) -> list:
         raise ValueError(f"magnetization {as_half(M)} unreachable for J={as_half(J)}, L={L}")
     if dim > MAX_ENUMERATION:
         return [Isolation(1, False)] * len(energies)
-    values = np.unique(ising_diagonal(SectorBasis(J, L, M)))
+    # the levels are non-negative integers: the nonzero bins, in ascending order
+    values = np.flatnonzero(np.bincount(ising_diagonal(SectorBasis(J, L, M))))
     out = []
     for E in energies:
         if E not in values:

@@ -90,7 +90,7 @@ def test_max_states_guard(monkeypatch):
 def test_digits_are_int8_up_to_the_spin_limit():
     assert MAX_TWO_J == 127
     basis = SectorBasis(H(MAX_TWO_J), 1, H(3 * MAX_TWO_J - 2))
-    assert basis.down.dtype == np.int8 and basis.down.flags.c_contiguous
+    assert basis.down.dtype == np.int8 and basis.down.flags.f_contiguous  # site-major
     assert basis.down.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert SectorBasis(H(3), 2, H(99)).down.dtype == np.int8  # empty sector
     with pytest.raises(ValueError, match="2J <= 127"):

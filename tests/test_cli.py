@@ -101,6 +101,17 @@ def test_ising_check_exit_codes(capsys, tmp_path):
     assert doublet["predicted_low"] == {"0": 1, "3": 2}
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["ising-check", "-J", "2", "-L", "3"], "ising_check_J2_L3.csv"),
+    (["certify", "-J", "3/2", "-L", "3"], "certify_J3-2_L3.json"),
+])
+def test_cli_reproduces_the_recorded_outputs(capsys, tmp_path, argv, name):
+    # tests/data holds these two outputs as recorded; any byte of drift fails
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_ising_check_budget_error(capsys):
     assert main(["ising-check", "-J", "6", "-L", "4"]) == 2  # 7^9 states, over budget
     assert "error" in capsys.readouterr().err
