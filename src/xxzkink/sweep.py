@@ -2,7 +2,9 @@
 
 Jobs run in (sector, delta_inv, eig_index) order.  Solver seeds are derived
 per job index from the plan seed, which makes reruns with identical flags and
-seed byte-identical.
+seed byte-identical.  Spin flip composed with the reflection alpha -> -alpha
+carries sector M onto -M entry for entry, so a sector whose mirror was already
+solved in the plan reuses that mirror's rows instead of being solved again.
 """
 
 from __future__ import annotations
@@ -163,19 +165,31 @@ def run_sweep(plan: SweepPlan) -> list:
     Every sector is checked before the first is built.  Each sector is built,
     run over the whole grid and dropped before the next one; its h1 CSR is
     built once, only if some delta_inv > 0, and every grid point's operator
-    shares it.
+    shares it.  A sector whose mirror -M was already solved in the plan,
+    with every row ok, reuses that mirror's rows with only two_m replaced:
+    the mirror's matrix is a permutation of its own, so eigenvalues, cluster
+    sizes and residuals carry over exactly.
     """
     plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
     for tm in plan.two_m_list:
         _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
     n_grid = len(plan.delta_inv_grid)
+    requested = set(plan.two_m_list)
+    solved = {}  # two_m -> its rows, held until its mirror is emitted
     rows = []
     for s, tm in enumerate(plan.two_m_list):
+        if -tm in solved:
+            rows.extend(dict(row, two_m=tm) for row in solved.pop(-tm))
+            continue
         basis = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
         h1 = hopping_matrix(hopping_structure(basis), basis.dim) if needs_hops else None
+        sector = []
         for g, dv in enumerate(plan.delta_inv_grid):
-            rows.extend(_sector_rows(plan, s * n_grid + g, basis, h1, dv))
+            sector.extend(_sector_rows(plan, s * n_grid + g, basis, h1, dv))
+        rows.extend(sector)
+        if tm != 0 and -tm in requested and all_ok(sector):
+            solved[tm] = sector
     return rows
 
 

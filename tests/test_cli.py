@@ -68,6 +68,9 @@ def test_sweep_file_byte_identical_rerun(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     rows = list(csv.DictReader(out1.read_text().split("\n")))
     assert len(rows) == 2 * 3 * 3
+    # M = 13/2 is the mirror of -13/2: its rows differ in two_m alone
+    assert [dict(r, two_m="-13") for r in rows if r["two_m"] == "13"] == rows[:9]
+    assert all(r["two_m"] == "-13" for r in rows[:9])
 
 
 def test_sweep_json_plan_echo(tmp_path):
@@ -277,7 +280,8 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 
 
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
-    # once for the memory preflight, once for the basis
+    # once for the memory preflight, once for the basis; of the sweep's 11
+    # mirror pairs only the M < 0 sector is built, so 22 + 11 tables
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -289,7 +293,7 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
     for argv, tables in (
         (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
         (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
-        (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 44),
+        (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 33),
     ):
         builds.clear()
         assert main(argv) == 0

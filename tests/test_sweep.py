@@ -4,6 +4,7 @@ import pytest
 
 import xxzkink.hamiltonian
 import xxzkink.sweep
+from xxzkink.basis import reachable_sectors
 from xxzkink.checks import verify_ising_theorems
 from xxzkink.eigensolver import lanczos_lowest
 from xxzkink.halfint import HalfInt
@@ -87,11 +88,82 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
         return op
 
     monkeypatch.setattr(xxzkink.sweep, "build_sector_operator", spied)
-    plan = small_plan(delta_inv_grid=(0.0, 0.2, 0.4))
+    # 3 reuses the rows of its mirror -3 and builds nothing
+    plan = small_plan(two_m_list=(-3, 5, 3), delta_inv_grid=(0.0, 0.2, 0.4))
     assert all_ok(run_sweep(plan))
-    assert calls == list(plan.two_m_list)
-    assert sorted(shared) == sorted(plan.two_m_list)
+    assert calls == [-3, 5]
+    assert sorted(shared) == [-3, 5]
     assert all(len(ids) == 1 and id(None) not in ids for ids in shared.values())
+
+
+def spy_solves(monkeypatch, fail_on=None):
+    """List the two_m of every solve; the job (two_m, delta_inv) fail_on raises."""
+    build, solve = xxzkink.sweep.build_sector_operator, xxzkink.sweep.solve_lowest
+    job, solved = [], []
+
+    def built(J, L, M, variant, delta_inv, **kwargs):
+        job[:] = [M.twice, delta_inv]
+        return build(J, L, M, variant, delta_inv, **kwargs)
+
+    def solving(op, k, **kwargs):
+        solved.append(job[0])
+        if tuple(job) == fail_on:
+            raise RuntimeError("injected")
+        return solve(op, k, **kwargs)
+
+    monkeypatch.setattr(xxzkink.sweep, "build_sector_operator", built)
+    monkeypatch.setattr(xxzkink.sweep, "solve_lowest", solving)
+    return solved
+
+
+def rows_by_sector(rows) -> dict:
+    sectors = {}
+    for row in rows:
+        sectors.setdefault(row["two_m"], []).append(row)
+    return sectors
+
+
+@pytest.mark.parametrize("two_j", [3, 2])
+def test_all_sector_sweeps_solve_each_mirror_pair_once(monkeypatch, two_j):
+    # J = 1, L = 2 has the self-mirror sector M = 0, J = 3/2 has none
+    sectors = tuple(reachable_sectors(H(two_j), 2))
+    plan = small_plan(two_j=two_j, two_m_list=sectors)
+    solved = spy_solves(monkeypatch)
+    rows = run_sweep(plan)
+    assert all_ok(rows)
+    assert solved == [tm for tm in sectors if tm <= 0 for _ in plan.delta_inv_grid]
+    assert (0 in sectors) == (two_j % 2 == 0)
+    by_sector = rows_by_sector(rows)
+    for tm in sectors:
+        if tm > 0:
+            assert by_sector[tm] == [dict(row, two_m=tm) for row in by_sector[-tm]]
+            # and the copies are the spectrum an independent solve finds
+            alone = run_sweep(small_plan(two_j=two_j, two_m_list=(tm,)))
+            assert [r["eig_index"] for r in alone] == [r["eig_index"] for r in by_sector[tm]]
+            assert all(abs(a["eigenvalue"] - b["eigenvalue"]) <= 1e-12
+                       for a, b in zip(alone, by_sector[tm]))
+
+
+def test_the_first_visited_sector_of_a_pair_is_solved(monkeypatch):
+    solved = spy_solves(monkeypatch)
+    alone = run_sweep(small_plan(two_m_list=(3,)))
+    assert solved == [3, 3]
+    solved.clear()
+    rows = run_sweep(small_plan(two_m_list=(3, -3)))
+    assert solved == [3, 3]
+    # 3 keeps the job seeds it has alone, so -3 copies exactly those rows
+    assert rows == alone + [dict(row, two_m=-3) for row in alone]
+
+
+def test_a_failed_sector_is_not_copied_to_its_mirror(monkeypatch):
+    solved = spy_solves(monkeypatch, fail_on=(-3, 0.4))
+    rows = rows_by_sector(run_sweep(small_plan()))
+    assert solved == [-3, -3, 3, 3]
+    assert [r["status"] for r in rows[-3]] == ["ok"] * 3 + ["error: RuntimeError: injected"]
+    assert all_ok(rows[3]) and len(rows[3]) == 2 * 3
+    assert [r["eigenvalue"] for r in rows[3][3:]] == pytest.approx(
+        [r["eigenvalue"] for r in run_sweep(small_plan(two_m_list=(3,), delta_inv_grid=(0.4,)))],
+        abs=1e-12)
 
 
 def test_failed_jobs_degrade_to_status_rows(monkeypatch):
