@@ -12,8 +12,11 @@ CONFIRM_TOL, and a Rayleigh quotient theta with explicit residual r places an
 eigenvalue of H in [theta - r, theta + r], so the probe settles the question
 when theta - r is above the window.  Only a probe that
 reaches into the window is followed by a full-tolerance run, whose pair is
-pooled; a probe's pair never is.  Every returned eigenpair carries an
-explicitly computed residual |H v - lambda v|.
+pooled; a probe's pair never is.  A sector whose first run is Chebyshev
+filtered (below) and whose chain is neither the Ising limit nor the isotropic
+point asks that run for one pair more than the window; when it converges, the
+extra pair stands in for the probe and the solve ends without one.  Every
+returned eigenpair carries an explicitly computed residual |H v - lambda v|.
 
 Every ARPACK run applies one operator and asks for its largest values: the
 Chebyshev polynomial T_p of an affine map Y of H_d, where H_d is H with
@@ -113,13 +116,13 @@ class LanczosError(RuntimeError):
     """Lanczos did not converge."""
 
 
-# ARPACK tolerance of a confirmation probe: on the 411k sector a probe at 1e-3
-# ends 0.031 above the 3rd value (theta - r) after 41 matvecs, where a
-# full-tolerance run takes 131
+# ARPACK tolerance of a confirmation probe: after a filtered 3-pair run on the
+# 411k sector a probe at 1e-3 ended 0.031 above the 3rd value (theta - r)
+# after 41 matvecs, where a full-tolerance run takes 131
 CONFIRM_TOL = 1e-3
-# filter degree: the first run on the 411k sector (k = 3, one BLAS thread)
-# took 208 / 216 / 168 / 210 / 252 matvecs and 3.4 / 3.4 / 2.3 / 2.8 / 3.3 s at
-# degree 4 / 6 / 8 / 10 / 12, against 179 matvecs and 6.6 s unfiltered
+# filter degree: the 4-pair run that settles the 411k sector (k = 3, one BLAS
+# thread, seeds 11 to 13, ncv 14) took 172-200 / 196 / 196 / 234 / 280 matvecs
+# and a median 3.0 / 3.4 / 2.6 / 3.7 / 3.6 s at degree 4 / 6 / 8 / 10 / 12
 FILTER_DEGREE = 8
 # smallest filtered sector: lanczos_lowest at k = 6, delta_inv = 0.4 took
 #   dim       2128   3535   8135   18351  27876
@@ -134,8 +137,20 @@ FILTER_MIN_DIM = 10000
 # about 0.1 s with the sort; 100 and 600 states cost the same 168 matvecs
 CUT_STATES = 300
 # the cut is mu_j with j >= pooled + want + CUT_MARGIN: margins 3 / 6 / 12 took
-# 288 / 168 / 288 matvecs in the first run on the 411k sector
+# 288 / 168 / 288 matvecs in the 3-pair first run on the 411k sector, and the
+# same 196 or 252 matvecs each in the 4-pair run
 CUT_MARGIN = 6
+# ARPACK basis of the filtered run for k + 1 pairs, at least 2 k + 3: the
+# 4-pair run on the 411k sector took
+#   ncv                 10    12    14    16    20
+#   matvecs, median    204   212   196   220   276   (15 seeds, 11 to 25)
+#   solve, median s   2.90  2.80  2.65  3.33  3.38   (5 seeds, 11 to 15)
+# and ncv 20 ranged over 172-284 matvecs with the seed, 14 over 196-252.
+# Every other run keeps scipy's max(2 want + 1, 20): at delta_inv = 1, k = 6 a
+# 6-pair filtered run and its probe took 13.0 / 11.3 / 3.6 s at ncv 14 against
+# 12.1 / 10.6 / 3.7 s at 20 (J = 3/2, L = 5, 2M = -11; J = 1, L = 6, 2M = -6
+# and -10; seeds 11 to 14 summed)
+FILTER_NCV = 14
 
 
 def _interlacing_bounds(op) -> np.ndarray:
@@ -164,7 +179,7 @@ def _interlacing_cut(op, index: int, hi: float, sep: float):
 
 def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals: list,
                    pool_vecs: np.ndarray, scale: float, *, probe_tol: float | None = None,
-                   cut: float | None = None):
+                   cut: float | None = None, ncv: int | None = None):
     """One implicitly restarted Lanczos run (ARPACK) in the complement of the pool.
 
     ARPACK sees the largest values of T_p(Y), the degree-p Chebyshev
@@ -179,7 +194,8 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     (center, half) = ((hi + c) / 2, (hi - c) / 2) with hi = scale - 1, and
     lift = hi - pool_vals moves every pooled pair to hi: Y maps [c, hi] onto
     [1, -1], so everything at or above c, the pool included, lands in [-1, 1]
-    and every value below c above 1.  Returns (values, vectors, residuals)
+    and every value below c above 1.  ARPACK keeps ``ncv`` Krylov vectors,
+    scipy's max(2 want + 1, 20) when None.  Returns (values, vectors, residuals)
     for the ``want`` lowest pairs, with Rayleigh quotients of H and explicit
     residuals, or None when ARPACK did not converge within ``max_iter``
     restarts or a residual exceeds tol_abs.  A probe (``probe_tol`` given)
@@ -219,8 +235,7 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
 
     A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, X = eigsh(A, k=want, which="LA", v0=rng.standard_normal(n), maxiter=max_iter,
-                     tol=tol)
+        _, X = eigsh(A, k=want, which="LA", ncv=ncv, maxiter=max_iter, tol=tol, rng=rng)
     except ArpackNoConvergence:
         return None
     vals, res = [], []
@@ -239,7 +254,8 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                    keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
     """The k lowest eigenvalues (with multiplicity) by deflated Lanczos.
 
-    Deterministic for a fixed seed: start vectors come from one PCG64 stream.
+    Deterministic for a fixed seed: ARPACK draws every start vector from one
+    PCG64 stream.
     Residuals of all returned pairs are at most tol * (1 + max row sum).
     Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts.
 
@@ -262,6 +278,18 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     probes always run at degree 1: a filtered probe cannot stop before ncv
     steps of FILTER_DEGREE matvecs each (168 matvecs against 41 on the 411k
     sector).
+
+    A filtered first run asks for k + 1 pairs, with its cut taken at index
+    k + 1 and a Krylov basis of FILTER_NCV vectors (at least 2 k + 3), unless
+    hop_scale is 0 or 1.  When it converges with every residual certified,
+    its (k + 1)-th value is the complement's minimum, so the solve ends
+    without a probe and that pair is never returned.  Like a probe, this
+    cannot see a copy of a degenerate value below the k-th that the run
+    missed.  Such exact pairs are why hop_scale 1 keeps the probe: the kink
+    chain is then F + h1, the SU(2)-invariant free chain, whose reflection-
+    symmetric sectors hold them (J = 1, L = 2, 2M = -6 and -4); hop_scale 0
+    is the Ising limit, whose levels are degenerate.  A failed filtered run
+    takes the degree-1 path above, probe included.
     """
     n = op.dim
     if not 1 <= k < n:
@@ -293,13 +321,20 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                 break
             del probe
         want = min(k - len(pool_vals), comp) if len(pool_vals) < k else 1
-        cut = None
+        cut = ncv = None
+        extra = 0
         if n >= FILTER_MIN_DIM:
-            cut = _interlacing_cut(op, len(pool_vals) + want, scale - 1.0, tol_abs)
-        got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs, scale,
-                             cut=cut)
+            if not pool_vals and op.hop_scale not in (0.0, 1.0):
+                cut = _interlacing_cut(op, want + 1, scale - 1.0, tol_abs)
+                if cut is not None:
+                    extra, ncv = 1, min(n, max(2 * want + 3, FILTER_NCV))
+            if cut is None:
+                cut = _interlacing_cut(op, len(pool_vals) + want, scale - 1.0, tol_abs)
+        got = _lanczos_sweep(op, want + extra, tol_abs, max_iter, rng, pool_vals, pool_vecs,
+                             scale, cut=cut, ncv=ncv)
         if got is None and cut is not None:
             # the same complement at degree 1, from the next start vector
+            extra = 0
             got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs,
                                  scale)
         if got is None:
@@ -310,8 +345,9 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         pool_res.extend(new_res)
         # ARPACK's returned block would otherwise sit beside the next run's workspace
         del got, new_vecs
+        # the extra pair is the lowest value above the k pooled below it; else
         # the sweep minimum is the smallest eigenvalue left in the complement
-        if len(pool_vals) >= k and settled(float(new_vals.min())):
+        if extra or (len(pool_vals) >= k and settled(float(new_vals.min()))):
             break
     if len(pool_vals) < k:
         raise LanczosError(f"found only {len(pool_vals)} of {k} eigenpairs")
@@ -332,15 +368,18 @@ def _dense_route(n: int, k: int) -> bool:
 def solve_bytes(n: int, k: int) -> int:
     """Bytes that solve_lowest allocates for the k lowest pairs of an n-state
     sector with hopping: on the dense route H, eigh's copy of it, the
-    eigenvectors and LAPACK's O(n) workspace; else ARPACK's max(2k+1, 20)
-    basis vectors, the equal-size block scipy allocates to extract Ritz
-    vectors from them, and the k pooled vectors."""
+    eigenvectors and LAPACK's O(n) workspace; else ARPACK's basis of
+    max(2k + 3, 20) vectors (a degree-1 run for k pairs or a filtered one for
+    k + 1), the equal-size block scipy allocates to extract Ritz vectors from
+    it, ARPACK's four-vector workspace, k + 1 returned or pooled vectors and
+    one operator temporary."""
     if _dense_route(n, k):
         # dense_spectrum(op, n) grew ru_maxrss by 106 / 157 / 289 / 564 MiB at
         # n = 2128 / 2598 / 3535 / 4950 (one BLAS thread): 3.07 / 3.04 / 3.03 /
         # 3.02 n^2 doubles, all below 3 n^2 + 200 n
         return (3 * n + 200) * n * 8
-    return n * (2 * max(2 * k + 1, 20) + k) * 8
+    # the tracemalloc peak of eigsh alone is 2 ncv + 4 + k n-vectors
+    return n * (2 * max(2 * k + 3, 20) + k + 6) * 8
 
 
 def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from xxzkink.eigensolver import (
     dense_spectrum,
     group_multiplicities,
     lanczos_lowest,
+    solve_bytes,
     solve_lowest,
 )
 from xxzkink.halfint import HalfInt
@@ -262,20 +264,39 @@ def test_interlacing_bounds_lie_above_the_spectrum(sector, delta_inv, size, inde
 FILTERED = (3, 4, -9)  # 13051 states
 
 
-def test_filtered_lanczos_matches_degree_one(monkeypatch):
-    op = build_sector_operator(H(FILTERED[0]), FILTERED[1], H(FILTERED[2]), "kink", 0.4)
+def _filtered_sector(delta_inv: float) -> SectorOperator:
+    op = build_sector_operator(H(FILTERED[0]), FILTERED[1], H(FILTERED[2]), "kink", delta_inv)
     assert op.dim >= FILTER_MIN_DIM
+    return op
+
+
+@pytest.mark.parametrize("delta_inv", [0.2, 0.4, 0.7])
+def test_filtered_lanczos_matches_degree_one(monkeypatch, delta_inv):
+    op = _filtered_sector(delta_inv)
     calls = _spy_on_eigsh(monkeypatch)
     degrees = _spy_on_sweeps(monkeypatch)
     rec = lanczos_lowest(op, 6, seed=4)
-    # a filtered first run, then a degree-1 probe
-    assert [k for k, _ in calls] == [6, 1] and degrees == [FILTER_DEGREE, 1]
-    assert calls[0][1] <= 1e-10 and calls[1][1] == CONFIRM_TOL
+    # one filtered run for k + 1 pairs settles the window: no probe follows
+    assert [k for k, _ in calls] == [7] and degrees == [FILTER_DEGREE]
+    assert calls[0][1] <= 1e-10
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", op.dim + 1)
     ref = lanczos_lowest(op, 6, seed=4)
-    assert degrees[2] == 1
+    assert degrees[1] == 1
     assert np.abs(rec.eigenvalues - ref.eigenvalues).max() <= 1e-8
     assert [m for _, m in rec.clusters] == [m for _, m in ref.clusters]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+def test_filtered_lanczos_keeps_the_probe_at_the_isotropic_point(monkeypatch):
+    # at delta_inv = 1 the chain is the SU(2)-invariant F + h1, whose sectors
+    # can hold exact pairs, so an extra Ritz pair proves nothing there
+    op = _filtered_sector(1.0)
+    assert op.hop_scale == 1.0
+    calls = _spy_on_eigsh(monkeypatch)
+    degrees = _spy_on_sweeps(monkeypatch)
+    rec = lanczos_lowest(op, 6, seed=4)
+    assert calls[:2] == [(6, calls[0][1]), (1, CONFIRM_TOL)] and calls[0][1] <= 1e-10
+    assert degrees[:2] == [FILTER_DEGREE, 1]
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
 
@@ -331,3 +352,58 @@ def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
     assert degrees[:2] == [FILTER_DEGREE, 1]
     assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+def test_filtered_extra_pair_is_never_returned(monkeypatch):
+    op = _filtered_sector(0.4)
+    found = []
+    real = xxzkink.eigensolver._lanczos_sweep
+
+    def spy(*args, **kwargs):
+        got = real(*args, **kwargs)
+        found.append(got)
+        return got
+
+    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", spy)
+    rec = lanczos_lowest(op, 6, seed=4, keep_vectors=True)
+    (vals, _, res), = found
+    order = np.argsort(vals)
+    assert vals.size == 7 and rec.eigenvalues.size == 6 and rec.eigenvectors.shape == (op.dim, 6)
+    # the 7th value sits above the 6th, outside the window
+    assert vals[order[6]] > rec.eigenvalues[-1] + 1e-8
+    assert np.array_equal(rec.eigenvalues, vals[order[:6]])
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+    assert max(res) <= 1e-10 * (1.0 + op.inf_norm())
+
+
+def test_failed_filtered_run_falls_back_to_the_probe(monkeypatch):
+    op = _filtered_sector(0.4)
+    calls = _spy_on_eigsh(monkeypatch)
+    real = xxzkink.eigensolver._lanczos_sweep
+    degrees = []
+
+    def fail_filtered(*args, cut=None, **kwargs):
+        degrees.append(1 if cut is None else FILTER_DEGREE)
+        return None if cut is not None else real(*args, cut=cut, **kwargs)
+
+    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", fail_filtered)
+    rec = lanczos_lowest(op, 6, seed=4)
+    # the filtered run for 7 pairs fails; degree 1 asks for 6, then a probe runs
+    assert degrees[:3] == [FILTER_DEGREE, 1, 1]
+    assert [k for k, _ in calls[:2]] == [6, 1] and calls[1][1] == CONFIRM_TOL
+    assert rec.eigenvalues.size == 6
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+
+
+@pytest.mark.parametrize("min_dim", [FILTER_MIN_DIM, 10**9])
+def test_solve_bytes_bounds_the_lanczos_solve(monkeypatch, min_dim):
+    # the filtered run for k + 1 pairs, and the degree-1 run and probe
+    op = _filtered_sector(0.4)
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
+    tracemalloc.start()
+    try:
+        lanczos_lowest(op, 6, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= solve_bytes(op.dim, 6)
