@@ -144,7 +144,7 @@ CUT_MARGIN = 6
 # 4-pair run on the 411k sector took
 #   ncv                 10    12    14    16    20
 #   matvecs, median    204   212   196   220   276   (15 seeds, 11 to 25)
-#   solve, median s   2.90  2.80  2.65  3.33  3.38   (5 seeds, 11 to 15)
+#   solve, median s   3.36  2.92  2.47  3.24  3.86
 # and ncv 20 ranged over 172-284 matvecs with the seed, 14 over 196-252.
 # Every other run keeps scipy's max(2 want + 1, 20): at delta_inv = 1, k = 6 a
 # 6-pair filtered run and its probe took 13.0 / 11.3 / 3.6 s at ncv 14 against
@@ -235,7 +235,8 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
 
     A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, X = eigsh(A, k=want, which="LA", ncv=ncv, maxiter=max_iter, tol=tol, rng=rng)
+        _, X = eigsh(A, k=want, which="LA", v0=rng.standard_normal(n), ncv=ncv,
+                     maxiter=max_iter, tol=tol)
     except ArpackNoConvergence:
         return None
     vals, res = [], []
@@ -254,8 +255,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                    keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
     """The k lowest eigenvalues (with multiplicity) by deflated Lanczos.
 
-    Deterministic for a fixed seed: ARPACK draws every start vector from one
-    PCG64 stream.
+    Deterministic for a fixed seed: start vectors come from one PCG64 stream.
     Residuals of all returned pairs are at most tol * (1 + max row sum).
     Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts.
 
@@ -281,15 +281,19 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
 
     A filtered first run asks for k + 1 pairs, with its cut taken at index
     k + 1 and a Krylov basis of FILTER_NCV vectors (at least 2 k + 3), unless
-    hop_scale is 0 or 1.  When it converges with every residual certified,
-    its (k + 1)-th value is the complement's minimum, so the solve ends
-    without a probe and that pair is never returned.  Like a probe, this
+    hop_scale lies within cluster_tol of 0 or 1.  When it converges with
+    every residual certified, its (k + 1)-th value is the complement's
+    minimum, so the solve ends without a probe and that pair is never
+    returned.  Like a probe, this
     cannot see a copy of a degenerate value below the k-th that the run
     missed.  Such exact pairs are why hop_scale 1 keeps the probe: the kink
     chain is then F + h1, the SU(2)-invariant free chain, whose reflection-
     symmetric sectors hold them (J = 1, L = 2, 2M = -6 and -4); hop_scale 0
-    is the Ising limit, whose levels are degenerate.  A failed filtered run
-    takes the degree-1 path above, probe included.
+    is the Ising limit, whose levels are degenerate.  The bands around both
+    keep the probe where those levels are split by little: at delta_inv =
+    1 - e the kink chain moves off F + h1 by e h1 and by sqrt(2 e) times the
+    boundary term.  A failed filtered run takes the degree-1 path above,
+    probe included.
     """
     n = op.dim
     if not 1 <= k < n:
@@ -324,7 +328,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         cut = ncv = None
         extra = 0
         if n >= FILTER_MIN_DIM:
-            if not pool_vals and op.hop_scale not in (0.0, 1.0):
+            if not pool_vals and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > cluster_tol:
                 cut = _interlacing_cut(op, want + 1, scale - 1.0, tol_abs)
                 if cut is not None:
                     extra, ncv = 1, min(n, max(2 * want + 3, FILTER_NCV))
@@ -371,15 +375,15 @@ def solve_bytes(n: int, k: int) -> int:
     eigenvectors and LAPACK's O(n) workspace; else ARPACK's basis of
     max(2k + 3, 20) vectors (a degree-1 run for k pairs or a filtered one for
     k + 1), the equal-size block scipy allocates to extract Ritz vectors from
-    it, ARPACK's four-vector workspace, k + 1 returned or pooled vectors and
-    one operator temporary."""
+    it, ARPACK's four-vector workspace, the start vector, k + 1 returned or
+    pooled vectors and one operator temporary."""
     if _dense_route(n, k):
         # dense_spectrum(op, n) grew ru_maxrss by 106 / 157 / 289 / 564 MiB at
         # n = 2128 / 2598 / 3535 / 4950 (one BLAS thread): 3.07 / 3.04 / 3.03 /
         # 3.02 n^2 doubles, all below 3 n^2 + 200 n
         return (3 * n + 200) * n * 8
     # the tracemalloc peak of eigsh alone is 2 ncv + 4 + k n-vectors
-    return n * (2 * max(2 * k + 3, 20) + k + 6) * 8
+    return n * (2 * max(2 * k + 3, 20) + k + 7) * 8
 
 
 def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,

@@ -300,6 +300,33 @@ def test_filtered_lanczos_keeps_the_probe_at_the_isotropic_point(monkeypatch):
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
 
+# (2J, L, 2M), k: 18, 30, 203 and 255 states; at delta_inv = 1 the first two
+# hold an exact pair inside the window
+EXTRA_PAIR_SECTORS = [((4, 1, -2), 5), ((2, 2, -4), 11), ((3, 3, -13), 6), ((4, 2, -6), 6)]
+
+
+@pytest.mark.parametrize("delta_inv", [0.2, 0.4, 0.7, 1.0 - 1e-9, 1.0])
+@pytest.mark.parametrize("sector, k", EXTRA_PAIR_SECTORS)
+def test_filtered_extra_pair_matches_dense(monkeypatch, sector, k, delta_inv):
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
+    calls = _spy_on_eigsh(monkeypatch)
+    degrees = _spy_on_sweeps(monkeypatch)
+    op = build_sector_operator(H(sector[0]), sector[1], H(sector[2]), "kink", delta_inv)
+    rec = lanczos_lowest(op, k, seed=4)
+    ref = dense_spectrum(op, k)
+    if delta_inv == 1.0 and op.dim <= 30:
+        assert 2 in [m for _, m in ref.clusters]
+    assert np.abs(rec.eigenvalues - ref.eigenvalues).max() <= 1e-8
+    assert [m for _, m in rec.clusters] == [m for _, m in ref.clusters]
+    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
+    if delta_inv < 0.9:
+        assert [n for n, _ in calls] == [k + 1] and degrees == [FILTER_DEGREE]
+    else:
+        # within cluster_tol of the isotropic point the run asks for k and a probe follows
+        assert calls[0][0] == k and degrees[0] == FILTER_DEGREE
+        assert (1, CONFIRM_TOL) in calls
+
+
 def test_filtered_lanczos_degenerate_cluster(monkeypatch):
     calls = _spy_on_eigsh(monkeypatch, ("which",))
     degrees = _spy_on_sweeps(monkeypatch)
@@ -346,10 +373,13 @@ def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
         return real(A, k=k, **kwargs)
 
     monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_filtered_convergence)
+    calls = _spy_on_eigsh(monkeypatch)
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
     op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states
     rec = lanczos_lowest(op, 3, seed=0)
-    assert degrees[:2] == [FILTER_DEGREE, 1]
+    # the filtered run for k + 1 pairs fails; degree 1 asks for k, then probes
+    assert degrees[:3] == [FILTER_DEGREE, 1, 1]
+    assert [k for k, _ in calls[:3]] == [4, 3, 1] and calls[2][1] == CONFIRM_TOL
     assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
@@ -374,25 +404,6 @@ def test_filtered_extra_pair_is_never_returned(monkeypatch):
     assert np.array_equal(rec.eigenvalues, vals[order[:6]])
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
     assert max(res) <= 1e-10 * (1.0 + op.inf_norm())
-
-
-def test_failed_filtered_run_falls_back_to_the_probe(monkeypatch):
-    op = _filtered_sector(0.4)
-    calls = _spy_on_eigsh(monkeypatch)
-    real = xxzkink.eigensolver._lanczos_sweep
-    degrees = []
-
-    def fail_filtered(*args, cut=None, **kwargs):
-        degrees.append(1 if cut is None else FILTER_DEGREE)
-        return None if cut is not None else real(*args, cut=cut, **kwargs)
-
-    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", fail_filtered)
-    rec = lanczos_lowest(op, 6, seed=4)
-    # the filtered run for 7 pairs fails; degree 1 asks for 6, then a probe runs
-    assert degrees[:3] == [FILTER_DEGREE, 1, 1]
-    assert [k for k, _ in calls[:2]] == [6, 1] and calls[1][1] == CONFIRM_TOL
-    assert rec.eigenvalues.size == 6
-    assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
 
 @pytest.mark.parametrize("min_dim", [FILTER_MIN_DIM, 10**9])
