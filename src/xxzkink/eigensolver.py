@@ -2,21 +2,17 @@
 
 The sector picks the route: an exact sort of a diagonal-only operator, a
 dense direct solve of a small sector, or else a seeded, implicitly restarted
-Lanczos (ARPACK) with shift-deflation restarts.  A Krylov method may converge
-only one Ritz vector per distinct eigenvalue, so after a run converges the
-solver restarts with everything found shifted out of the window and keeps
-going until the smallest value found in the complement can no longer enter
-the requested window; this recovers degenerate clusters with their
-multiplicities.  Those confirmation runs are loose probes: ARPACK stops at
-CONFIRM_TOL, and a Rayleigh quotient theta with explicit residual r places an
-eigenvalue of H in [theta - r, theta + r], so the probe settles the question
-when theta - r is above the window.  Only a probe that
-reaches into the window is followed by a full-tolerance run, whose pair is
-pooled; a probe's pair never is.  A sector whose first run is Chebyshev
-filtered (below) and whose chain is neither the Ising limit nor the isotropic
-point asks that run for one pair more than the window; when it converges, the
-extra pair stands in for the probe and the solve ends without one.  Every
-returned eigenpair carries an explicitly computed residual |H v - lambda v|.
+Lanczos (ARPACK) with shift-deflation restarts (Lehoucq & Sorensen, SIAM J.
+Matrix Anal. Appl. 17 (1996) 789).  A Krylov method may converge only one
+Ritz vector per distinct eigenvalue, so a Lanczos solve must also show that
+it missed nothing below the k-th value it returns.  One rule, set by
+delta_inv alone, decides how (``lanczos_lowest``): off the bands around the
+Ising limit (0) and the isotropic point (1) the first run asks for one pair
+more than the window and settles on it; on the bands, and after a failed
+run, the solver shifts everything found out of the window and runs loose
+probes in the complement until none can enter it, which recovers degenerate
+clusters with their multiplicities.  Every returned eigenpair carries an
+explicitly computed residual |H v - lambda v|.
 
 Every ARPACK run applies one operator and asks for its largest values: the
 Chebyshev polynomial T_p of an affine map Y of H_d, where H_d is H with
@@ -124,13 +120,16 @@ CONFIRM_TOL = 1e-3
 # thread, seeds 11 to 13, ncv 14) took 172-200 / 196 / 196 / 234 / 280 matvecs
 # and a median 3.0 / 3.4 / 2.6 / 3.7 / 3.6 s at degree 4 / 6 / 8 / 10 / 12
 FILTER_DEGREE = 8
-# smallest filtered sector: lanczos_lowest at k = 6, delta_inv = 0.4 took
-#   dim       2128   3535   8135   18351  27876
-#   degree 1  0.024  0.034  0.094  0.200  0.335 s
-#   filtered  0.028  0.032  0.074  0.170  0.306 s
-# and the 28 Lanczos jobs of J = 3/2, L = 3 (dim <= 2128) 0.33 s unfiltered
-# against 0.48 s filtered; at delta_inv = 0.1 and 1 the filter also lost one
-# k = 3 case each at 3535, 8135 and 13051 states and won every case at 27876
+# smallest filtered sector: lanczos_lowest at k = 6, delta_inv = 0.4, seed 1
+# (one run for k + 1 pairs either way; medians of 7, one BLAS thread) took
+#   dim       2128   3535   8135   13051  18351  27876
+#   degree 1  0.014  0.021  0.069  0.052  0.103  0.191 s
+#   filtered  0.015  0.021  0.040  0.039  0.059  0.098 s
+# and the 14 Lanczos jobs of J = 3/2, L = 3 at delta_inv = 0.2 and 0.4
+# (dim <= 2128) 1563 matvecs and 0.08 s unfiltered against 2442 and 0.15 s
+# filtered.  10000 was set when every run kept the probe: degree 1 then also
+# won one k = 3 case each at 3535, 8135 and 13051 states at delta_inv = 0.1
+# and 1
 FILTER_MIN_DIM = 10000
 # size of the interlacing submatrix: on the 411k sector 300 states give
 # mu_1..mu_4 = 0.0005, 1.121, 1.969, 2.038 against 0, 1.117, 1.958, 2.026 in
@@ -160,16 +159,15 @@ def _interlacing_bounds(op) -> np.ndarray:
     return eigh(op.to_dense(rows), eigvals_only=True)
 
 
-def _interlacing_cut(op, index: int, hi: float, sep: float):
+def _interlacing_cut(mu: np.ndarray, index: int, hi: float, sep: float):
     """A filter cut strictly above the ``index`` lowest eigenvalues of H, or None.
 
-    The cut is the first mu_j of ``_interlacing_bounds`` with
+    The cut is the first mu_j of the interlacing bounds ``mu`` with
     j >= index + CUT_MARGIN that exceeds mu_index by more than ``sep``, so it
     lies above lambda_index; None when there is no such mu_j below hi - sep.
     """
-    if index + CUT_MARGIN > min(CUT_STATES, op.dim):
+    if index + CUT_MARGIN > mu.size:
         return None
-    mu = _interlacing_bounds(op)
     above = mu[index + CUT_MARGIN - 1:]
     above = above[above > mu[index - 1] + sep]
     if above.size == 0 or above[0] >= hi - sep:
@@ -259,41 +257,40 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     Residuals of all returned pairs are at most tol * (1 + max row sum).
     Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts.
 
-    Once k values are pooled, each confirmation run is a probe at CONFIRM_TOL
-    for the lowest value of the complement.  Its Rayleigh quotient theta and
-    explicit residual r stop the solve when theta - r is at least the k-th
-    value minus the cluster band.  Otherwise, or when the probe does not
-    converge, a full-tolerance run in the same complement is pooled and the
-    same rule is applied to its value.  Like that rule, the probe does not
-    prove that the complement holds nothing lower: ARPACK may converge to a
-    higher eigenvalue when the start vector barely overlaps a lower one.
+    One rule settles the window.  When hop_scale lies more than cluster_tol
+    from 0 and from 1 and k + 1 < dim, the first run asks for k + 1 pairs.
+    If it converges with every residual certified, its (k + 1)-th value is
+    the complement's minimum, so the solve ends and that pair is never
+    returned.  On the bands, or when that run fails, each confirmation run
+    after k values are pooled is a probe at CONFIRM_TOL for the lowest value
+    of the complement.  Its Rayleigh quotient theta and explicit residual r
+    stop the solve when theta - r is at least the k-th value minus the
+    cluster band.  Otherwise, or when the probe does not converge, a
+    full-tolerance run in the same complement is pooled and the same rule is
+    applied to its value.
+
+    Neither the extra pair nor a probe proves that the complement holds
+    nothing lower: ARPACK may converge to a higher eigenvalue when the start
+    vector barely overlaps a lower one, or find one copy of a degenerate
+    value.  Exact pairs are why the bands keep the probe.  At hop_scale 1 the
+    kink chain is F + h1, the SU(2)-invariant free chain, whose
+    reflection-symmetric sectors hold them (J = 1, L = 2, 2M = -6 and -4);
+    hop_scale 0 is the Ising limit, whose levels are degenerate.  At
+    delta_inv = 1 - e the chain moves off F + h1 by e h1 and by sqrt(2 e)
+    times the boundary term, so those pairs split slowly.
 
     On sectors of at least FILTER_MIN_DIM states every full-tolerance run is
-    Chebyshev filtered.  Its cut is an interlacing bound mu_j with
-    j >= pooled + want + CUT_MARGIN (``_interlacing_cut``): removing the
-    pooled values from the spectrum leaves its i-th value at most
-    lambda_{pooled+i}(H), so every wanted value lies below the cut.  A sector
-    whose submatrix gives no cut below |H|_inf, and a filtered run that does
-    not converge or misses the residual bound, run at degree 1 instead.  The
-    probes always run at degree 1: a filtered probe cannot stop before ncv
-    steps of FILTER_DEGREE matvecs each (168 matvecs against 41 on the 411k
-    sector).
-
-    A filtered first run asks for k + 1 pairs, with its cut taken at index
-    k + 1 and a Krylov basis of FILTER_NCV vectors (at least 2 k + 3), unless
-    hop_scale lies within cluster_tol of 0 or 1.  When it converges with
-    every residual certified, its (k + 1)-th value is the complement's
-    minimum, so the solve ends without a probe and that pair is never
-    returned.  Like a probe, this
-    cannot see a copy of a degenerate value below the k-th that the run
-    missed.  Such exact pairs are why hop_scale 1 keeps the probe: the kink
-    chain is then F + h1, the SU(2)-invariant free chain, whose reflection-
-    symmetric sectors hold them (J = 1, L = 2, 2M = -6 and -4); hop_scale 0
-    is the Ising limit, whose levels are degenerate.  The bands around both
-    keep the probe where those levels are split by little: at delta_inv =
-    1 - e the kink chain moves off F + h1 by e h1 and by sqrt(2 e) times the
-    boundary term.  A failed filtered run takes the degree-1 path above,
-    probe included.
+    Chebyshev filtered, with its cut at index pooled + asked (the extra pair
+    counted) in the interlacing bounds, computed once per call
+    (``_interlacing_cut``): removing the pooled values leaves the i-th value
+    of the spectrum at most lambda_{pooled+i}(H), so every wanted value lies
+    below the cut.  A filtered run for k + 1 pairs keeps FILTER_NCV Krylov
+    vectors (at least 2 k + 3), every other run scipy's default.  A run with
+    no cut below |H|_inf runs at degree 1; a failed run that asked for the
+    extra pair or had a cut is repeated at degree 1 for the pairs it wanted,
+    probe to follow.  Probes run at degree 1: a filtered probe cannot stop
+    before ncv steps of FILTER_DEGREE matvecs each (168 matvecs against 41
+    on the 411k sector).
     """
     n = op.dim
     if not 1 <= k < n:
@@ -306,6 +303,9 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     pool_vecs = np.empty((n, 0))
     pool_res: list = []
     max_sweeps = 2 * k + 8
+    hi = scale - 1.0
+    mu = _interlacing_bounds(op) if n >= FILTER_MIN_DIM else None
+    extra = int(k + 1 < n and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > cluster_tol)
 
     def settled(value: float) -> bool:
         # the complement's minimum can no longer displace the k-th value, so
@@ -325,19 +325,13 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                 break
             del probe
         want = min(k - len(pool_vals), comp) if len(pool_vals) < k else 1
-        cut = ncv = None
-        extra = 0
-        if n >= FILTER_MIN_DIM:
-            if not pool_vals and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > cluster_tol:
-                cut = _interlacing_cut(op, want + 1, scale - 1.0, tol_abs)
-                if cut is not None:
-                    extra, ncv = 1, min(n, max(2 * want + 3, FILTER_NCV))
-            if cut is None:
-                cut = _interlacing_cut(op, len(pool_vals) + want, scale - 1.0, tol_abs)
+        cut = None if mu is None else _interlacing_cut(mu, len(pool_vals) + want + extra, hi,
+                                                       tol_abs)
+        ncv = min(n, max(2 * want + 3, FILTER_NCV)) if extra and cut is not None else None
         got = _lanczos_sweep(op, want + extra, tol_abs, max_iter, rng, pool_vals, pool_vecs,
                              scale, cut=cut, ncv=ncv)
-        if got is None and cut is not None:
-            # the same complement at degree 1, from the next start vector
+        if got is None and (extra or cut is not None):
+            # the same complement at degree 1 for want pairs, from the next start vector
             extra = 0
             got = _lanczos_sweep(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs,
                                  scale)
@@ -373,10 +367,10 @@ def solve_bytes(n: int, k: int) -> int:
     """Bytes that solve_lowest allocates for the k lowest pairs of an n-state
     sector with hopping: on the dense route H, eigh's copy of it, the
     eigenvectors and LAPACK's O(n) workspace; else ARPACK's basis of
-    max(2k + 3, 20) vectors (a degree-1 run for k pairs or a filtered one for
-    k + 1), the equal-size block scipy allocates to extract Ritz vectors from
-    it, ARPACK's four-vector workspace, the start vector, k + 1 returned or
-    pooled vectors and one operator temporary."""
+    max(2k + 3, 20) vectors (a run for k + 1 pairs), the equal-size block
+    scipy allocates to extract Ritz vectors from it, ARPACK's four-vector
+    workspace, the start vector, k + 1 returned or pooled vectors and one
+    operator temporary."""
     if _dense_route(n, k):
         # dense_spectrum(op, n) grew ru_maxrss by 106 / 157 / 289 / 564 MiB at
         # n = 2128 / 2598 / 3535 / 4950 (one BLAS thread): 3.07 / 3.04 / 3.03 /

@@ -79,7 +79,7 @@ def test_dense_keep_vectors():
 
 
 def test_lanczos_matches_dense():
-    for two_j, L, dv in ((2, 2, 0.5), (3, 2, 0.4), (1, 3, 0.8)):
+    for two_j, L, dv in ((2, 2, 0.5), (3, 2, 0.4), (1, 3, 0.8), (3, 3, 0.7)):
         for two_m in reachable_sectors(H(two_j), L):
             if not 8 <= sector_dimension(H(two_j), L, H(two_m)) <= 600:
                 continue
@@ -87,6 +87,8 @@ def test_lanczos_matches_dense():
             ref = dense_spectrum(op)
             rec = lanczos_lowest(op, 5, seed=2)
             assert np.abs(rec.eigenvalues - ref.eigenvalues[:5]).max() <= 1e-8
+            assert [m for _, m in rec.clusters] == [
+                m for _, m in group_multiplicities(ref.eigenvalues[:5])]
             assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
 
@@ -149,12 +151,18 @@ def _spy_on_sweeps(monkeypatch) -> list:
     return degrees
 
 
-def test_lanczos_confirms_with_one_loose_probe(monkeypatch):
+@pytest.mark.parametrize("delta_inv", [0.4, 1.0])
+def test_lanczos_confirms_with_one_loose_probe(monkeypatch, delta_inv):
     calls = _spy_on_eigsh(monkeypatch)
-    op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states, no cluster
+    op = build_sector_operator(H(3), 3, H(-13), "kink", delta_inv)  # 203 states, no cluster
     rec = lanczos_lowest(op, 3, seed=0)
-    assert [k for k, _ in calls] == [3, 1]
-    assert calls[0][1] <= 1e-10 and calls[1][1] == CONFIRM_TOL
+    if delta_inv == 1.0:
+        # at the isotropic point the run asks for k and a loose probe follows
+        assert [k for k, _ in calls] == [3, 1]
+        assert calls[0][1] <= 1e-10 and calls[1][1] == CONFIRM_TOL
+    else:
+        # elsewhere one run for k + 1 pairs settles the window
+        assert [k for k, _ in calls] == [4] and calls[0][1] <= 1e-10
     assert [m for _, m in rec.clusters] == [1, 1, 1]
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
@@ -254,7 +262,7 @@ def test_interlacing_bounds_lie_above_the_spectrum(sector, delta_inv, size, inde
     hi = op.inf_norm()
     with mock.patch.object(xxzkink.eigensolver, "CUT_STATES", size):
         mu = _interlacing_bounds(op)
-        cut = _interlacing_cut(op, index, hi, 1e-10 * (1.0 + hi))
+    cut = _interlacing_cut(mu, index, hi, 1e-10 * (1.0 + hi))
     assert mu.size == min(size, op.dim)
     assert (mu >= exact[:mu.size] - 1e-12 * (1.0 + hi)).all()
     if cut is not None:
@@ -363,23 +371,24 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
     assert vals == pytest.approx([5.0], abs=1e-10) and res[0] <= 1e-10 * scale
 
 
-def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch):
+@pytest.mark.parametrize("min_dim", [0, FILTER_MIN_DIM])
+def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch, min_dim):
     real = xxzkink.eigensolver.eigsh
-    degrees = _spy_on_sweeps(monkeypatch)
 
-    def no_filtered_convergence(A, k, **kwargs):
-        if degrees[-1] == FILTER_DEGREE:
+    def no_convergence_for_the_extra_pair(A, k, **kwargs):
+        if k == 4:
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
         return real(A, k=k, **kwargs)
 
-    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_filtered_convergence)
+    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_convergence_for_the_extra_pair)
     calls = _spy_on_eigsh(monkeypatch)
-    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", 0)
+    degrees = _spy_on_sweeps(monkeypatch)
+    monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
     op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states
     rec = lanczos_lowest(op, 3, seed=0)
-    # the filtered run for k + 1 pairs fails; degree 1 asks for k, then probes
-    assert degrees[:3] == [FILTER_DEGREE, 1, 1]
-    assert [k for k, _ in calls[:3]] == [4, 3, 1] and calls[2][1] == CONFIRM_TOL
+    # the run for k + 1 pairs fails, filtered or not; degree 1 asks for k, then probes
+    assert degrees == [FILTER_DEGREE if min_dim == 0 else 1, 1, 1]
+    assert [k for k, _ in calls] == [4, 3, 1] and calls[2][1] == CONFIRM_TOL
     assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
