@@ -13,13 +13,17 @@ constraint becomes
 
 The enumeration order is ascending lexicographic in (d_{-L}, ..., d_{L}):
 site -L is most significant and at each site larger m (smaller d) comes
-first.  Counts and ranking tables are exact; the vectorized 64-bit tables
-refuse sectors whose counts do not fit.
+first.  Counts are exact Python ints.  A materialized basis keeps one
+table: those counts clipped to dim, and their prefix sums over the
+remaining digit sum.  Enumeration and hopping read only entries that a
+row of the sector reaches, each at most dim, and ranking reads differences
+of prefix sums that span only such entries, so the clipping loses nothing
+and every sector fits.
 
 The digits of a materialized basis are stored as int8, one byte per site,
-which limits the spin to 2J <= 127; the counting and ranking tables stay
-int64.  The digit array is site-major (Fortran order): each site's column
-is contiguous, so the per-bond kernels read two columns in one pass.
+which limits the spin to 2J <= 127.  The digit array is site-major
+(Fortran order): each site's column is contiguous, so the per-bond kernels
+read two columns in one pass.
 Consumers that multiply or add digits widen them first.
 """
 
@@ -29,7 +33,6 @@ import numpy as np
 
 from .halfint import HalfInt, as_half
 
-_I64_MAX = np.iinfo(np.int64).max
 MAX_TWO_J = int(np.iinfo(np.int8).max)  # digits 0..2J are stored as int8
 # default cap on a sector's dimension, and on the steps of its counting table
 MAX_STATES = 50_000_000
@@ -99,27 +102,7 @@ def _check_dimension(dim: int, two_m: int) -> None:
         raise ValueError(f"sector two_m={two_m} has more than the limit of {MAX_STATES} states")
 
 
-def _cumulative_counts(ways64: np.ndarray, two_j: int) -> np.ndarray:
-    """C[i, r, e] = number of digit choices d < e at site i given remaining sum r.
-
-    Equals sum_{d<e} ways[i+1][r-d]; the rank of a configuration is the sum of
-    C[i, R_i, d_i] over sites, where R_i is the digit sum from site i onward.
-    """
-    n = ways64.shape[0] - 1
-    width = ways64.shape[1]
-    cum = np.zeros((n, width, two_j + 2), dtype=np.int64)
-    for i in range(n):
-        nxt = ways64[i + 1]
-        for e in range(1, two_j + 2):
-            d = e - 1
-            shifted = np.zeros(width, dtype=np.int64)
-            if d < width:
-                shifted[d:] = nxt[: width - d]
-            cum[i, :, e] = cum[i, :, e - 1] + shifted
-    return cum
-
-
-def _enumerate_down(two_j: int, n: int, total: int, ways64: np.ndarray) -> np.ndarray:
+def _enumerate_down(two_j: int, n: int, total: int, ways: np.ndarray) -> np.ndarray:
     """All digit rows of the sector in ascending lexicographic order, as
     site-major int8.
 
@@ -127,13 +110,11 @@ def _enumerate_down(two_j: int, n: int, total: int, ways64: np.ndarray) -> np.nd
     A node of the enumeration tree at site i (a prefix of i digits) with
     remaining sum r heads ways[i][r] consecutive rows, so column i is every
     child digit repeated by the completion count ways[i+1][r - d] of its
-    subtree.  The per-node arrays are int32: a reachable count is at most
-    dim <= MAX_STATES < 2**31, and the unreachable table entries, which may
-    be larger, are clipped to dim.  The last digit is forced (it equals the
-    remainder).
+    subtree.  The per-node arrays are int32, as is the clipped table: a
+    reachable count is at most dim <= MAX_STATES < 2**31.  The last digit is
+    forced (it equals the remainder).
     """
-    dim = int(ways64[0, total])
-    ways = np.minimum(ways64, dim).astype(np.int32)
+    dim = int(ways[0, total])
     down = np.empty((dim, n), dtype=np.int8, order="F")
     remaining = np.array([total], dtype=np.int32)
     for i in range(n - 1):
@@ -162,10 +143,12 @@ class SectorBasis:
         Down-unit digits of every configuration, row index = rank,
         rows in enumeration order, so ``down[i]`` is the row of rank i;
         each site's column ``down[:, a]`` is contiguous.
-        Spins above 2J = 127 are refused with ValueError; the ranking
-        table stays int64.
-    prefix_counts : the C[i, r, e] ranking table (see _cumulative_counts),
-        read by ``rank_rows``
+        Spins above 2J = 127 are refused with ValueError.
+    ways : (n_sites + 1, total_down + 1) int32 array
+        ways[i, r], the number of digit tails on sites i.. with sum r,
+        clipped to dim
+    prefix_counts : (n_sites + 1, total_down + 2) int64 array
+        P[i, r] = sum of ways[i, :r], read by ``rank_rows``
     """
 
     def __init__(self, J, L, M):
@@ -176,22 +159,27 @@ class SectorBasis:
         if self.total_down is None:
             self.dim = self.hops = 0
             self.down = np.zeros((0, self.n_sites), dtype=np.int8, order="F")
-            self.prefix_counts = None
+            self.ways = self.prefix_counts = None
             return
         ways, self.dim, self.hops = _count_table(self.two_j, self.n_sites, self.total_down)
         _check_dimension(self.dim, self.two_m)
-        if any(c > _I64_MAX for row in ways for c in row):
-            raise OverflowError("sector counting tables exceed 64-bit range")
-        ways64 = np.array(ways, dtype=np.int64)
-        self.prefix_counts = _cumulative_counts(ways64, self.two_j)
-        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, ways64)
+        self.ways = np.array([[min(c, self.dim) for c in row] for row in ways], dtype=np.int32)
+        self.prefix_counts = np.zeros((self.n_sites + 1, self.total_down + 2), dtype=np.int64)
+        np.cumsum(self.ways, axis=1, out=self.prefix_counts[:, 1:])
+        self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, self.ways)
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector."""
+        """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector.
+
+        A row ranks after every row that first differs from it by a smaller
+        digit d < d_i at some site i, and those number
+        sum_{d < d_i} ways[i+1, R_i - d] = P[i+1, R_i + 1] - P[i+1, R_{i+1} + 1],
+        where R_i is the row's digit sum from site i on and R_{i+1} = R_i - d_i."""
         rows = np.asarray(rows, dtype=np.int64)
-        suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
-        sites = np.arange(self.n_sites)[None, :]
-        return self.prefix_counts[sites, suffix, rows].sum(axis=1)
+        upper = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1] + 1  # R_i + 1
+        sites = np.arange(1, self.n_sites + 1)
+        table = self.prefix_counts
+        return (table[sites, upper] - table[sites, upper - rows]).sum(axis=1)
 
 
 def reachable_sectors(J, L) -> list:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import _I64_MAX, _sector_shape, reachable_sectors
+from .basis import _sector_shape, reachable_sectors
 from .certificates import (certificate_constants, local_inequality_margin, series_margin,
                            two_site_bytes)
 from .checks import verify_ising_theorems
@@ -37,6 +37,8 @@ from .sweep import (
     run_sweep,
     sweep_to_json,
 )
+
+_I64_MAX = np.iinfo(np.int64).max
 
 
 def parse_doubled(text: str) -> int:

@@ -92,15 +92,15 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     rad_up[d] * rad_down[d'] == rad_down[d-1] * rad_up[d'+1] in integers.
 
     The neighbor's rank is the row's own rank plus a correction read off the
-    prefix-count table: only the site-a digit and the site-(a+1) digit and
-    remaining sum change, so two table lookups per site give the rank
-    difference in O(1) per row.  The remaining sum at a is total_down minus a
-    running int32 prefix; ranks are int32, as MAX_STATES < 2**31.
+    counting table: only the digit sum from site a+1 on changes, from R to
+    R + 1, so ``rank_rows`` moves by ways[a+2, R+1] - ways[a+1, R+1], two
+    lookups per row.  R is total_down minus a running int32 prefix; ranks
+    are int32, as MAX_STATES < 2**31.
     """
     dim, n = basis.down.shape
     tj = basis.two_j
     down = basis.down
-    cum = basis.prefix_counts
+    ways = basis.ways
     drange = np.arange(tj + 1, dtype=np.int64)
     rad_up = drange * (tj - drange + 1)       # raise m at a site holding d units
     rad_down = (tj - drange) * (drange + 1)   # lower m at a site holding d units
@@ -113,20 +113,12 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     for a in range(n - 1):
         da, db = down[:, a], down[:, a + 1]
         mask = (da >= 1) & (db <= tj - 1)
-        dam, dbm = da[mask], db[mask]
-        ram = basis.total_down - prefix[mask]
-        rbm = ram - dam
-        delta = (
-            cum[a, ram, dam - 1]
-            - cum[a, ram, dam]
-            + cum[a + 1, rbm + 1, dbm + 1]
-            - cum[a + 1, rbm, dbm]
-        )
+        prefix += da
+        rest = basis.total_down + 1 - prefix[mask]  # R + 1
         part = slice(a * per_bond, (a + 1) * per_bond)
         out.rows[part] = ranks[mask]
-        out.cols[part] = out.rows[part] + delta
-        out.values[part] = -0.5 * np.sqrt((rad_up[dam] * rad_down[dbm]).astype(float))
-        prefix += da
+        out.cols[part] = out.rows[part] + ways[a + 2, rest] - ways[a + 1, rest]
+        out.values[part] = -0.5 * np.sqrt((rad_up[da[mask]] * rad_down[db[mask]]).astype(float))
     return out
 
 

@@ -55,6 +55,22 @@ def test_rank_unrank_roundtrip_exhaustive():
                 assert np.array_equal(basis.rank_rows(basis.down), np.arange(basis.dim))
 
 
+@pytest.mark.parametrize("two_j, L, two_m, dim", [(1, 34, -67, 69), (127, 5, -1395, 11)])
+def test_sectors_with_counts_above_64_bits_build(two_j, L, two_m, dim):
+    # their unreachable counting-table entries exceed 2**63; the mirror sectors built before
+    for sign in (-1, 1):
+        basis = SectorBasis(H(two_j), L, H(sign * two_m))
+        assert basis.dim == dim
+        assert np.array_equal(basis.rank_rows(basis.down), np.arange(dim))
+
+
+def test_rank_rows_of_random_rows_in_a_large_sector():
+    basis = SectorBasis(H(3), 5, H(-3))
+    assert basis.dim == 411_334
+    ranks = np.random.default_rng(1).integers(0, basis.dim, 1000)
+    assert np.array_equal(basis.rank_rows(basis.down[ranks]), ranks)
+
+
 def test_rank_unrank_config_objects():
     # m = (-1/2, 1/2, 1/2) is the last of the three rows of J = 1/2, L = 1, M = 1/2
     basis = SectorBasis(H(1), 1, H(1))

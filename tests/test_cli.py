@@ -440,6 +440,16 @@ def test_spin_above_int8_digit_limit_is_rejected(capsys):
     assert err.count("\n") == 1 and "2J <= 127" in err
 
 
+def test_sector_with_counts_above_64_bits_matches_its_mirror(capsys):
+    outs = []
+    for two_m in ("-67/2", "67/2"):
+        assert main(["spectrum", "-J", "1/2", "-L", "34", f"--two-m={two_m}",
+                     "--delta-inv", "0.4", "--k", "3"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.strip().split("\n")))
+        outs.append([{k: v for k, v in row.items() if k != "two_m"} for row in rows])
+    assert len(outs[0]) == 3 and outs[0] == outs[1]
+
+
 def test_spectrum_at_half_length_one(capsys):
     # -J 64 is the doubled value (spin 32); 2M = 192 is the polarized L = 1 sector
     args = ["spectrum", "-J", "64", "-L", "1", "--two-m=192", "--delta-inv", "0.5", "--k", "1"]

@@ -214,6 +214,12 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     # one counting table gives both sizes, and the preflight prices the CSR exactly
     assert sector_counts(H(two_j), L, H(two_m)) == (basis.dim, s.rows.size)
     assert basis.hops == s.rows.size
+    # triplets come bond by bond; each neighbour moves one unit from site a to a + 1
+    bond = np.arange(s.rows.size) // (s.rows.size // (basis.n_sites - 1))
+    moved = basis.down[s.rows].astype(np.int64)
+    moved[np.arange(s.rows.size), bond] -= 1
+    moved[np.arange(s.rows.size), bond + 1] += 1
+    assert np.array_equal(basis.down[s.cols], moved)
     h1 = hopping_matrix(s, basis.dim)
     assert hopping_bytes(basis.dim, basis.hops) == (
         h1.data.nbytes + h1.indices.nbytes + h1.indptr.nbytes)
