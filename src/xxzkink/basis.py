@@ -149,6 +149,8 @@ class SectorBasis:
         clipped to dim
     prefix_counts : (n_sites + 1, total_down + 2) int64 array
         P[i, r] = sum of ways[i, :r], read by ``rank_rows``
+
+    An unreachable M is refused with ValueError, so every basis has a row.
     """
 
     def __init__(self, J, L, M):
@@ -157,10 +159,7 @@ class SectorBasis:
         self.two_m = as_half(M).twice
         self.n_sites, self.total_down = _sector_shape(J, L, M)
         if self.total_down is None:
-            self.dim = self.hops = 0
-            self.down = np.zeros((0, self.n_sites), dtype=np.int8, order="F")
-            self.ways = self.prefix_counts = None
-            return
+            raise ValueError(f"two_m={self.two_m} labels an unreachable sector")
         ways, self.dim, self.hops = _count_table(self.two_j, self.n_sites, self.total_down)
         _check_dimension(self.dim, self.two_m)
         self.ways = np.array([[min(c, self.dim) for c in row] for row in ways], dtype=np.int32)

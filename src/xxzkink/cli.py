@@ -169,58 +169,24 @@ def _add_solver(parser, per_job: bool) -> None:
         parser.add_argument("--cluster-tol", type=parse_cluster_tol, default=1e-8)
 
 
-def _grid_arguments(parser, single: bool) -> None:
+def _grid_arguments(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    if single:
-        group.add_argument("--delta-inv", type=float, metavar="X",
-                           help="inverse anisotropy in [0, 1]")
-        group.add_argument("--delta", type=parse_delta, metavar="D",
-                           help="anisotropy >= 1 (converted to 1/D)")
-    else:
-        group.add_argument("--delta-inv", type=parse_grid, metavar="A:B:N|X,Y,...",
-                           help="inverse-anisotropy grid in [0, 1]")
-        group.add_argument("--delta", type=parse_delta_list, metavar="D1,D2,...",
-                           help="anisotropy values >= 1 (converted to 1/D)")
-
-
-def _resolve_sectors(args) -> tuple:
-    if args.all_sectors:
-        return tuple(reachable_sectors(HalfInt(args.two_j), args.length))
-    return tuple(args.two_m)
-
-
-def _plan_from_args(args, sectors, grid) -> SweepPlan:
-    return SweepPlan(
-        two_j=args.two_j,
-        L=args.length,
-        two_m_list=sectors,
-        delta_inv_grid=grid,
-        k=args.k,
-        tol=args.tol,
-        cluster_tol=args.cluster_tol,
-        seed=args.seed,
-    )
-
-
-def _run_plan(plan: SweepPlan, fmt: str, out: str | None) -> int:
-    rows = run_sweep(plan)
-    if fmt == "csv":
-        _emit(rows_to_csv(rows), out)
-    else:
-        _emit(sweep_to_json(plan, rows), out)
-    return 0 if all_ok(rows) else 1
-
-
-def _cmd_spectrum(args) -> int:
-    delta_inv = args.delta_inv if args.delta_inv is not None else 1.0 / args.delta
-    plan = _plan_from_args(args, _resolve_sectors(args), (float(delta_inv),))
-    return _run_plan(plan, args.format, args.out)
+    group.add_argument("--delta-inv", type=parse_grid, metavar="A:B:N|X,Y,...",
+                       help="inverse-anisotropy grid in [0, 1]")
+    group.add_argument("--delta", type=parse_delta_list, metavar="D1,D2,...",
+                       help="anisotropy values >= 1 (converted to 1/D)")
 
 
 def _cmd_sweep(args) -> int:
+    sectors = (reachable_sectors(HalfInt(args.two_j), args.length) if args.all_sectors
+               else args.two_m)
     grid = args.delta_inv if args.delta_inv is not None else args.delta
-    plan = _plan_from_args(args, _resolve_sectors(args), tuple(grid))
-    return _run_plan(plan, args.format, args.out)
+    plan = SweepPlan(two_j=args.two_j, L=args.length, two_m_list=tuple(sectors),
+                     delta_inv_grid=grid, k=args.k, tol=args.tol,
+                     cluster_tol=args.cluster_tol, seed=args.seed)
+    rows = run_sweep(plan)
+    _emit(rows_to_csv(rows) if args.format == "csv" else sweep_to_json(plan, rows), args.out)
+    return 0 if all_ok(rows) else 1
 
 
 def _cmd_ising_check(args) -> int:
@@ -304,19 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of one or more sectors at one anisotropy")
-    _add_common(p, fmt=True)
-    _add_sectors(p)
-    _grid_arguments(p, single=True)
-    _add_solver(p, per_job=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("sweep", help="sectors x anisotropy grid")
-    _add_common(p, fmt=True)
-    _add_sectors(p)
-    _grid_arguments(p, single=False)
-    _add_solver(p, per_job=True)
-    p.set_defaults(func=_cmd_sweep)
+    # one command under two names: a spectrum is the sweep over a grid of one point
+    for name, summary in (("spectrum", "eigenvalues of one or more sectors"),
+                          ("sweep", "sectors x anisotropy grid")):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p, fmt=True)
+        _add_sectors(p)
+        _grid_arguments(p)
+        _add_solver(p, per_job=True)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ising-check", help="exhaustive diagonal-limit verification")
     _add_common(p, fmt=True)
@@ -343,8 +305,9 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:  # OSError: an unwritable --out
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError: an unwritable --out; MemoryError: an allocation above the address-space limit
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

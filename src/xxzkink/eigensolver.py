@@ -314,8 +314,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         return value >= kth - cluster_tol * (1.0 + abs(kth))
 
     for _ in range(max_sweeps):
-        comp = n - len(pool_vals)
-        if comp <= 0:
+        if len(pool_vals) >= n:
             break
         if len(pool_vals) >= k:
             # an eigenvalue of H lies within r of the probe's theta
@@ -324,7 +323,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
             if probe is not None and settled(probe[0][0] - probe[2][0]):
                 break
             del probe
-        want = min(k - len(pool_vals), comp) if len(pool_vals) < k else 1
+        want = k - len(pool_vals) if len(pool_vals) < k else 1
         cut = None if mu is None else _interlacing_cut(mu, len(pool_vals) + want + extra, hi,
                                                        tol_abs)
         ncv = min(n, max(2 * want + 3, FILTER_NCV)) if extra and cut is not None else None

@@ -64,8 +64,6 @@ def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) 
         basis = SectorBasis(J, L, M)
     elif (basis.two_j, basis.L, basis.two_m) != (J.twice, L, M.twice):
         raise ValueError("supplied basis does not match (J, L, M)")
-    if basis.dim == 0:
-        raise ValueError(f"sector M={M} is empty for J={J}, L={L}")
     q = q_from_delta(delta)
     tj = basis.two_j
     log_binom = np.array(

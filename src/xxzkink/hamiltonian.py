@@ -6,14 +6,17 @@ s = sqrt(1 - delta_inv^2) and bond energies
     E(c) = sum_a (J + m_a)(J - m_{a+1})      (nonnegative integers)
     F(c) = sum_a (J^2 - m_a m_{a+1})         (exact half-integers)
 
-the supported variants are
+and the boundary term B(c) = J (m_L - m_{-L}), to which F(c) - E(c) =
+sum_a J (m_{a+1} - m_a) telescopes, each variant is a diagonal e E + b B
+plus hopping scaled by h:
 
-    kink        diag E(c) + (1 - s) J (m_L - m_{-L})   hopping x delta_inv
-    antikink    diag F(c) + s J (m_L - m_{-L})         hopping x delta_inv
-    ising_kink  diag E(c)                              no hopping
-    ising_free  diag F(c)                              no hopping
-    h1          no diagonal                            hopping x 1
-    h2          diag J (m_L - m_{-L})                  no hopping
+    variant     e   b        h
+    kink        1   1 - s    delta_inv
+    antikink    1   1 + s    delta_inv      (diag F + s B)
+    ising_kink  1   0        0              (diag E)
+    ising_free  1   1        0              (diag F)
+    h1          0   0        1
+    h2          0   1        0              (diag B)
 
 Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
@@ -54,14 +57,6 @@ def ising_diagonal(basis: SectorBasis) -> np.ndarray:
         bond *= d[:, a + 1]
         energy += bond
     return energy
-
-
-def free_diagonal(basis: SectorBasis) -> np.ndarray:
-    """Vector of F(c) over the sector; exact multiples of 1/2 in float64.
-
-    F(c) - E(c) = sum_a J (m_{a+1} - m_a) telescopes to J (m_L - m_{-L}), so
-    F is the exact sum of the two per-bond and boundary vectors."""
-    return ising_diagonal(basis) + boundary_diagonal(basis)
 
 
 def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
@@ -255,24 +250,22 @@ def build_sector_operator(
         basis = SectorBasis(J, L, M)
     elif (basis.two_j, basis.L, basis.two_m) != (J.twice, int(L), M.twice):
         raise ValueError("supplied basis does not match (J, L, M)")
-    if basis.dim == 0:
-        raise ValueError(f"sector M={M} is empty for J={J}, L={L}")
 
-    s = None if delta_inv is None else math.sqrt(1.0 - delta_inv * delta_inv)
-    # variant -> (its diagonal over the sector, its hop scale)
-    terms = {
-        "kink": (lambda: ising_diagonal(basis) + (1.0 - s) * boundary_diagonal(basis), delta_inv),
-        "antikink": (lambda: free_diagonal(basis) + s * boundary_diagonal(basis), delta_inv),
-        "ising_kink": (lambda: ising_diagonal(basis).astype(float), 0.0),
-        "ising_free": (lambda: free_diagonal(basis), 0.0),
-        "h1": (lambda: np.zeros(basis.dim), 1.0),
-        "h2": (lambda: boundary_diagonal(basis), 0.0),
+    s = 0.0 if delta_inv is None else math.sqrt(1.0 - delta_inv * delta_inv)
+    # variant -> weights (e, b, h) of E, of B = J (m_L - m_{-L}) and of h1
+    weights = {
+        "kink": (1, 1.0 - s, delta_inv),
+        "antikink": (1, 1.0 + s, delta_inv),
+        "ising_kink": (1, 0.0, 0.0),
+        "ising_free": (1, 1.0, 0.0),
+        "h1": (0, 0.0, 1.0),
+        "h2": (0, 1.0, 0.0),
     }
-    diagonal, hop_scale = terms[variant]
+    e, b, hop_scale = weights[variant]
     if h1 is None and hop_scale == 0.0:
         h1 = sparse.csr_matrix((basis.dim, basis.dim))
     elif h1 is None:
         h1 = hopping_matrix(hopping_structure(basis), basis.dim)
     elif h1.shape != (basis.dim, basis.dim):
         raise ValueError("supplied h1 does not match the basis")
-    return SectorOperator(diagonal(), h1, hop_scale)
+    return SectorOperator(e * ising_diagonal(basis) + b * boundary_diagonal(basis), h1, hop_scale)

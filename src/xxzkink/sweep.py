@@ -226,8 +226,6 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
         raise ValueError("profiles need delta > 1")
     _preflight(J, L, as_half(M), 2)
     basis = SectorBasis(J, L, M)
-    if basis.dim == 0:
-        raise ValueError("empty sector")
     ground = magnetization_profile(groundstate_vector(J, L, M, delta, basis=basis))
     excited = None
     if basis.dim >= 2:

@@ -470,6 +470,34 @@ def test_half_length_zero_is_rejected(capsys):
         assert capsys.readouterr().err == "error: need L >= 1\n"
 
 
+@pytest.mark.parametrize("grid", [["--delta-inv", "0:0.4:3"], ["--delta", "2.5,10"]])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_is_the_sweep(capsys, grid, fmt):
+    args = ["-J", "3/2", "-L", "3", "--two-m=-3/2", *grid, "--k", "4", "--seed", "1",
+            "--format", fmt]
+    outs = []
+    for command in ("spectrum", "sweep"):
+        assert main([command, *args]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_unreachable_sector_is_refused(capsys):
+    for command in (["spectrum", "--delta-inv", "0"], ["profile", "--delta", "2.5"]):
+        _refused(capsys, [*command, "-J", "3/2", "-L", "2", "--two-m=99"],
+                 "two_m=99 labels an unreachable sector")
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    for exc, line in ((MemoryError("Unable to allocate 1.00 GiB"), "Unable to allocate 1.00 GiB"),
+                      (MemoryError(), "MemoryError")):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(xxzkink.checks, "ising_diagonal", fail)
+        assert _refused(capsys, ["ising-check", "-J", "1", "-L", "2"], line) == f"error: {line}\n"
+
+
 def test_invalid_arguments_return_error(capsys):
     assert main(["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0"]) == 2
     assert "error" in capsys.readouterr().err
