@@ -12,7 +12,8 @@ more than the window and settles on it; on the bands, and after a failed
 run, the solver shifts everything found out of the window and runs loose
 probes in the complement until none can enter it, which recovers degenerate
 clusters with their multiplicities.  Every returned eigenpair carries an
-explicitly computed residual |H v - lambda v|.
+explicitly computed residual |H v - lambda v|.  ARPACK draws every start and
+restart vector from the solve's one seeded PCG64 stream, so reruns are exact.
 
 Every ARPACK run applies one operator and asks for its largest values: the
 Chebyshev polynomial T_p of an affine map Y of H_d, where H_d is H with
@@ -120,17 +121,14 @@ CONFIRM_TOL = 1e-3
 # thread, seeds 11 to 13, ncv 14) took 172-200 / 196 / 196 / 234 / 280 matvecs
 # and a median 3.0 / 3.4 / 2.6 / 3.7 / 3.6 s at degree 4 / 6 / 8 / 10 / 12
 FILTER_DEGREE = 8
-# smallest filtered sector: lanczos_lowest at k = 6, delta_inv = 0.4, seed 1
-# (one run for k + 1 pairs either way; medians of 7, one BLAS thread) took
-#   dim       2128   3535   8135   13051  18351  27876
-#   degree 1  0.014  0.021  0.069  0.052  0.103  0.191 s
-#   filtered  0.015  0.021  0.040  0.039  0.059  0.098 s
-# and the 14 Lanczos jobs of J = 3/2, L = 3 at delta_inv = 0.2 and 0.4
-# (dim <= 2128) 1563 matvecs and 0.08 s unfiltered against 2442 and 0.15 s
-# filtered.  10000 was set when every run kept the probe: degree 1 then also
-# won one k = 3 case each at 3535, 8135 and 13051 states at delta_inv = 0.1
-# and 1
-FILTER_MIN_DIM = 10000
+# smallest filtered sector: the largest time ratio filtered / degree 1 of
+# lanczos_lowest over k = 3, 6 and delta_inv = 0.1, 0.4, 1 (the median of
+# seeds 1 to 3, each a median of 7 or 11 runs, one BLAS thread) was
+#   dim    2128  2598  3535  4950  6055  8135  8451  13051  18351  27876
+#   ratio  1.41  1.38  1.21  1.17  1.03  1.00  0.99   0.88   0.76   0.79
+# (0.028 against 0.048 s at 8135 states, k = 6, delta_inv = 0.4, seed 1), so
+# every sector of the J = 3/2, L = 3 sweep (dim <= 2128) stays at degree 1
+FILTER_MIN_DIM = 8135
 # size of the interlacing submatrix: on the 411k sector 300 states give
 # mu_1..mu_4 = 0.0005, 1.121, 1.969, 2.038 against 0, 1.117, 1.958, 2.026 in
 # about 0.1 s with the sort; 100 and 600 states cost the same 168 matvecs
@@ -193,7 +191,8 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     lift = hi - pool_vals moves every pooled pair to hi: Y maps [c, hi] onto
     [1, -1], so everything at or above c, the pool included, lands in [-1, 1]
     and every value below c above 1.  ARPACK keeps ``ncv`` Krylov vectors,
-    scipy's max(2 want + 1, 20) when None.  Returns (values, vectors, residuals)
+    scipy's max(2 want + 1, 20) when None, and draws its start vector and any
+    restart vector from ``rng``.  Returns (values, vectors, residuals)
     for the ``want`` lowest pairs, with Rayleigh quotients of H and explicit
     residuals, or None when ARPACK did not converge within ``max_iter``
     restarts or a residual exceeds tol_abs.  A probe (``probe_tol`` given)
@@ -233,8 +232,7 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
 
     A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, X = eigsh(A, k=want, which="LA", v0=rng.standard_normal(n), ncv=ncv,
-                     maxiter=max_iter, tol=tol)
+        _, X = eigsh(A, k=want, which="LA", ncv=ncv, maxiter=max_iter, tol=tol, rng=rng)
     except ArpackNoConvergence:
         return None
     vals, res = [], []
@@ -255,7 +253,8 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
 
     Deterministic for a fixed seed: start vectors come from one PCG64 stream.
     Residuals of all returned pairs are at most tol * (1 + max row sum).
-    Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts.
+    Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts, and a
+    solve that has not settled the window after 2 k + 8 runs raises.
 
     One rule settles the window.  When hop_scale lies more than cluster_tol
     from 0 and from 1 and k + 1 < dim, the first run asks for k + 1 pairs.
@@ -303,7 +302,6 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     pool_vecs = np.empty((n, 0))
     pool_res: list = []
     max_sweeps = 2 * k + 8
-    hi = scale - 1.0
     mu = _interlacing_bounds(op) if n >= FILTER_MIN_DIM else None
     extra = int(k + 1 < n and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > cluster_tol)
 
@@ -314,8 +312,6 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         return value >= kth - cluster_tol * (1.0 + abs(kth))
 
     for _ in range(max_sweeps):
-        if len(pool_vals) >= n:
-            break
         if len(pool_vals) >= k:
             # an eigenvalue of H lies within r of the probe's theta
             probe = _lanczos_sweep(op, 1, tol_abs, max_iter, rng, pool_vals, pool_vecs, scale,
@@ -324,8 +320,8 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
                 break
             del probe
         want = k - len(pool_vals) if len(pool_vals) < k else 1
-        cut = None if mu is None else _interlacing_cut(mu, len(pool_vals) + want + extra, hi,
-                                                       tol_abs)
+        cut = None if mu is None else _interlacing_cut(mu, len(pool_vals) + want + extra,
+                                                       scale - 1.0, tol_abs)
         ncv = min(n, max(2 * want + 3, FILTER_NCV)) if extra and cut is not None else None
         got = _lanczos_sweep(op, want + extra, tol_abs, max_iter, rng, pool_vals, pool_vecs,
                              scale, cut=cut, ncv=ncv)
@@ -344,10 +340,10 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
         del got, new_vecs
         # the extra pair is the lowest value above the k pooled below it; else
         # the sweep minimum is the smallest eigenvalue left in the complement
-        if extra or (len(pool_vals) >= k and settled(float(new_vals.min()))):
+        if extra or len(pool_vals) >= n or settled(float(new_vals.min())):
             break
-    if len(pool_vals) < k:
-        raise LanczosError(f"found only {len(pool_vals)} of {k} eigenpairs")
+    else:
+        raise LanczosError(f"window not settled within {max_sweeps} runs")
 
     order = np.argsort(np.asarray(pool_vals), kind="stable")[:k]
     vals = np.asarray(pool_vals)[order]
@@ -368,15 +364,15 @@ def solve_bytes(n: int, k: int) -> int:
     eigenvectors and LAPACK's O(n) workspace; else ARPACK's basis of
     max(2k + 3, 20) vectors (a run for k + 1 pairs), the equal-size block
     scipy allocates to extract Ritz vectors from it, ARPACK's four-vector
-    workspace, the start vector, k + 1 returned or pooled vectors and one
-    operator temporary."""
+    workspace, k + 1 returned or pooled vectors and one operator temporary."""
     if _dense_route(n, k):
         # dense_spectrum(op, n) grew ru_maxrss by 106 / 157 / 289 / 564 MiB at
         # n = 2128 / 2598 / 3535 / 4950 (one BLAS thread): 3.07 / 3.04 / 3.03 /
         # 3.02 n^2 doubles, all below 3 n^2 + 200 n
         return (3 * n + 200) * n * 8
-    # the tracemalloc peak of eigsh alone is 2 ncv + 4 + k n-vectors
-    return n * (2 * max(2 * k + 3, 20) + k + 7) * 8
+    # tracemalloc peaks: eigsh alone 2 ncv + 4 + k n-vectors; lanczos_lowest at
+    # k = 6 on 27 876 states 51.04 (degree 1) and 41.1 (filtered) of these 52
+    return n * (2 * max(2 * k + 3, 20) + k + 6) * 8
 
 
 def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,

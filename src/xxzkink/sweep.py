@@ -61,9 +61,13 @@ class SweepPlan:
             raise ValueError("no sectors requested")
         if not self.delta_inv_grid:
             raise ValueError("empty anisotropy grid")
-        for dv in self.delta_inv_grid:
+        seen = set()
+        for dv in map(float, self.delta_inv_grid):
             if not 0.0 <= dv <= 1.0:
                 raise ValueError(f"delta_inv {dv} outside [0, 1]")
+            if dv in seen:
+                raise ValueError(f"delta_inv={dv} requested twice")
+            seen.add(dv)
         seen = set()
         for tm in self.two_m_list:
             if _sector_shape(HalfInt(self.two_j), self.L, HalfInt(tm))[1] is None:

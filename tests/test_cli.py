@@ -418,6 +418,17 @@ def test_repeated_sector_is_rejected(capsys):
         assert captured.err == "error: two_m=1 requested twice\n"
 
 
+@pytest.mark.parametrize("grid, twice", [("0.4,0.4", "0.4"), ("0.4:0.4:2", "0.4"),
+                                         ("0.2,0.4,0.2", "0.2"), ("0,-0", "-0.0")])
+def test_repeated_delta_inv_is_rejected(capsys, grid, twice):
+    # each copy would run on its own job seed and print its own rows for one job
+    argv = ["spectrum", "-J", "3/2", "-L", "3", "--two-m=-13/2", "--delta-inv", grid, "--k", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: delta_inv={twice} requested twice\n"
+
+
 def test_profile_huge_delta(capsys):
     args = ["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta"]
     assert main(args + ["1e200"]) == 0

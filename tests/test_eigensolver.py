@@ -124,6 +124,38 @@ def test_lanczos_determinism():
     assert np.array_equal(a.residuals, b.residuals)
 
 
+def test_lanczos_reruns_are_byte_identical_through_arpack_restarts():
+    # near the Ising limit ARPACK breaks down and asks for fresh restart
+    # vectors; they come from the seeded stream, not from OS entropy
+    op = build_sector_operator(H(1), 5, H(-7), "kink", 1e-9)
+    runs = set()
+    for _ in range(5):
+        rec = lanczos_lowest(op, 6, seed=1)
+        runs.add(rec.eigenvalues.tobytes() + rec.residuals.tobytes())
+    assert len(runs) == 1
+
+
+def test_lanczos_that_never_settles_raises(monkeypatch):
+    # probes that never settle and full runs that keep finding lower values
+    # use up all 2 k + 8 runs; the unconfirmed window is never returned
+    op = build_sector_operator(H(3), 3, H(-13), "kink", 1.0)  # 203 states, no extra pair
+    runs = []
+
+    def falling(op, want, tol_abs, max_iter, rng, pool_vals, pool_vecs, scale, *,
+                probe_tol=None, cut=None, ncv=None):
+        runs.append(want)
+        if probe_tol is not None:
+            return np.array([-1e9]), np.zeros((op.dim, 1)), [0.0]
+        low = -float(len(pool_vals))
+        return low - np.arange(want, dtype=float), np.zeros((op.dim, want)), [0.0] * want
+
+    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", falling)
+    with pytest.raises(LanczosError, match="not settled within 14 runs"):
+        lanczos_lowest(op, 3, seed=0)
+    # 14 full runs, a probe before each but the first
+    assert runs == [3] + [1, 1] * 13
+
+
 def _spy_on_eigsh(monkeypatch, keys=("tol",)) -> list:
     """Record (k, *kwargs[keys]) of every ARPACK call lanczos_lowest makes."""
     calls = []
@@ -371,7 +403,8 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
     assert vals == pytest.approx([5.0], abs=1e-10) and res[0] <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("min_dim", [0, FILTER_MIN_DIM])
+# thresholds below and above the 203-state sector: filtered and degree 1
+@pytest.mark.parametrize("min_dim", [0, 10000])
 def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch, min_dim):
     real = xxzkink.eigensolver.eigsh
 
@@ -415,7 +448,8 @@ def test_filtered_extra_pair_is_never_returned(monkeypatch):
     assert max(res) <= 1e-10 * (1.0 + op.inf_norm())
 
 
-@pytest.mark.parametrize("min_dim", [FILTER_MIN_DIM, 10**9])
+# thresholds below and above the 13051-state sector: filtered and degree 1
+@pytest.mark.parametrize("min_dim", [10000, 10**9])
 def test_solve_bytes_bounds_the_lanczos_solve(monkeypatch, min_dim):
     # the filtered run for k + 1 pairs, and the degree-1 run and probe
     op = _filtered_sector(0.4)

@@ -70,6 +70,11 @@ def test_requires_delta_above_one():
         groundstate_vector(H(1), 2, H(3), 1.0)
 
 
+def test_refuses_a_basis_of_another_sector():
+    with pytest.raises(ValueError, match="supplied basis does not match"):
+        groundstate_vector(H(1), 2, H(3), 2.5, basis=SectorBasis(H(1), 2, H(1)))
+
+
 @pytest.mark.parametrize("two_j", [1, 2])
 @pytest.mark.parametrize("delta", DELTAS)
 def test_zero_mode_residual(two_j, delta):

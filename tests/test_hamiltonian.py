@@ -281,3 +281,10 @@ def test_build_errors():
         build_sector_operator(H(1), 2, H(99), "kink", 0.5)  # unreachable sector
     with pytest.raises(ValueError):
         build_sector_operator(H(1), 2, H(3), "heisenberg", 0.5)
+    # a basis or an h1 of another sector
+    basis, other = SectorBasis(H(1), 2, H(3)), SectorBasis(H(1), 2, H(1))
+    with pytest.raises(ValueError, match="supplied basis does not match"):
+        build_sector_operator(H(1), 2, H(1), "kink", 0.5, basis=basis)
+    h1 = hopping_matrix(hopping_structure(other), other.dim)
+    with pytest.raises(ValueError, match="supplied h1 does not match"):
+        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, h1=h1)

@@ -68,7 +68,7 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
         raise AssertionError("hopping built for an all-zero grid")
 
     patch(refuse)
-    assert all_ok(run_sweep(small_plan(delta_inv_grid=(0.0, 0.0))))
+    assert all_ok(run_sweep(small_plan(delta_inv_grid=(0.0,))))
 
     calls = []
 
