@@ -5,8 +5,10 @@ The two-site diagonal term h0 = J^2 - S3 x S3 is positive semidefinite with
 kernel spanned by the two aligned extremal products, smallest positive
 eigenvalue J, and dominates the exchange term h1 = (S+ x S- + S- x S+)/2 as
 -h0 <= h1 <= h0 for every spin; the constant 1 is sharp.  The J-weighted form
--J h0 <= h1 <= J h0 therefore holds for J >= 1, and summed over the chain
-it gives, for J >= 1 and every vector v,
+-J h0 <= h1 <= J h0 therefore holds for J >= 1; its margin comes from 4J + 1
+tridiagonal blocks of fixed m_a + m_b, one sign sufficing as J h0 +/- h1 are
+conjugate by diag((-1)^d_a).  Summed over the chain it gives, for J >= 1 and
+every vector v,
 
     |H1 v|  <=  sqrt(J^2 + 2J^3) ( |H0 v| + 2 J^2 |v| )
 
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .halfint import as_half
 from .hamiltonian import build_sector_operator
@@ -46,16 +49,6 @@ def two_site_operators(J):
     h0 = jf * jf * np.kron(eye, eye) - np.kron(s.s3, s.s3)
     h1 = 0.5 * (np.kron(s.splus, s.sminus) + np.kron(s.sminus, s.splus))
     return h0, h1
-
-
-def two_site_bytes(J) -> int:
-    """Bytes that local_inequality_margin allocates: at most four dense N x N
-    doubles live at once, N = (2J+1)^2 (h0, h1, and J h0 +/- h1 with its
-    temporary or eigvalsh's copy).  Its ru_maxrss grew by 4.03 / 4.08 N^2
-    doubles at 2J = 63 / 45 (one BLAS thread); below that, freed blocks stay
-    in the heap, at most 21.5 MiB above 4 N^2 (2J = 39)."""
-    n = (as_half(J).twice + 1) ** 2
-    return 4 * n * n * 8 + 2**25
 
 
 def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> float:
@@ -98,14 +91,20 @@ def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) ->
 def local_inequality_margin(J) -> float:
     """min over signs of the smallest eigenvalue of J*h0 +/- h1 on two sites.
 
-    Nonnegative for J >= 1 (up to rounding), where the exchange bond term is
-    dominated by J times the diagonal bond term; -1/4 at J = 1/2.
+    J*h0 + h1 splits into 4J + 1 blocks of fixed s = d_a + d_b (d = J - m),
+    each tridiagonal in d_a with at most 2J + 1 rows: diagonal J(J^2 - m_a m_b),
+    off-diagonal sqrt(rad_down(m_a) rad_up(m_b)) / 2.  J*h0 - h1 is its
+    conjugate by diag((-1)^d_a), so one sign gives the margin.  Nonnegative for
+    J >= 1 (up to rounding), where J*h0 dominates h1; -1/4 at J = 1/2.
     """
-    h0, h1 = two_site_operators(J)
-    jf = float(as_half(J))
-    lo_plus = float(np.linalg.eigvalsh(jf * h0 + h1)[0])
-    lo_minus = float(np.linalg.eigvalsh(jf * h0 - h1)[0])
-    return min(lo_plus, lo_minus)
+    t = as_half(J).twice
+    margin = math.inf
+    for s in range(2 * t + 1):
+        da = np.arange(max(0, s - t), min(s, t) + 1, dtype=float)
+        diag = t * (t * t - (t - 2 * da) * (t - 2 * (s - da))) / 8.0
+        off = 0.5 * np.sqrt(((da + 1) * (t - da) * (s - da) * (t - s + da + 1))[:-1])
+        margin = min(margin, eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+    return float(margin)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .basis import SectorBasis, _sector_shape, reachable_sectors
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal
 from .ising import EdgeSectorError, band_edge_multiplicity_lower_bound, predicted_low_spectrum
+from .sweep import _preflight
 
 
 @dataclass
@@ -100,6 +101,8 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
                 f"state space size {J.twice + 1}^{n} exceeds the exhaustive budget {budget}")
     band = J.twice  # the level 2J as an exact integer
     sectors = []
+    for two_m in reachable_sectors(J, L):  # priced as a delta_inv = 0 sweep, before any build
+        _preflight(J, L, HalfInt(two_m), None)
     for two_m in reachable_sectors(J, L):
         basis = SectorBasis(J, L, HalfInt(two_m))
         diag = ising_diagonal(basis)

@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import _sector_shape, reachable_sectors
-from .certificates import (certificate_constants, local_inequality_margin, series_margin,
-                           two_site_bytes)
+from .certificates import certificate_constants, local_inequality_margin, series_margin
 from .checks import verify_ising_theorems
 from .halfint import HalfInt, as_half
 from .ising import excitation_sets, isolation_distance
@@ -31,7 +30,6 @@ from .sweep import (
     PROFILE_FIELDS,
     SweepPlan,
     all_ok,
-    check_memory,
     profile_table,
     rows_to_csv,
     run_sweep,
@@ -225,7 +223,6 @@ def _cmd_certify(args) -> int:
     J = HalfInt(args.two_j)
     L = args.length
     _sector_shape(J, L, J)  # spin 1/2 issues no certificates, so no basis would check it
-    check_memory(two_site_bytes(J), f"certify at spin {J}")
     margin = local_inequality_margin(J)
     # the J-weighted inequality holds only for J >= 1; spin 1/2 issues no
     # certificates, so the margin has nothing to certify there

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from xxzkink.certificates import (
     random_vector_bound_check,
     relative_bound_constant,
     series_margin,
-    two_site_bytes,
     two_site_operators,
 )
 from xxzkink.halfint import HalfInt
@@ -63,16 +60,12 @@ def test_local_inequality_margin_holds_above_spin_half(two_j):
     assert local_inequality_margin(H(two_j)) >= -1e-12
 
 
-def test_two_site_bytes_bounds_the_margin_computation():
-    # 2J = 45: four live 2116 x 2116 doubles (136.6 MiB); a fifth would pass the bound
-    n = 46 * 46
-    tracemalloc.start()
-    try:
-        local_inequality_margin(H(45))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 4 * n * n * 8 <= peak <= two_site_bytes(H(45)) < 5 * n * n * 8
+def test_block_margin_matches_the_dense_two_site_margin():
+    # the dense product-space matrices of (2J+1)^2 rows are the oracle
+    for two_j in range(1, 14):
+        h0, h1 = two_site_operators(H(two_j))
+        dense = min(float(np.linalg.eigvalsh(two_j / 2 * h0 + sign * h1)[0]) for sign in (1, -1))
+        assert local_inequality_margin(H(two_j)) == pytest.approx(dense, abs=1e-12), two_j
 
 
 def test_local_inequality_fails_at_spin_half():

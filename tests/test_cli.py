@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -234,7 +235,8 @@ def test_huge_half_integer_is_rejected(capsys):
     # read exactly as fractions (no float overflow), then refused above
     # 2**63 - 1, so that no later message has to print them
     for flags in (["-J", "1e400", "--two-m=1/2"], ["-J", "3/2", "--two-m=1e400"],
-                  ["-J", "1e5000", "--two-m=1/2"], ["-J", "3/2", "--two-m=1e5000"]):
+                  ["-J", "1e5000", "--two-m=1/2"], ["-J", "3/2", "--two-m=1e5000"],
+                  ["-J", "18446744073709551616/1", "--two-m=1/2"]):
         _rejected(capsys, ["spectrum", *flags, "-L", "2", "--delta-inv", "0.4"],
                   "exceeds the doubled-value limit 9223372036854775807")
     _rejected(capsys, ["spectrum", "-J", "1e-400", "-L", "2", "--two-m=1", "--delta-inv", "0"],
@@ -242,9 +244,11 @@ def test_huge_half_integer_is_rejected(capsys):
 
 
 def test_grid_count_is_bounded(capsys):
-    _rejected(capsys, ["sweep", "-J", "3/2", "-L", "2", "--two-m=1/2",
-                       "--delta-inv", "0:0.4:100000000000"],
-              "grid count must lie in [1, 10000], got 100000000000")
+    for grid, message in (("0:0.4:100000000000",
+                           "grid count must lie in [1, 10000], got 100000000000"),
+                          ("0:1", "grid must be start:stop:count")):
+        _rejected(capsys, ["sweep", "-J", "3/2", "-L", "2", "--two-m=1/2", "--delta-inv", grid],
+                  message)
 
 
 def test_oversized_chain_is_refused_before_any_table(capsys):
@@ -281,7 +285,8 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
     # once for the memory preflight, once for the basis; of the sweep's 11
-    # mirror pairs only the M < 0 sector is built, so 22 + 11 tables
+    # mirror pairs only the M < 0 sector is built, so 22 + 11 tables, while
+    # ising-check builds all 6 sectors of its chain
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -294,6 +299,7 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
         (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
         (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
         (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 33),
+        (["ising-check", "-J", "1/2", "-L", "2"], 12),
     ):
         builds.clear()
         assert main(argv) == 0
@@ -367,19 +373,37 @@ def test_dense_route_is_priced_by_the_preflight(capsys, monkeypatch):
                       "--k", "30000"], "sector two_m=-13 with k=30000 needs about 0.6 GiB")
 
 
-def test_certify_is_refused_when_its_two_site_matrices_do_not_fit(capsys, monkeypatch):
-    # spin 3/2: four 16 x 16 matrices plus 32 MiB of heap slack, above a 16 MiB limit
-    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**24)
-    _refused(capsys, ["certify", "-J", "3/2", "-L", "1"],
-             "certify at spin 3/2 needs about 0.0 GiB, above the 0.0 GiB")
+def test_certify_at_the_largest_spin_needs_little_memory(capsys):
+    # 4J + 1 blocks of at most 128 rows, where four dense 16384-row matrices
+    # would take 8 GiB
+    tracemalloc.start()
+    try:
+        assert main(["certify", "-J", "127/2", "-L", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["margin_ok"] is True and len(payload["certificates"]) == 646
+    assert all(c["isolation_exact"] for c in payload["certificates"])
+
+
+def test_certify_below_a_threshold_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(xxzkink.cli, "series_margin", lambda *args: 0.0)
+    assert main(["certify", "-J", "3/2", "-L", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["margin_ok"] is True and payload["certificates"]
+    assert all(c["margin_above_threshold"] == 0.0 for c in payload["certificates"])
 
 
 def _forbid_basis(monkeypatch):
-    """Make building any sweep basis fail the test: the refusal must come first."""
+    """Make building any sweep or ising-check basis fail the test: the refusal
+    must come first."""
     def unreachable(*args):
         raise AssertionError("a basis was built before the refusal")
 
     monkeypatch.setattr(xxzkink.sweep, "SectorBasis", unreachable)
+    monkeypatch.setattr(xxzkink.checks, "SectorBasis", unreachable)
 
 
 def test_unwritable_out_is_refused(capsys, monkeypatch, tmp_path):
@@ -407,6 +431,15 @@ def test_ising_limit_sweep_checks_every_sector_before_building(capsys, monkeypat
     _forbid_basis(monkeypatch)
     _refused(capsys, ["sweep", "-J", "1/2", "-L", "25", "--all-sectors", "--delta-inv", "0",
                       "--k", "1"], "sector two_m=-37 has more than the limit of 50000000 states")
+
+
+def test_ising_check_is_priced_before_any_basis(capsys, monkeypatch):
+    # the same price as the delta_inv = 0 sweep of the chain: 2^27 states
+    # within the budget, but sector two_m=-5 needs about 1.5 GiB
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**30)
+    _forbid_basis(monkeypatch)
+    _refused(capsys, ["ising-check", "-J", "1/2", "-L", "13", "--budget", "200000000"],
+             "sector two_m=-5 needs about 1.5 GiB, above the 1.0 GiB")
 
 
 def test_repeated_sector_is_rejected(capsys):
@@ -497,6 +530,10 @@ def test_unreachable_sector_is_refused(capsys):
     for command in (["spectrum", "--delta-inv", "0"], ["profile", "--delta", "2.5"]):
         _refused(capsys, [*command, "-J", "3/2", "-L", "2", "--two-m=99"],
                  "two_m=99 labels an unreachable sector")
+    # a list that names no sector, or no anisotropy, is refused the same way
+    for flags, message in ((["--two-m=,", "--delta-inv", "0"], "no sectors requested"),
+                           (["--two-m=1/2", "--delta-inv", ","], "empty anisotropy grid")):
+        _refused(capsys, ["sweep", "-J", "3/2", "-L", "2", *flags], message)
 
 
 def test_memory_error_is_one_error_line(capsys, monkeypatch):

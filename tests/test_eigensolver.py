@@ -426,6 +426,43 @@ def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch, min
     assert rec.residuals.max() <= 1e-10 * (1.0 + op.inf_norm())
 
 
+def test_run_with_an_uncertified_residual_repeats_at_degree_one(monkeypatch):
+    # ARPACK's first run returns one Ritz vector perturbed off its eigenvector:
+    # its explicit residual fails the cap, so none of that run's pairs is pooled
+    real = xxzkink.eigensolver.eigsh
+    perturbed = []
+
+    def perturb_once(A, k, **kwargs):
+        vals, X = real(A, k=k, **kwargs)
+        if not perturbed:
+            X = X.copy()
+            X[:, 0] += 1e-3 * np.random.default_rng(0).standard_normal(X.shape[0])
+            X[:, 0] /= np.linalg.norm(X[:, 0])
+            perturbed.append(X[:, 0])
+        return vals, X
+
+    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", perturb_once)
+    calls = _spy_on_eigsh(monkeypatch)
+    found = []
+    sweep = xxzkink.eigensolver._lanczos_sweep
+
+    def spy(*args, **kwargs):
+        found.append(sweep(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(xxzkink.eigensolver, "_lanczos_sweep", spy)
+    op = build_sector_operator(H(3), 3, H(-13), "kink", 0.4)  # 203 states, degree 1
+    scale = 1.0 + op.inf_norm()
+    rec = lanczos_lowest(op, 3, seed=0)
+    x = perturbed[0]
+    assert np.linalg.norm(op.matvec(x) - (x @ op.matvec(x)) * x) > 1e-10 * scale
+    # the run for k + 1 pairs is dropped; degree 1 asks for k, then probes
+    assert found[0] is None and [k for k, _ in calls] == [4, 3, 1]
+    assert calls[2][1] == CONFIRM_TOL
+    assert np.abs(rec.eigenvalues - dense_spectrum(op).eigenvalues[:3]).max() <= 1e-8
+    assert rec.residuals.max() <= 1e-10 * scale
+
+
 def test_filtered_extra_pair_is_never_returned(monkeypatch):
     op = _filtered_sector(0.4)
     found = []
