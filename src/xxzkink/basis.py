@@ -59,7 +59,9 @@ def _sector_shape(J, L, M):
 
 def _check_table(two_j: int, n: int, total: int) -> None:
     """Refuse a counting table of more than MAX_STATES steps: n * total * 2J
-    additions of ints of up to n * log2(2J + 1) bits, a step per 64-bit word."""
+    additions of ints of up to n * log2(2J + 1) bits, a step per 64-bit word
+    (the window sum of _count_table makes two additions a cell, so this is an
+    upper bound)."""
     words = 1 + n * two_j.bit_length() // 64
     if n * (total + 1) * (two_j + 1) * words > MAX_STATES:
         raise ValueError(f"the counting table of {n} sites with 2J={two_j} and {total} down "
@@ -78,8 +80,12 @@ def _count_table(two_j: int, n: int, total: int) -> tuple:
     for i in range(n - 1, -1, -1):
         nxt = ways[i + 1]
         row = ways[i]
+        window = 0  # nxt[r - 2J] + ... + nxt[r], slid along r
         for r in range(total + 1):
-            row[r] = sum(nxt[r - d] for d in range(min(two_j, r) + 1))
+            window += nxt[r]
+            if r > two_j:
+                window -= nxt[r - two_j - 1]
+            row[r] = window
     rest = total - two_j  # digit sum left once d_{a+1} = 2J
     pinned = ways[1][rest] - ways[2][rest] if rest >= 0 else 0
     return ways, ways[0][total], (n - 1) * (ways[0][total] - ways[1][total] - pinned)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .halfint import as_half
 from .hamiltonian import build_sector_operator
@@ -97,6 +96,8 @@ def local_inequality_margin(J) -> float:
     conjugate by diag((-1)^d_a), so one sign gives the margin.  Nonnegative for
     J >= 1 (up to rounding), where J*h0 dominates h1; -1/4 at J = 1/2.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     t = as_half(J).twice
     margin = math.inf
     for s in range(2 * t + 1):

@@ -37,9 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import daxpy, dgemv
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .hamiltonian import SectorOperator
 
@@ -97,6 +94,8 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
         vals = diag[order].astype(float)
         return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals, cluster_tol),
                               vecs)
+    from scipy.linalg import eigh
+
     H = op.to_dense()
     vals, V = eigh(H)
     vals, V = vals[:k], V[:, :k]
@@ -153,6 +152,8 @@ FILTER_NCV = 14
 def _interlacing_bounds(op) -> np.ndarray:
     """Eigenvalues mu_1 <= mu_2 <= ... of H on its CUT_STATES lowest-diagonal
     configurations (a stable sort); by Cauchy interlacing mu_j >= lambda_j(H)."""
+    from scipy.linalg import eigh
+
     rows = np.sort(np.argsort(op.diagonal(), kind="stable")[:CUT_STATES])
     return eigh(op.to_dense(rows), eigvals_only=True)
 
@@ -198,6 +199,9 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     restarts or a residual exceeds tol_abs.  A probe (``probe_tol`` given)
     runs ARPACK at that tolerance and has no residual cap.
     """
+    from scipy.linalg.blas import daxpy, dgemv
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = op.dim
     V = pool_vecs if pool_vecs.shape[1] else None
     # ARPACK stops at Ritz residuals <= tol * |theta|; at degree 1 the wanted

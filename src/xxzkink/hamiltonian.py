@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .basis import SectorBasis
 from .halfint import as_half
+
+if TYPE_CHECKING:  # scipy is imported where a CSR is built, so ising-check never loads it
+    from scipy import sparse
 
 VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
 
@@ -143,6 +146,8 @@ def hopping_matrix(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
             fill[key[a:b]] = pos + 1
     if not np.array_equal(fill, indptr[1:]):
         raise ValueError("triplets are not in hopping_structure's bond order")
+    from scipy import sparse
+
     return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
@@ -188,6 +193,8 @@ class SectorOperator:
     def matrix(self) -> sparse.csr_matrix:
         """The operator as one CSR, assembled on demand for inspection (no
         solve uses it); exactly zero diagonal entries are not stored."""
+        from scipy import sparse
+
         return sparse.diags(self.diag, format="csr") + self.hop_scale * self.h1
 
     def diagonal(self) -> np.ndarray:
@@ -263,6 +270,8 @@ def build_sector_operator(
     }
     e, b, hop_scale = weights[variant]
     if h1 is None and hop_scale == 0.0:
+        from scipy import sparse
+
         h1 = sparse.csr_matrix((basis.dim, basis.dim))
     elif h1 is None:
         h1 = hopping_matrix(hopping_structure(basis), basis.dim)

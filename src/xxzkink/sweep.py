@@ -174,6 +174,8 @@ def run_sweep(plan: SweepPlan) -> list:
     the mirror's matrix is a permutation of its own, so eigenvalues, cluster
     sizes and residuals carry over exactly.
     """
+    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
+    import scipy.sparse.linalg  # noqa: F401
     plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
     for tm in plan.two_m_list:
@@ -225,6 +227,8 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
     from the numerically obtained second eigenvector of the kink variant at
     delta_inv = 1/delta.  Sectors of dimension 1 have no excited column.
     """
+    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
+    import scipy.sparse.linalg  # noqa: F401
     delta = float(delta)
     if delta <= 1.0:
         raise ValueError("profiles need delta > 1")

@@ -96,6 +96,17 @@ def test_spin_flip_counting_symmetry():
                 )
 
 
+@pytest.mark.parametrize("two_j, n", [(1, 9), (2, 7), (5, 5), (127, 3)])
+def test_count_table_rows_are_window_sums(two_j, n):
+    # each cell of the sliding sum against its window summed directly
+    for total in (0, two_j, n * two_j // 2 + 1, n * two_j):
+        ways = xxzkink.basis._count_table(two_j, n, total)[0]
+        assert ways[n] == [1] + [0] * total
+        for i in range(n):
+            assert ways[i] == [sum(ways[i + 1][max(0, r - two_j):r + 1])
+                               for r in range(total + 1)]
+
+
 def test_max_states_guard(monkeypatch):
     # 270 counting-table steps pass, the 3139 states do not
     monkeypatch.setattr(xxzkink.basis, "MAX_STATES", 300)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import xxzkink.eigensolver
@@ -159,13 +160,13 @@ def test_lanczos_that_never_settles_raises(monkeypatch):
 def _spy_on_eigsh(monkeypatch, keys=("tol",)) -> list:
     """Record (k, *kwargs[keys]) of every ARPACK call lanczos_lowest makes."""
     calls = []
-    real = xxzkink.eigensolver.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def spy(A, k, **kwargs):
         calls.append((k, *(kwargs[key] for key in keys)))
         return real(A, k=k, **kwargs)
 
-    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     return calls
 
 
@@ -215,7 +216,7 @@ def test_lanczos_nonconvergence_error(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     op = build_sector_operator(H(3), 3, H(-3), "kink", 0.9)
     with pytest.raises(LanczosError):
         lanczos_lowest(op, 4, tol=1e-12, seed=0)
@@ -406,14 +407,14 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
 # thresholds below and above the 203-state sector: filtered and degree 1
 @pytest.mark.parametrize("min_dim", [0, 10000])
 def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch, min_dim):
-    real = xxzkink.eigensolver.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def no_convergence_for_the_extra_pair(A, k, **kwargs):
         if k == 4:
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
         return real(A, k=k, **kwargs)
 
-    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", no_convergence_for_the_extra_pair)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence_for_the_extra_pair)
     calls = _spy_on_eigsh(monkeypatch)
     degrees = _spy_on_sweeps(monkeypatch)
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
@@ -429,7 +430,7 @@ def test_filtered_run_without_convergence_repeats_at_degree_one(monkeypatch, min
 def test_run_with_an_uncertified_residual_repeats_at_degree_one(monkeypatch):
     # ARPACK's first run returns one Ritz vector perturbed off its eigenvector:
     # its explicit residual fails the cap, so none of that run's pairs is pooled
-    real = xxzkink.eigensolver.eigsh
+    real = scipy.sparse.linalg.eigsh
     perturbed = []
 
     def perturb_once(A, k, **kwargs):
@@ -441,7 +442,7 @@ def test_run_with_an_uncertified_residual_repeats_at_degree_one(monkeypatch):
             perturbed.append(X[:, 0])
         return vals, X
 
-    monkeypatch.setattr(xxzkink.eigensolver, "eigsh", perturb_once)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturb_once)
     calls = _spy_on_eigsh(monkeypatch)
     found = []
     sweep = xxzkink.eigensolver._lanczos_sweep
