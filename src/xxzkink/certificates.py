@@ -95,16 +95,16 @@ def local_inequality_margin(J) -> float:
     off-diagonal sqrt(rad_down(m_a) rad_up(m_b)) / 2.  J*h0 - h1 is its
     conjugate by diag((-1)^d_a), so one sign gives the margin.  Nonnegative for
     J >= 1 (up to rounding), where J*h0 dominates h1; -1/4 at J = 1/2.
+    Each block is small enough for numpy's dense eigvalsh, so no scipy is loaded.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     t = as_half(J).twice
     margin = math.inf
     for s in range(2 * t + 1):
         da = np.arange(max(0, s - t), min(s, t) + 1, dtype=float)
         diag = t * (t * t - (t - 2 * da) * (t - 2 * (s - da))) / 8.0
         off = 0.5 * np.sqrt(((da + 1) * (t - da) * (s - da) * (t - s + da + 1))[:-1])
-        margin = min(margin, eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        margin = min(margin, np.linalg.eigvalsh(block)[0])
     return float(margin)
 
 

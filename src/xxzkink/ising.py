@@ -20,11 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import SectorBasis, sector_dimension, _sector_shape
+from .basis import sector_dimension, _sector_shape
+from .basis import SectorBasis  # noqa: F401  (no longer called here; bench/traced.py hooks it)
 from .halfint import HalfInt, as_half
-from .hamiltonian import ising_diagonal
+from .hamiltonian import ising_diagonal  # noqa: F401  (likewise hooked, not called)
 
-MAX_ENUMERATION = 10**6  # largest sector whose diagonal isolation_distance enumerates
+# largest sector whose low levels isolation_distance lists; above it every
+# distance is the certified lower bound 1 (the listing is exact at any size,
+# but on long chains its pruned tree outgrows the rows it lists)
+MAX_ENUMERATION = 10**6
 
 
 class EdgeSectorError(ValueError):
@@ -44,6 +48,48 @@ class GroundDescriptor:
     x: int
     m: HalfInt
     coincident: bool
+
+
+def low_energy_rows(J, L, M, cap: int) -> tuple:
+    """(rows, energies): every digit row of sector M with E(c) <= cap, as
+    (N, n_sites) int8 in the basis's ascending lexicographic order, and
+    their energies, exact int64.
+
+    Grows the enumeration tree of ``basis._enumerate_down`` one site at a
+    time.  A child digit is kept while the digit sum left stays feasible
+    (0 <= rest <= sites_left * 2J) and the partial energy stays <= cap: every
+    bond term (2J - d_a) d_{a+1} is >= 0, so a pruned prefix has no row within
+    the cap.  Every kept prefix completes inside the sector, so no level of
+    the tree is wider than the sector's dimension.
+    """
+    J = as_half(J)
+    n, total = _sector_shape(J, L, M)
+    if total is None:
+        raise ValueError(f"magnetization {as_half(M)} unreachable for J={J}, L={L}")
+    two_j = J.twice
+    remaining = np.array([total], dtype=np.int64)
+    energy = np.zeros(1, dtype=np.int64)
+    digits = np.zeros(1, dtype=np.int64)  # each node's last digit; site -L has no left bond
+    levels = []  # per site: (digit, parent index) of each kept node
+    for i in range(n):
+        lo = np.maximum(remaining - (n - i - 1) * two_j, 0)
+        counts = np.minimum(remaining, two_j) - lo + 1
+        parent = np.repeat(np.arange(remaining.size), counts)
+        child = lo[parent] + np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        child_energy = energy[parent]
+        if i:
+            child_energy += (two_j - digits[parent]) * child
+        keep = child_energy <= cap
+        parent, digits, energy = parent[keep], child[keep], child_energy[keep]
+        remaining = remaining[parent] - digits
+        levels.append((digits.astype(np.int8), parent))
+    rows = np.empty((energy.size, n), dtype=np.int8)
+    node = np.arange(energy.size)
+    for i in range(n - 1, -1, -1):
+        column, parent = levels[i]
+        rows[:, i] = column[node]
+        node = parent[node]
+    return rows, energy
 
 
 def ground_descriptor(J, L, M) -> GroundDescriptor:
@@ -182,10 +228,12 @@ def isolation_distance(J, L, M, energies) -> list:
     """Distance from each eigenvalue in ``energies`` to the nearest other
     distinct sector level, one Isolation per energy.
 
-    Enumerates the sector diagonal once when its dimension is at most
-    MAX_ENUMERATION; otherwise every energy gets the certified lower
-    bound 1 with ``exact=False``.  All sector levels are integers, so the
-    distances are too.
+    Reads the sector's levels up to 2 max(E), by ``low_energy_rows``, when
+    its dimension is at most MAX_ENUMERATION; otherwise every energy gets
+    the certified lower bound 1 with ``exact=False``.  0 is always a level,
+    so the nearest other level to E lies within E of it; for E = 0 alone the
+    cap doubles until it reaches a positive level or every level.  All
+    sector levels are integers, so the distances are too.
     """
     energies = [int(e) for e in energies]
     if not energies:
@@ -195,12 +243,19 @@ def isolation_distance(J, L, M, energies) -> list:
         raise ValueError(f"magnetization {as_half(M)} unreachable for J={as_half(J)}, L={L}")
     if dim > MAX_ENUMERATION:
         return [Isolation(1, False)] * len(energies)
-    # the levels are non-negative integers: the nonzero bins, in ascending order
-    values = np.flatnonzero(np.bincount(ising_diagonal(SectorBasis(J, L, M))))
-    out = []
+    cap = max(2 * max(energies), 1)
+    highest = 2 * int(L) * as_half(J).twice ** 2  # E(c) <= (n - 1) (2J)^2
+    while True:
+        # the levels are non-negative integers: the nonzero bins, in ascending order
+        values = np.flatnonzero(np.bincount(low_energy_rows(J, L, M, cap)[1]))
+        if values.size > 1 or cap >= highest:
+            break
+        cap *= 2
     for E in energies:
         if E not in values:
             raise ValueError(f"E={E} is not an eigenvalue of the sector")
+    out = []
+    for E in energies:
         others = values[values != E]
         if others.size == 0:
             raise ValueError("sector has a single distinct level; no isolation distance")

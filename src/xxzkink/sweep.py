@@ -174,9 +174,9 @@ def run_sweep(plan: SweepPlan) -> list:
     the mirror's matrix is a permutation of its own, so eigenvalues, cluster
     sizes and residuals carry over exactly.
     """
+    plan.validate()  # a refused plan is refused before scipy is loaded
     # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
     import scipy.sparse.linalg  # noqa: F401
-    plan.validate()
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
     for tm in plan.two_m_list:
         _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
@@ -227,11 +227,11 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
     from the numerically obtained second eigenvector of the kink variant at
     delta_inv = 1/delta.  Sectors of dimension 1 have no excited column.
     """
-    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
-    import scipy.sparse.linalg  # noqa: F401
     delta = float(delta)
     if delta <= 1.0:
         raise ValueError("profiles need delta > 1")
+    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
+    import scipy.sparse.linalg  # noqa: F401
     _preflight(J, L, as_half(M), 2)
     basis = SectorBasis(J, L, M)
     ground = magnetization_profile(groundstate_vector(J, L, M, delta, basis=basis))

@@ -69,20 +69,22 @@ def test_sector_checks_match_the_full_row_reference(two_j, L):
 @pytest.mark.parametrize("feature", ["descent", "flanked"])
 def test_a_covered_row_below_the_band_fails_the_floor(monkeypatch, feature):
     # spin 1, L = 2, two_m = 0: lower one covered row of energy >= 2J to 2J - 1
-    real = xxzkink.checks.ising_diagonal
+    real = xxzkink.checks.low_energy_rows
     lowered = []
 
-    def ising_diagonal(basis):
-        diag = real(basis)
-        if basis.two_m == 0:
-            descent, flanked = _covered(basis.down, basis.two_j)
-            chosen = descent if feature == "descent" else flanked & ~descent
-            row = np.flatnonzero(chosen & (diag >= basis.two_j))[0]
-            diag[row] = basis.two_j - 1
-            lowered.append(row)
-        return diag
+    def low_energy_rows(J, L, M, cap):
+        if M.twice != 0:
+            return real(J, L, M, cap)
+        rows, energies = real(J, L, M, 4 * L * J.twice**2)  # every row of the sector
+        descent, flanked = _covered(rows, J.twice)
+        chosen = descent if feature == "descent" else flanked & ~descent
+        row = np.flatnonzero(chosen & (energies >= J.twice))[0]
+        energies[row] = J.twice - 1
+        lowered.append(row)
+        kept = energies <= cap
+        return rows[kept], energies[kept]
 
-    monkeypatch.setattr(xxzkink.checks, "ising_diagonal", ising_diagonal)
+    monkeypatch.setattr(xxzkink.checks, "low_energy_rows", low_energy_rows)
     report = verify_ising_theorems(H(2), 2)
     assert len(lowered) == 1
     for sector in report.sectors:

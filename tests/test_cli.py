@@ -108,9 +108,12 @@ def test_ising_check_exit_codes(capsys, tmp_path):
 @pytest.mark.parametrize("argv, name", [
     (["ising-check", "-J", "2", "-L", "3"], "ising_check_J2_L3.csv"),
     (["certify", "-J", "3/2", "-L", "3"], "certify_J3-2_L3.json"),
+    (["ising-check", "-J", "5/2", "-L", "4", "--budget", "20000000"], "ising_check_J5-2_L4.csv"),
+    (["certify", "-J", "5/2", "-L", "4"], "certify_J5-2_L4.json"),
 ])
 def test_cli_reproduces_the_recorded_outputs(capsys, tmp_path, argv, name):
-    # tests/data holds these two outputs as recorded; any byte of drift fails
+    # tests/data holds these outputs as recorded, the last two those of the
+    # benchmark's ising_limits commands; any byte of drift fails
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
@@ -286,7 +289,7 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
     # once for the memory preflight, once for the basis; of the sweep's 11
     # mirror pairs only the M < 0 sector is built, so 22 + 11 tables, while
-    # ising-check builds all 6 sectors of its chain
+    # ising-check counts each of the 6 sectors of its chain once, for its dim
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -299,7 +302,7 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
         (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
         (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
         (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 33),
-        (["ising-check", "-J", "1/2", "-L", "2"], 12),
+        (["ising-check", "-J", "1/2", "-L", "2"], 6),
     ):
         builds.clear()
         assert main(argv) == 0
@@ -433,13 +436,18 @@ def test_ising_limit_sweep_checks_every_sector_before_building(capsys, monkeypat
                       "--k", "1"], "sector two_m=-37 has more than the limit of 50000000 states")
 
 
-def test_ising_check_is_priced_before_any_basis(capsys, monkeypatch):
-    # the same price as the delta_inv = 0 sweep of the chain: 2^27 states
-    # within the budget, but sector two_m=-5 needs about 1.5 GiB
+def test_ising_check_reads_only_the_low_rows(capsys, monkeypatch):
+    # 2^27 states within the budget, and sector two_m=-5 alone would need about
+    # 1.5 GiB as a basis; the checks read only its rows with E(c) <= 2J
     monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**30)
     _forbid_basis(monkeypatch)
-    _refused(capsys, ["ising-check", "-J", "1/2", "-L", "13", "--budget", "200000000"],
-             "sector two_m=-5 needs about 1.5 GiB, above the 1.0 GiB")
+
+    def enumerated(*args):
+        raise AssertionError("a whole sector was enumerated")
+
+    monkeypatch.setattr(xxzkink.basis, "_enumerate_down", enumerated)
+    assert main(["ising-check", "-J", "1/2", "-L", "13", "--budget", "200000000"]) == 0
+    assert capsys.readouterr().out.endswith("all sectors pass\n")
 
 
 def test_repeated_sector_is_rejected(capsys):
@@ -542,7 +550,7 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
         def fail(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(xxzkink.checks, "ising_diagonal", fail)
+        monkeypatch.setattr(xxzkink.checks, "low_energy_rows", fail)
         assert _refused(capsys, ["ising-check", "-J", "1", "-L", "2"], line) == f"error: {line}\n"
 
 

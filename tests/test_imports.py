@@ -55,6 +55,9 @@ def test_importing_the_cli_loads_no_scipy():
     (["ising-check", "-J", "1", "-L", "2"], 0),
     (["--help"], 0),
     (["spectrum", "-J", "nope", "-L", "2", "--two-m=1", "--delta-inv", "0.4"], 2),
+    # a plan or a profile refused after parsing is refused before the solver loads
+    (["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0.4"], 2),
+    (["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta", "0.5"], 2),
 ])
 def test_commands_that_do_not_solve_load_no_scipy(argv, code):
     got = _run(argv)
@@ -62,11 +65,11 @@ def test_commands_that_do_not_solve_load_no_scipy(argv, code):
     assert got["scipy"] == []
 
 
-def test_certify_loads_dense_linalg_only():
+def test_certify_loads_no_scipy():
+    # the two-site blocks go to numpy's eigvalsh, the isolation distances to low_energy_rows
     got = _run(["certify", "-J", "3/2", "-L", "2"])
     assert got["code"] == 0
-    assert "scipy.linalg" in got["scipy"]
-    assert not any(m.startswith("scipy.sparse") for m in got["scipy"])
+    assert got["scipy"] == []
 
 
 @pytest.mark.parametrize("argv", [

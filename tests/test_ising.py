@@ -10,6 +10,7 @@ from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import ising_diagonal
 from xxzkink.ising import (
     EdgeSectorError,
+    Isolation,
     band_edge_multiplicity_lower_bound,
     degenerate_pairs,
     excitation_config,
@@ -19,6 +20,7 @@ from xxzkink.ising import (
     ground_descriptor,
     isolation_distance,
     localized_excitations,
+    low_energy_rows,
     predicted_low_spectrum,
 )
 
@@ -151,6 +153,43 @@ def test_isolation_distance(monkeypatch):
     # cap exceeded -> certified lower bound with flag
     monkeypatch.setattr(xxzkink.ising, "MAX_ENUMERATION", 10)
     assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, False)]
+
+
+# every sector of 2J = 1..6 at L <= 3, and the benchmark's chain 2J = 5, L = 4
+ORACLE_CHAINS = [(two_j, L) for two_j in range(1, 7) for L in (1, 2, 3)] + [(5, 4)]
+
+
+@pytest.mark.parametrize("two_j, L", ORACLE_CHAINS)
+def test_low_energy_rows_are_the_sector_rows_within_the_cap(two_j, L):
+    for two_m in reachable_sectors(H(two_j), L):
+        basis = SectorBasis(H(two_j), L, H(two_m))
+        diag = ising_diagonal(basis)
+        for cap in range(2 * two_j + 1):
+            rows, energies = low_energy_rows(H(two_j), L, H(two_m), cap)
+            kept = diag <= cap
+            assert rows.dtype == np.int8 and energies.dtype == np.int64
+            assert np.array_equal(rows, basis.down[kept])  # same rows, same order
+            assert np.array_equal(energies, diag[kept])
+
+
+@pytest.mark.parametrize("two_j, L", ORACLE_CHAINS)
+def test_isolation_distance_matches_the_whole_sector(two_j, L):
+    for two_m in reachable_sectors(H(two_j), L):
+        J, M = H(two_j), H(two_m)
+        levels = np.unique(ising_diagonal(SectorBasis(J, L, M)))
+        gap = int(np.setdiff1d(np.arange(levels[-1] + 2), levels)[0])  # lowest non-level
+        with pytest.raises(ValueError, match="is not an eigenvalue"):
+            isolation_distance(J, L, M, [0, gap])
+        if levels.size == 1:
+            with pytest.raises(ValueError, match="single distinct level"):
+                isolation_distance(J, L, M, [0])
+            continue
+        # the levels up to 2 * 2J, which certify asks about, at once and one at a time
+        low = levels[levels <= 2 * two_j]
+        expected = [Isolation(int(np.abs(levels[levels != E] - E).min()), True) for E in low]
+        assert isolation_distance(J, L, M, low) == expected
+        for E, iso in zip(low, expected):
+            assert isolation_distance(J, L, M, [E]) == [iso]
 
 
 def test_degenerate_pairs():
