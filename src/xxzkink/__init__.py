@@ -19,7 +19,6 @@ from .ising import (
     DegeneratePair,
     EdgeSectorError,
     GroundDescriptor,
-    Isolation,
     KinkExcitation,
     band_edge_multiplicity_lower_bound,
     degenerate_pairs,

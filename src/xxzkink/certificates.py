@@ -115,7 +115,6 @@ class Certificate:
     two_j: int
     energy: float
     isolation: float
-    isolation_exact: bool
     c1: float
     c2: float
     delta_star: float
@@ -129,7 +128,7 @@ def series_margin(c1: float, c2: float, delta: float) -> float:
     return 1.0 - (c1 * u + c2 * (1.0 - math.sqrt(1.0 - u * u)))
 
 
-def certificate_constants(J, E: float, d: float, isolation_exact: bool = True) -> Certificate:
+def certificate_constants(J, E: float, d: float) -> Certificate:
     """Constants c1, c2 and thresholds for level E with isolation distance d.
 
     ``delta_star`` is the exact root of c1/delta + c2 (1 - sqrt(1-delta^-2)) = 1;
@@ -150,7 +149,7 @@ def certificate_constants(J, E: float, d: float, isolation_exact: bool = True) -
         c2 * math.sqrt(c1 * c1 + 2.0 * c2 - 1.0) + c1 - c1 * c2
     )
     delta_simple = 18.0 * jf**2.5
-    return Certificate(J.twice, E, d, isolation_exact, c1, c2, delta_star, delta_simple)
+    return Certificate(J.twice, E, d, c1, c2, delta_star, delta_simple)
 
 
 class BoundViolation(RuntimeError):

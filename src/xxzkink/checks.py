@@ -13,10 +13,10 @@ For every sector the checks are:
   (d) the multiplicity of the level 2J is at least the constructive bound.
 
 The checks are exhaustive by pruning, not by enumeration: every check reads
-only the rows with E(c) <= 2J, which ``ising.low_energy_rows`` lists without
-building the sector, and each sector's dimension comes from its counting
-table.  The energies are exact integers, so every comparison is sharp;
-(a), (b) and (d) read one bincount of them.
+only the rows with E(c) <= 2J, which ``ising.low_energy_rows`` lists from
+the chain's least-completion table without building the sector, and each
+sector's dimension comes from its counting table.  The energies are exact
+integers, so every comparison is sharp; (a), (b) and (d) read one bincount.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .basis import _sector_shape, reachable_sectors, sector_dimension
 from .basis import SectorBasis  # noqa: F401  (no longer called here; bench/traced.py hooks it)
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal  # noqa: F401  (likewise hooked, not called)
-from .ising import (EdgeSectorError, band_edge_multiplicity_lower_bound, low_energy_rows,
-                    predicted_low_spectrum)
+from .ising import (EdgeSectorError, band_edge_multiplicity_lower_bound, least_completion,
+                    low_energy_rows, predicted_low_spectrum)
 
 
 @dataclass
@@ -104,10 +104,11 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
             raise ValueError(
                 f"state space size {J.twice + 1}^{n} exceeds the exhaustive budget {budget}")
     band = J.twice  # the level 2J as an exact integer
+    least = least_completion(J, L)
     sectors = []
     for two_m in reachable_sectors(J, L):
         M = HalfInt(two_m)
-        rows, energies = low_energy_rows(J, L, M, band)
+        rows, energies = low_energy_rows(J, L, M, band, least)
         counts = np.bincount(energies, minlength=band + 1)  # E(c) >= 0 is an exact integer
         ground_count = int(counts[0])
         observed_low = {e: int(c) for e, c in enumerate(counts[:band].tolist()) if c}

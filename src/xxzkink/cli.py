@@ -25,7 +25,7 @@ from .basis import _sector_shape, reachable_sectors
 from .certificates import certificate_constants, local_inequality_margin, series_margin
 from .checks import verify_ising_theorems
 from .halfint import HalfInt, as_half
-from .ising import excitation_sets, isolation_distance
+from .ising import excitation_sets, isolation_distance, least_completion
 from .sweep import (
     PROFILE_FIELDS,
     SweepPlan,
@@ -222,24 +222,22 @@ def _cmd_profile(args) -> int:
 def _cmd_certify(args) -> int:
     J = HalfInt(args.two_j)
     L = args.length
-    _sector_shape(J, L, J)  # spin 1/2 issues no certificates, so no basis would check it
+    _sector_shape(J, L, J)  # spin 1/2 issues no certificates, so no table would check it
     margin = local_inequality_margin(J)
     # the J-weighted inequality holds only for J >= 1; spin 1/2 issues no
     # certificates, so the margin has nothing to certify there
     margin_ok = margin >= -1e-12 if J.twice >= 2 else None
+    least = least_completion(J, L) if J.twice >= 2 else None  # spin 1/2 lists no rows
     certificates = []
-    thresholds_ok = True
     for two_m in range(-J.twice, J.twice + 1, 2):
         m = HalfInt(two_m)
         sets = excitation_sets(J, m)
         signed = [("+", n, e) for n, e in sets.plus] + [("-", n, e) for n, e in sets.minus]
         # one enumeration of the sector serves all of its excitations
-        isolations = isolation_distance(J, L, m, [e for _, _, e in signed])
-        for (sign, n, energy), iso in zip(signed, isolations):
-            cert = certificate_constants(J, energy, iso.distance, iso.exact)
+        isolations = isolation_distance(J, L, m, [e for _, _, e in signed], least)
+        for (sign, n, energy), distance in zip(signed, isolations):
+            cert = certificate_constants(J, energy, distance)
             above = series_margin(cert.c1, cert.c2, cert.delta_star * (1 + 1e-9))
-            if above <= 0.0:
-                thresholds_ok = False
             entry = asdict(cert)
             entry.update(
                 two_m=two_m, sign=sign, n=n,
@@ -256,6 +254,7 @@ def _cmd_certify(args) -> int:
         "certificates": certificates,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    thresholds_ok = all(c["margin_above_threshold"] > 0.0 for c in certificates)
     return 0 if (margin_ok is not False and thresholds_ok) else 1
 
 

@@ -20,15 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import sector_dimension, _sector_shape
+from .basis import MAX_STATES, _sector_shape
 from .basis import SectorBasis  # noqa: F401  (no longer called here; bench/traced.py hooks it)
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal  # noqa: F401  (likewise hooked, not called)
 
-# largest sector whose low levels isolation_distance lists; above it every
-# distance is the certified lower bound 1 (the listing is exact at any size,
-# but on long chains its pruned tree outgrows the rows it lists)
-MAX_ENUMERATION = 10**6
+# least_completion's entry for a digit sum no tail has; adding an energy cannot overflow it
+_INFEASIBLE = np.iinfo(np.int64).max // 2
 
 
 class EdgeSectorError(ValueError):
@@ -50,18 +48,39 @@ class GroundDescriptor:
     coincident: bool
 
 
-def low_energy_rows(J, L, M, cap: int) -> tuple:
+def least_completion(J, L) -> np.ndarray:
+    """least[k, r, p]: the least energy of a k-site digit tail with digit sum r
+    after a left neighbour of digit p, bond to it included, exact int64, by
+    the min-plus recursion least[k, r, p] = min_t (2J - p) t + least[k-1, r-t, t].
+    One table serves every sector of the chain; it is refused above MAX_STATES
+    cells before it is allocated."""
+    two_j = as_half(J).twice
+    n, _ = _sector_shape(J, L, J)
+    top = n * two_j  # every digit sum of the chain
+    if n * (top + 1) * (two_j + 1) > MAX_STATES:
+        raise ValueError(f"the least-completion table of {n} sites with 2J={two_j} "
+                         f"needs more than {MAX_STATES} cells")
+    least = np.full((n, top + 1, two_j + 1), _INFEASIBLE, dtype=np.int64)
+    least[0, 0] = 0
+    bond = np.arange(two_j, -1, -1)  # 2J - p for each left digit p
+    for k in range(1, n):
+        width = (k - 1) * two_j + 1  # the feasible sums of a (k-1)-site tail
+        for t in range(two_j + 1):
+            np.minimum(least[k, t:t + width], least[k - 1, :width, t, None] + bond * t,
+                       out=least[k, t:t + width])
+    return least
+
+
+def low_energy_rows(J, L, M, cap: int, least: np.ndarray) -> tuple:
     """(rows, energies): every digit row of sector M with E(c) <= cap, as
     (N, n_sites) int8 in the basis's ascending lexicographic order, and
-    their energies, exact int64.
+    their energies, exact int64.  ``least`` is the chain's least_completion.
 
     Grows the enumeration tree of ``basis._enumerate_down`` one site at a
-    time.  A child digit is kept while the digit sum left stays feasible
-    (0 <= rest <= sites_left * 2J) and the partial energy stays <= cap: every
-    bond term (2J - d_a) d_{a+1} is >= 0, so a pruned prefix has no row within
-    the cap.  Every kept prefix completes inside the sector, so no level of
-    the tree is wider than the sector's dimension.
-    """
+    time, keeping a child digit while its partial energy plus the least
+    energy of any completion (none for an infeasible sum left) is <= cap:
+    every kept prefix completes within the cap, so no level of the tree is
+    wider than the rows returned."""
     J = as_half(J)
     n, total = _sector_shape(J, L, M)
     if total is None:
@@ -69,19 +88,16 @@ def low_energy_rows(J, L, M, cap: int) -> tuple:
     two_j = J.twice
     remaining = np.array([total], dtype=np.int64)
     energy = np.zeros(1, dtype=np.int64)
-    digits = np.zeros(1, dtype=np.int64)  # each node's last digit; site -L has no left bond
+    digits = np.full(1, two_j, dtype=np.int64)  # each node's last digit; 2J: site -L has no bond
     levels = []  # per site: (digit, parent index) of each kept node
     for i in range(n):
-        lo = np.maximum(remaining - (n - i - 1) * two_j, 0)
-        counts = np.minimum(remaining, two_j) - lo + 1
+        counts = np.minimum(remaining, two_j) + 1
         parent = np.repeat(np.arange(remaining.size), counts)
-        child = lo[parent] + np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
-        child_energy = energy[parent]
-        if i:
-            child_energy += (two_j - digits[parent]) * child
-        keep = child_energy <= cap
-        parent, digits, energy = parent[keep], child[keep], child_energy[keep]
-        remaining = remaining[parent] - digits
+        child = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        child_energy = energy[parent] + (two_j - digits[parent]) * child
+        rest = remaining[parent] - child
+        keep = child_energy + least[n - i - 1, rest, child] <= cap
+        parent, digits, energy, remaining = (a[keep] for a in (parent, child, child_energy, rest))
         levels.append((digits.astype(np.int8), parent))
     rows = np.empty((energy.size, n), dtype=np.int8)
     node = np.arange(energy.size)
@@ -219,48 +235,32 @@ def predicted_low_spectrum(J, L, M) -> dict:
     return out
 
 
-class Isolation(NamedTuple):
-    distance: int
-    exact: bool
-
-
-def isolation_distance(J, L, M, energies) -> list:
+def isolation_distance(J, L, M, energies, least: np.ndarray) -> list:
     """Distance from each eigenvalue in ``energies`` to the nearest other
-    distinct sector level, one Isolation per energy.
+    distinct sector level, one int per energy, given the chain's ``least``.
 
-    Reads the sector's levels up to 2 max(E), by ``low_energy_rows``, when
-    its dimension is at most MAX_ENUMERATION; otherwise every energy gets
-    the certified lower bound 1 with ``exact=False``.  0 is always a level,
-    so the nearest other level to E lies within E of it; for E = 0 alone the
-    cap doubles until it reaches a positive level or every level.  All
-    sector levels are integers, so the distances are too.
+    Reads the sector's levels up to 2 max(E) by ``low_energy_rows``.  0 is
+    always a level, so the nearest other level to E lies within E of it; for
+    E = 0 alone the cap doubles until it reaches a positive level or every
+    level.  All sector levels are integers, so the distances are too.
     """
     energies = [int(e) for e in energies]
     if not energies:
         return []
-    dim = sector_dimension(J, L, M)
-    if dim == 0:
-        raise ValueError(f"magnetization {as_half(M)} unreachable for J={as_half(J)}, L={L}")
-    if dim > MAX_ENUMERATION:
-        return [Isolation(1, False)] * len(energies)
     cap = max(2 * max(energies), 1)
     highest = 2 * int(L) * as_half(J).twice ** 2  # E(c) <= (n - 1) (2J)^2
     while True:
         # the levels are non-negative integers: the nonzero bins, in ascending order
-        values = np.flatnonzero(np.bincount(low_energy_rows(J, L, M, cap)[1]))
+        values = np.flatnonzero(np.bincount(low_energy_rows(J, L, M, cap, least)[1]))
         if values.size > 1 or cap >= highest:
             break
         cap *= 2
     for E in energies:
         if E not in values:
             raise ValueError(f"E={E} is not an eigenvalue of the sector")
-    out = []
-    for E in energies:
-        others = values[values != E]
-        if others.size == 0:
-            raise ValueError("sector has a single distinct level; no isolation distance")
-        out.append(Isolation(int(np.abs(others - E).min()), True))
-    return out
+    if values.size == 1:
+        raise ValueError("sector has a single distinct level; no isolation distance")
+    return [int(np.abs(values[values != E] - E).min()) for E in energies]
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,8 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
     delta = float(delta)
     if delta <= 1.0:
         raise ValueError("profiles need delta > 1")
+    if _sector_shape(J, L, M)[1] is None:  # refused before scipy is loaded, as in run_sweep
+        raise ValueError(f"two_m={as_half(M).twice} labels an unreachable sector")
     # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
     import scipy.sparse.linalg  # noqa: F401
     _preflight(J, L, as_half(M), 2)

@@ -79,3 +79,11 @@ def sector_kron_indices(basis):
     for i in range(basis.n_sites):
         idx = idx * radix + basis.down[:, i]
     return idx
+
+
+def brute_least_completion(two_j, k, r, p):
+    """Least energy of a k-digit tail with digit sum r after a left digit p,
+    the bond to p included; None when no tail has that sum."""
+    energies = [(two_j - p) * t[0] + brute_config_energy(two_j, t) if k else 0
+                for t in itertools.product(range(two_j + 1), repeat=k) if sum(t) == r]
+    return min(energies, default=None)

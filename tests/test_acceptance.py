@@ -41,6 +41,7 @@ from xxzkink.ising import (
     band_edge_multiplicity_lower_bound,
     excitation_sets,
     isolation_distance,
+    least_completion,
     predicted_low_spectrum,
 )
 
@@ -221,14 +222,15 @@ def test_c08b_simple_threshold_dominates():
     violations = []
     total = 0
     for two_j in (2, 3, 4, 5, 6, 7, 8):  # J = 1 .. 4
+        least = least_completion(H(two_j), 3)
         for two_m in range(-two_j, two_j + 1, 2):
             sets = excitation_sets(H(two_j), H(two_m))
             energies = [energy for _, energy in sets.plus + sets.minus]
-            isolations = isolation_distance(H(two_j), 3, H(two_m), energies)
-            for energy, iso in zip(energies, isolations):
-                cert = certificate_constants(H(two_j), energy, iso.distance, iso.exact)
+            isolations = isolation_distance(H(two_j), 3, H(two_m), energies, least)
+            for energy, distance in zip(energies, isolations):
+                cert = certificate_constants(H(two_j), energy, distance)
                 total += 1
-                row = (two_j / 2, energy, iso.distance,
+                row = (two_j / 2, energy, distance,
                        round(cert.c1, 2), round(cert.delta_star, 2), round(cert.delta_simple, 2))
                 dominates = cert.delta_star <= cert.delta_simple
                 converges = series_margin(cert.c1, cert.c2, cert.delta_simple) > 0.0

@@ -72,10 +72,10 @@ def test_a_covered_row_below_the_band_fails_the_floor(monkeypatch, feature):
     real = xxzkink.checks.low_energy_rows
     lowered = []
 
-    def low_energy_rows(J, L, M, cap):
+    def low_energy_rows(J, L, M, cap, least):
         if M.twice != 0:
-            return real(J, L, M, cap)
-        rows, energies = real(J, L, M, 4 * L * J.twice**2)  # every row of the sector
+            return real(J, L, M, cap, least)
+        rows, energies = real(J, L, M, 4 * L * J.twice**2, least)  # every row of the sector
         descent, flanked = _covered(rows, J.twice)
         chosen = descent if feature == "descent" else flanked & ~descent
         row = np.flatnonzero(chosen & (energies >= J.twice))[0]

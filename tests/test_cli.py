@@ -147,8 +147,19 @@ def test_certify_json(capsys):
     )
     assert entry["c1"] == pytest.approx(39.0, abs=1e-12)
     assert entry["c2"] == pytest.approx(9.0, abs=1e-12)
-    assert entry["isolation"] == 1 and entry["isolation_exact"] is True
+    assert entry["isolation"] == 1
     assert entry["simple_dominates"] is True
+
+
+@pytest.mark.parametrize("spin", ["5/2", "3/2"])
+def test_certificates_do_not_depend_on_the_length(capsys, spin):
+    # every isolation distance is exact at every L; the lowest levels of each
+    # certified sector sit where they sit at L = 4
+    lists = []
+    for L in ("4", "6", "20"):
+        main(["certify", "-J", spin, "-L", L])
+        lists.append(json.loads(capsys.readouterr().out)["certificates"])
+    assert lists[0] and lists[0] == lists[1] == lists[2]
 
 
 def test_certify_spin_half_margin_not_applicable(capsys):
@@ -388,7 +399,20 @@ def test_certify_at_the_largest_spin_needs_little_memory(capsys):
     assert peak < 2**26
     payload = json.loads(capsys.readouterr().out)
     assert payload["margin_ok"] is True and len(payload["certificates"]) == 646
-    assert all(c["isolation_exact"] for c in payload["certificates"])
+
+
+def test_certify_prices_its_least_completion_table(capsys, tmp_path):
+    # 203 is the longest 2J = 5 chain whose sector counting tables fit their limit; the
+    # table holds n (n 2J + 1) (2J + 1) int64 cells for n = 2L + 1, so L = 644 is the
+    # last under 50 M, and 645 is refused before any cell is allocated
+    assert main(["certify", "-J", "5/2", "-L", "203", "--out", str(tmp_path / "c.json")]) == 0
+    tracemalloc.start()
+    try:
+        _refused(capsys, ["certify", "-J", "5/2", "-L", "645"], "needs more than 50000000 cells")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_certify_below_a_threshold_exits_1(capsys, monkeypatch):

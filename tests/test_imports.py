@@ -58,6 +58,7 @@ def test_importing_the_cli_loads_no_scipy():
     # a plan or a profile refused after parsing is refused before the solver loads
     (["spectrum", "-J", "3/2", "-L", "2", "--two-m=99", "--delta-inv", "0.4"], 2),
     (["profile", "-J", "3/2", "-L", "2", "--two-m=-3/2", "--delta", "0.5"], 2),
+    (["profile", "-J", "3/2", "-L", "2", "--two-m=99", "--delta", "2.5"], 2),
 ])
 def test_commands_that_do_not_solve_load_no_scipy(argv, code):
     got = _run(argv)

@@ -3,14 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import brute_config_energy
+from oracles import brute_config_energy, brute_least_completion
 import xxzkink.ising
 from xxzkink.basis import SectorBasis, reachable_sectors
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import ising_diagonal
 from xxzkink.ising import (
     EdgeSectorError,
-    Isolation,
     band_edge_multiplicity_lower_bound,
     degenerate_pairs,
     excitation_config,
@@ -19,6 +18,7 @@ from xxzkink.ising import (
     ground_config,
     ground_descriptor,
     isolation_distance,
+    least_completion,
     localized_excitations,
     low_energy_rows,
     predicted_low_spectrum,
@@ -138,21 +138,34 @@ def test_predicted_low_spectrum_matches_enumeration():
                 assert all(mult <= 2 for mult in predicted.values())
 
 
-def test_isolation_distance(monkeypatch):
-    assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, True)]
+def test_isolation_distance():
+    least = least_completion(H(3), 3)
+    assert isolation_distance(H(3), 3, H(-3), [1], least) == [1]
     with pytest.raises(ValueError):
-        isolation_distance(H(3), 3, H(-3), [2])  # 2 is not in that sector's spectrum
+        isolation_distance(H(3), 3, H(-3), [2], least)  # 2 is not in that sector's spectrum
     # distances are integers >= 1 across a small grid
+    least = least_completion(H(4), 2)
     for two_m in reachable_sectors(H(4), 2):
         basis = SectorBasis(H(4), 2, H(two_m))
         values = np.unique(ising_diagonal(basis))
         if values.size < 2:
             continue
-        for dist in isolation_distance(H(4), 2, H(two_m), values[:4]):
-            assert dist.exact and dist.distance >= 1
-    # cap exceeded -> certified lower bound with flag
-    monkeypatch.setattr(xxzkink.ising, "MAX_ENUMERATION", 10)
-    assert isolation_distance(H(3), 3, H(-3), [1]) == [(1, False)]
+        for dist in isolation_distance(H(4), 2, H(two_m), values[:4], least):
+            assert type(dist) is int and dist >= 1
+    # a sector of 812 525 155 states whose lowest levels are 0, 2 and 5
+    assert isolation_distance(H(5), 6, H(-3), [2], least_completion(H(5), 6)) == [2]
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4])
+def test_least_completion_is_the_least_tail_energy(two_j):
+    least = least_completion(H(two_j), 2)  # tails of k = 0..4 sites
+    assert least.dtype == np.int64 and least.shape == (5, 5 * two_j + 1, two_j + 1)
+    for k in range(5):
+        for r in range(5 * two_j + 1):
+            for p in range(two_j + 1):
+                expected = brute_least_completion(two_j, k, r, p)
+                got = int(least[k, r, p])
+                assert got == (xxzkink.ising._INFEASIBLE if expected is None else expected)
 
 
 # every sector of 2J = 1..6 at L <= 3, and the benchmark's chain 2J = 5, L = 4
@@ -161,11 +174,12 @@ ORACLE_CHAINS = [(two_j, L) for two_j in range(1, 7) for L in (1, 2, 3)] + [(5, 
 
 @pytest.mark.parametrize("two_j, L", ORACLE_CHAINS)
 def test_low_energy_rows_are_the_sector_rows_within_the_cap(two_j, L):
+    least = least_completion(H(two_j), L)
     for two_m in reachable_sectors(H(two_j), L):
         basis = SectorBasis(H(two_j), L, H(two_m))
         diag = ising_diagonal(basis)
         for cap in range(2 * two_j + 1):
-            rows, energies = low_energy_rows(H(two_j), L, H(two_m), cap)
+            rows, energies = low_energy_rows(H(two_j), L, H(two_m), cap, least)
             kept = diag <= cap
             assert rows.dtype == np.int8 and energies.dtype == np.int64
             assert np.array_equal(rows, basis.down[kept])  # same rows, same order
@@ -174,22 +188,23 @@ def test_low_energy_rows_are_the_sector_rows_within_the_cap(two_j, L):
 
 @pytest.mark.parametrize("two_j, L", ORACLE_CHAINS)
 def test_isolation_distance_matches_the_whole_sector(two_j, L):
+    least = least_completion(H(two_j), L)
     for two_m in reachable_sectors(H(two_j), L):
         J, M = H(two_j), H(two_m)
         levels = np.unique(ising_diagonal(SectorBasis(J, L, M)))
         gap = int(np.setdiff1d(np.arange(levels[-1] + 2), levels)[0])  # lowest non-level
         with pytest.raises(ValueError, match="is not an eigenvalue"):
-            isolation_distance(J, L, M, [0, gap])
+            isolation_distance(J, L, M, [0, gap], least)
         if levels.size == 1:
             with pytest.raises(ValueError, match="single distinct level"):
-                isolation_distance(J, L, M, [0])
+                isolation_distance(J, L, M, [0], least)
             continue
         # the levels up to 2 * 2J, which certify asks about, at once and one at a time
         low = levels[levels <= 2 * two_j]
-        expected = [Isolation(int(np.abs(levels[levels != E] - E).min()), True) for E in low]
-        assert isolation_distance(J, L, M, low) == expected
-        for E, iso in zip(low, expected):
-            assert isolation_distance(J, L, M, [E]) == [iso]
+        expected = [int(np.abs(levels[levels != E] - E).min()) for E in low]
+        assert isolation_distance(J, L, M, low, least) == expected
+        for E, distance in zip(low, expected):
+            assert isolation_distance(J, L, M, [E], least) == [distance]
 
 
 def test_degenerate_pairs():
