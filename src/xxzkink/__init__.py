@@ -2,7 +2,6 @@
 spin chain with domain-wall (kink) boundary fields."""
 
 from .halfint import HalfInt, as_half
-from .spin import SpinMatrices, ladder_coefficient, ladder_radicand, spin_matrices
 from .basis import (
     SectorBasis,
     reachable_sectors,
@@ -39,14 +38,10 @@ from .groundstate import (
     q_from_delta,
 )
 from .certificates import (
-    BoundViolation,
     Certificate,
     certificate_constants,
     local_inequality_margin,
-    random_vector_bound_check,
-    relative_bound_constant,
     series_margin,
-    two_site_operators,
 )
 from .eigensolver import (
     LanczosError,

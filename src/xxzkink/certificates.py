@@ -35,56 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfint import as_half
-from .hamiltonian import build_sector_operator
-from .basis import SectorBasis
-from .spin import spin_matrices
-
-
-def two_site_operators(J):
-    """(h0, h1): the diagonal bond term and the exchange bond term, dense."""
-    s = spin_matrices(J)
-    jf = float(as_half(J))
-    eye = np.eye(s.s3.shape[0])
-    h0 = jf * jf * np.kron(eye, eye) - np.kron(s.s3, s.s3)
-    h1 = 0.5 * (np.kron(s.splus, s.sminus) + np.kron(s.sminus, s.splus))
-    return h0, h1
-
-
-def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest certified c with -cA <= B <= cA, namely |B| / lambda_1(A).
-
-    Requires A >= 0 (up to tol) and Ker(A) contained in Ker(B): every
-    eigenvector of A with eigenvalue below the tolerance must be annihilated
-    by B to within tol * |B|.  The returned constant is re-certified by
-    checking that the smallest eigenvalue of cA +/- B is above -tol * |A|.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    evals, vecs = np.linalg.eigh(A)
-    norm_a = max(abs(evals[0]), abs(evals[-1]))
-    thresh = tol * max(1.0, norm_a)
-    if evals[0] < -thresh:
-        raise ValueError(f"A has eigenvalue {evals[0]}; not positive semidefinite")
-    norm_b = float(np.abs(np.linalg.eigvalsh(B)).max()) if B.any() else 0.0
-    kernel = np.nonzero(evals < thresh)[0]
-    for i in kernel:
-        leak = float(np.linalg.norm(B @ vecs[:, i]))
-        if leak > tol * max(1.0, norm_b):
-            raise ValueError(
-                f"kernel containment fails: A-eigenvector {i} (eigenvalue {evals[i]:.3e}) "
-                f"has |B v| = {leak:.3e}"
-            )
-    positive = evals[evals >= thresh]
-    if positive.size == 0:
-        if norm_b <= tol * max(1.0, norm_b):
-            return 0.0
-        raise ValueError("A vanishes but B does not")
-    c = norm_b / float(positive[0])
-    for signed in (c * A - B, c * A + B):
-        low = float(np.linalg.eigvalsh(signed)[0])
-        if low < -tol * max(1.0, norm_a):
-            raise RuntimeError(f"certification failed: min-eig(cA -/+ B) = {low}")
-    return c
 
 
 def local_inequality_margin(J) -> float:
@@ -150,44 +100,3 @@ def certificate_constants(J, E: float, d: float) -> Certificate:
     )
     delta_simple = 18.0 * jf**2.5
     return Certificate(J.twice, E, d, c1, c2, delta_star, delta_simple)
-
-
-class BoundViolation(RuntimeError):
-    """The sampled relative bound failed; carries the offending trial index."""
-
-    def __init__(self, message: str, trial: int):
-        super().__init__(message)
-        self.trial = trial
-
-
-def random_vector_bound_check(J, L, M, trials: int = 1000, seed: int = 0,
-                              basis: SectorBasis | None = None) -> float:
-    """Max over seeded unit vectors of |H1 v| / (sqrt(J^2+2J^3)(|H0 v| + 2J^2)).
-
-    Vectors are componentwise standard normals from PCG64 generators spawned
-    per trial off one root seed, normalized to the unit sphere; the result is
-    deterministic given (seed, trials) and must not exceed 1.  Sampling is
-    not a proof: at J = 1/2, where the bound fails, random vectors stay
-    below 1 (0.857 at L = 3, M = -1/2 over 1000 trials).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    J = as_half(J)
-    if basis is None:
-        basis = SectorBasis(J, L, M)
-    h1 = build_sector_operator(J, L, M, "h1", basis=basis)
-    h0 = build_sector_operator(J, L, M, "ising_kink", basis=basis)
-    jf = float(J)
-    slope = math.sqrt(jf * jf + 2.0 * jf**3)
-    offset = 2.0 * jf * jf
-    dim = basis.dim
-    worst = 0.0
-    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        ratio = np.linalg.norm(h1.matvec(v)) / (slope * (np.linalg.norm(h0.matvec(v)) + offset))
-        if ratio > 1.0 + 1e-10:
-            raise BoundViolation(f"relative bound violated: ratio {ratio} at trial {trial}", trial)
-        worst = max(worst, float(ratio))
-    return worst

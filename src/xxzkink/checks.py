@@ -14,9 +14,10 @@ For every sector the checks are:
 
 The checks are exhaustive by pruning, not by enumeration: every check reads
 only the rows with E(c) <= 2J, which ``ising.low_energy_rows`` lists from
-the chain's least-completion table without building the sector, and each
-sector's dimension comes from its counting table.  The energies are exact
-integers, so every comparison is sharp; (a), (b) and (d) read one bincount.
+the chain's least-completion table without building the sector, and every
+sector's dimension comes from one counting table of the chain.  The energies
+are exact integers, so every comparison is sharp; (a), (b) and (d) read one
+bincount.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _sector_shape, reachable_sectors, sector_dimension
+from .basis import _count_table, _sector_shape, reachable_sectors
 from .basis import SectorBasis  # noqa: F401  (no longer called here; bench/traced.py hooks it)
 from .halfint import HalfInt, as_half
 from .hamiltonian import ising_diagonal  # noqa: F401  (likewise hooked, not called)
@@ -105,6 +106,9 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
                 f"state space size {J.twice + 1}^{n} exceeds the exhaustive budget {budget}")
     band = J.twice  # the level 2J as an exact integer
     least = least_completion(J, L)
+    # rows with D down units, for D up to the centre; mirroring d -> 2J - d gives the rest
+    top = n * J.twice
+    dims = _count_table(J.twice, n, top // 2)[0][0]
     sectors = []
     for two_m in reachable_sectors(J, L):
         M = HalfInt(two_m)
@@ -130,7 +134,7 @@ def verify_ising_theorems(J, L, budget: int = 10_000_000) -> IsingCheckReport:
         sectors.append(
             SectorCheck(
                 two_m=two_m,
-                dim=sector_dimension(J, L, M),
+                dim=dims[min((top - two_m) // 2, (top + two_m) // 2)],
                 edge=edge,
                 ground_count=ground_count,
                 observed_low=observed_low,

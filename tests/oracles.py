@@ -1,16 +1,29 @@
 """Independent brute-force references used by the tests.
 
 Everything here works from first principles (itertools enumeration and full
-tensor products of single-site matrices) and never calls the code paths it
-is used to check, apart from the single-site spin matrices.
+tensor products of single-site matrices) and imports nothing from the package
+it is used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from xxzkink.halfint import HalfInt
-from xxzkink.spin import spin_matrices
+
+def spin_matrices(two_j):
+    """Dense real (S3, S+, S-) of spin two_j / 2 in the m-descending basis:
+    index i holds m = J - i, S+ sits on the superdiagonal and S- is its
+    transpose."""
+    if two_j < 1:
+        raise ValueError("spin magnitude must be at least 1/2")
+    dim = two_j + 1
+    s3 = np.diag([(two_j - 2 * i) / 2.0 for i in range(dim)])
+    splus = np.zeros((dim, dim))
+    for i in range(1, dim):
+        # i lowering steps below the top level; radicand i * (2J - i + 1)
+        splus[i - 1, i] = math.sqrt(i * (two_j - i + 1))
+    return s3, splus, splus.T.copy()
 
 
 def brute_sector_rows(two_j, L, two_m):
@@ -36,10 +49,23 @@ def kron_site_operator(two_j, n_sites, mat, pos):
     return out
 
 
+def two_site_operators(two_j):
+    """(h0, h1): the diagonal bond term J^2 - S3 x S3 and the exchange bond
+    term (S+ x S- + S- x S+) / 2, dense on two sites."""
+    s3, splus, sminus = spin_matrices(two_j)
+
+    def site(mat, pos):
+        return kron_site_operator(two_j, 2, mat, pos)
+
+    h0 = (two_j / 2.0) ** 2 * np.eye((two_j + 1) ** 2) - site(s3, 0) @ site(s3, 1)
+    h1 = 0.5 * (site(splus, 0) @ site(sminus, 1) + site(sminus, 0) @ site(splus, 1))
+    return h0, h1
+
+
 def kron_kink_hamiltonian(two_j, L, delta_inv, variant="kink"):
     """Full-space Hamiltonian assembled from single-site tensor products."""
     J = two_j / 2.0
-    s = spin_matrices(HalfInt(two_j))
+    s3, splus, sminus = spin_matrices(two_j)
     n = 2 * L + 1
     full = (two_j + 1) ** n
     H = np.zeros((full, full))
@@ -49,9 +75,9 @@ def kron_kink_hamiltonian(two_j, L, delta_inv, variant="kink"):
 
     for a in range(n - 1):
         transverse = 0.5 * (
-            site(s.splus, a) @ site(s.sminus, a + 1) + site(s.sminus, a) @ site(s.splus, a + 1)
+            site(splus, a) @ site(sminus, a + 1) + site(sminus, a) @ site(splus, a + 1)
         )
-        diag = J * J * np.eye(full) - site(s.s3, a) @ site(s.s3, a + 1)
+        diag = J * J * np.eye(full) - site(s3, a) @ site(s3, a + 1)
         if variant == "h1":
             H -= transverse
         elif variant == "h2":
@@ -60,7 +86,7 @@ def kron_kink_hamiltonian(two_j, L, delta_inv, variant="kink"):
             H += diag
         else:
             H += diag - delta_inv * transverse
-    boundary = site(s.s3, 0) - site(s.s3, n - 1)  # S3 at -L minus S3 at +L
+    boundary = site(s3, 0) - site(s3, n - 1)  # S3 at -L minus S3 at +L
     if variant == "kink":
         H += J * np.sqrt(1.0 - delta_inv**2) * boundary
     elif variant == "antikink":

@@ -18,14 +18,10 @@ from collections import Counter
 
 import numpy as np
 
+from bound_checks import sampled_bound_ratio
+from oracles import two_site_operators
 from xxzkink.basis import SectorBasis, reachable_sectors, sector_dimension
-from xxzkink.certificates import (
-    certificate_constants,
-    local_inequality_margin,
-    random_vector_bound_check,
-    series_margin,
-    two_site_operators,
-)
+from xxzkink.certificates import certificate_constants, local_inequality_margin, series_margin
 from xxzkink.cli import main as cli_main
 from xxzkink.eigensolver import DENSE_MAX, dense_spectrum, lanczos_lowest, solve_lowest
 from xxzkink.groundstate import groundstate_vector
@@ -172,7 +168,7 @@ def test_c05_product_zero_mode_residual():
 def test_c06_local_operator_inequality():
     sharp, shrunk = {}, {}
     for two_j in GRID_TWO_J:
-        h0, h1 = two_site_operators(H(two_j))
+        h0, h1 = two_site_operators(two_j)
         sharp[two_j] = min(float(np.linalg.eigvalsh(h0 + sign * h1)[0]) for sign in (1, -1))
         # the constant 1 is sharp: any smaller multiple of h0 no longer dominates
         shrunk[two_j] = min(float(np.linalg.eigvalsh(0.99 * h0 + sign * h1)[0]) for sign in (1, -1))
@@ -194,7 +190,7 @@ def test_c07_relative_bound_sampled():
     checks = []
     for two_j, L, two_m in ((3, 3, -3), (4, 3, 0), (2, 4, 2)):
         basis = SectorBasis(H(two_j), L, H(two_m))
-        worst = random_vector_bound_check(H(two_j), L, H(two_m), trials=1000, seed=0, basis=basis)
+        worst = sampled_bound_ratio(H(two_j), L, H(two_m), trials=1000, seed=0, basis=basis)
         h2 = build_sector_operator(H(two_j), L, H(two_m), "h2", basis=basis)
         norm_exact = float(np.abs(h2.diagonal()).max()) == 2.0 * (two_j / 2.0) ** 2
         checks.append((two_j, L, two_m, worst, norm_exact))

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from xxzkink.certificates import (
-    BoundViolation,
-    certificate_constants,
-    local_inequality_margin,
-    random_vector_bound_check,
-    relative_bound_constant,
-    series_margin,
-    two_site_operators,
-)
+from bound_checks import relative_bound_constant, sampled_bound_ratio
+from oracles import two_site_operators
+from xxzkink.certificates import certificate_constants, local_inequality_margin, series_margin
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import build_sector_operator
 
@@ -29,7 +23,7 @@ def test_relative_bound_two_site_example():
     # the lemma constant |h1| / lambda_1 is certified but not optimal: at
     # J = 1 it is sqrt(2), while the sharp domination constant is 1 for every
     # J (it equals J only here, witnessed by the zero margin of J*h0 +/- h1)
-    h0, h1 = two_site_operators(H(2))  # J = 1
+    h0, h1 = two_site_operators(2)  # J = 1
     c = relative_bound_constant(h0, h1)
     assert c == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert np.linalg.eigvalsh(c * h0 - h1).min() >= -1e-10
@@ -50,7 +44,7 @@ def test_relative_bound_rejects_indefinite_a():
 
 def test_two_site_kernel_dimension():
     for two_j in (2, 3, 4):
-        h0, _ = two_site_operators(H(two_j))
+        h0, _ = two_site_operators(two_j)
         evals = np.linalg.eigvalsh(h0)
         assert int((np.abs(evals) < 1e-10).sum()) == 2  # both aligned extremal products
 
@@ -63,7 +57,7 @@ def test_local_inequality_margin_holds_above_spin_half(two_j):
 def test_block_margin_matches_the_dense_two_site_margin():
     # the dense product-space matrices of (2J+1)^2 rows are the oracle
     for two_j in range(1, 14):
-        h0, h1 = two_site_operators(H(two_j))
+        h0, h1 = two_site_operators(two_j)
         dense = min(float(np.linalg.eigvalsh(two_j / 2 * h0 + sign * h1)[0]) for sign in (1, -1))
         assert local_inequality_margin(H(two_j)) == pytest.approx(dense, abs=1e-12), two_j
 
@@ -111,13 +105,13 @@ def test_certificate_domain_errors():
 
 
 def test_random_vector_bound_check():
-    worst = random_vector_bound_check(H(3), 2, H(-3), trials=200, seed=11)
+    worst = sampled_bound_ratio(H(3), 2, H(-3), trials=200, seed=11)
     assert 0.0 < worst <= 1.0 + 1e-10
     # deterministic for a fixed seed
-    again = random_vector_bound_check(H(3), 2, H(-3), trials=200, seed=11)
+    again = sampled_bound_ratio(H(3), 2, H(-3), trials=200, seed=11)
     assert worst == again
     with pytest.raises(ValueError):
-        random_vector_bound_check(H(3), 2, H(-3), trials=0)
+        sampled_bound_ratio(H(3), 2, H(-3), trials=0)
 
 
 def test_h2_diagonal_norm():
@@ -125,6 +119,3 @@ def test_h2_diagonal_norm():
         op = build_sector_operator(H(two_j), L, H(two_m), "h2")
         assert np.abs(op.diagonal()).max() == 2.0 * (two_j / 2.0) ** 2
 
-
-def test_bound_violation_type():
-    assert issubclass(BoundViolation, RuntimeError)

@@ -119,6 +119,23 @@ def test_cli_reproduces_the_recorded_outputs(capsys, tmp_path, argv, name):
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+@pytest.mark.parametrize("spin, sectors", [("3/2", 124), ("5/2", 206)])
+def test_ising_check_at_length_20(capsys, spin, sectors):
+    # (2J + 1)^41 states, so the budget is raised above the default; the
+    # checks read only the rows with E(c) <= 2J of each sector
+    J = HalfInt(parse_doubled(spin))
+    argv = ["ising-check", "-J", spin, "-L", "20", "--budget", str(10**40), "--format", "json"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.endswith("all sectors pass\n")
+    payload = json.loads(captured.out)
+    assert payload["passed"] is True
+    assert len(payload["sectors"]) == sectors
+    by_two_m = {s["two_m"]: s for s in payload["sectors"]}
+    for two_m in (-41 * J.twice, 2 - 41 * J.twice, -1, 1, 7, 41 * J.twice - 4):
+        assert by_two_m[two_m]["dim"] == sector_dimension(J, 20, HalfInt(two_m)), two_m
+
+
 def test_ising_check_budget_error(capsys):
     assert main(["ising-check", "-J", "6", "-L", "4"]) == 2  # 7^9 states, over budget
     assert "error" in capsys.readouterr().err
@@ -300,7 +317,7 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
     # once for the memory preflight, once for the basis; of the sweep's 11
     # mirror pairs only the M < 0 sector is built, so 22 + 11 tables, while
-    # ising-check counts each of the 6 sectors of its chain once, for its dim
+    # ising-check reads the dims of all 6 sectors of its chain off one table
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -308,12 +325,13 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
         builds.append(args)
         return count_table(*args)
 
-    monkeypatch.setattr(xxzkink.basis, "_count_table", counted)
+    for module in (xxzkink.basis, xxzkink.checks):  # checks imports it by name
+        monkeypatch.setattr(module, "_count_table", counted)
     for argv, tables in (
         (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
         (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
         (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 33),
-        (["ising-check", "-J", "1/2", "-L", "2"], 6),
+        (["ising-check", "-J", "1/2", "-L", "2"], 1),
     ):
         builds.clear()
         assert main(argv) == 0

@@ -21,9 +21,16 @@ from xxzkink.hamiltonian import (
     hopping_structure,
     ising_diagonal,
 )
-from xxzkink.spin import ladder_coefficient, ladder_radicand
 
 H = HalfInt
+
+
+def _hop_radicand(two_j, raised, lowered):
+    """Exact integer under the root of a hop's S+ S- product: the raised
+    site's digit goes from raised to raised - 1, giving (J - m)(J + m + 1),
+    and the lowered site's from lowered to lowered + 1, giving
+    (J + m)(J - m + 1), with m = J - d."""
+    return raised * (two_j - raised + 1) * (two_j - lowered) * (lowered + 1)
 
 
 def _bond_energies(two_j, row):
@@ -138,14 +145,12 @@ def test_hopping_entries_are_ladder_products():
         b = basis.down[c]
         sites = np.nonzero(a != b)[0]
         assert sites.size == 2 and sites[1] == sites[0] + 1  # single nearest-neighbor hop
-        s = sites[0]
-        ma = H(basis.two_j - 2 * int(a[s]))
-        mb = H(basis.two_j - 2 * int(a[s + 1]))
-        if b[s] == a[s] - 1:  # raised at s, lowered at s+1
-            coeff = ladder_coefficient(H(3), ma, "up") * ladder_coefficient(H(3), mb, "down")
+        da, db = (int(d) for d in a[sites])
+        if b[sites[0]] == da - 1:  # raised on the left, lowered on the right
+            radicand = _hop_radicand(3, da, db)
         else:
-            coeff = ladder_coefficient(H(3), ma, "down") * ladder_coefficient(H(3), mb, "up")
-        assert v == pytest.approx(-0.5 * 0.5 * coeff, abs=1e-13)
+            radicand = _hop_radicand(3, db, da)
+        assert v == 0.5 * (-0.5 * math.sqrt(radicand))  # delta_inv times the h1 entry
         checked += 1
     assert checked == coo.nnz - basis.dim
 
@@ -187,8 +192,7 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
         step = down[c] - down[r]
         a = int(np.nonzero(step)[0][0])
         assert step.tolist() == [0] * a + [-1, 1] + [0] * (basis.n_sites - a - 2)
-        ma, mb = (H(127 - 2 * int(d)) for d in down[r, a:a + 2])
-        radicand = ladder_radicand(J, ma, "up") * ladder_radicand(J, mb, "down")
+        radicand = _hop_radicand(127, int(down[r, a]), int(down[r, a + 1]))
         assert v == -0.5 * math.sqrt(radicand)
     # assembly adds the transpose: both directions, exactly symmetric
     h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis,

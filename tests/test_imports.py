@@ -1,6 +1,8 @@
-"""Which commands load scipy.  Each case runs in a fresh interpreter, since
-this process already holds scipy through the other tests."""
+"""Which commands load scipy, and which modules the test oracles and the
+certificates import.  Each scipy case runs in a fresh interpreter, since this
+process already holds scipy through the other tests."""
 
+import ast
 import json
 import os
 import subprocess
@@ -83,3 +85,23 @@ def test_solving_commands_map_scipy_before_the_memory_preflight(argv):
     assert got["code"] == 0
     assert got["on_import"] == []
     assert got["seen"] and got["seen"][0]
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module a file imports, relative ones with their leading dots."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_oracles_and_certificates_keep_their_import_boundary():
+    # read from the source, since importing any module runs the package __init__
+    oracles = _imported_modules(Path(__file__).with_name("oracles.py"))
+    assert not {m for m in oracles if m.split(".")[0] == "xxzkink"}, oracles
+    certificates = _imported_modules(Path(xxzkink.__file__).with_name("certificates.py"))
+    package = {m for m in certificates if m.startswith(".") or m.split(".")[0] == "xxzkink"}
+    assert package == {".halfint"}, certificates

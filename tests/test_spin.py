@@ -1,69 +1,46 @@
+"""The oracles' single-site spin matrices."""
+
 import math
 
 import numpy as np
 import pytest
 
-from xxzkink.halfint import HalfInt
-from xxzkink.spin import ladder_coefficient, ladder_radicand, spin_matrices
+from oracles import spin_matrices
 
-HALF_GRID = [HalfInt(t) for t in range(1, 9)]  # J = 1/2 .. 4
-
-
-def test_ladder_examples():
-    assert ladder_coefficient(HalfInt(1), HalfInt(1), "up") == 0.0
-    assert ladder_coefficient(HalfInt(1), HalfInt(-1), "up") == 1.0
-    assert ladder_coefficient(HalfInt(2), HalfInt(0), "up") == math.sqrt(2)
-    assert ladder_coefficient(HalfInt(2), HalfInt(-2), "down") == 0.0
+# J = 1/2 .. 4, its ids J0 .. J7 indexing the grid
+HALF_GRID = [pytest.param(t, id=f"J{t - 1}") for t in range(1, 9)]
 
 
-@pytest.mark.parametrize("J", HALF_GRID)
-def test_ladder_adjointness_exact(J):
-    # raising out of m equals lowering out of m+1, as exact integers
-    for tm in range(-J.twice, J.twice - 1, 2):
-        m = HalfInt(tm)
-        assert ladder_radicand(J, m, "up") == ladder_radicand(J, m + 1, "down")
-        assert ladder_coefficient(J, m, "up") == ladder_coefficient(J, m + 1, "down")
-
-
-def test_ladder_domain_errors():
-    with pytest.raises(ValueError):
-        ladder_coefficient(HalfInt(1), HalfInt(3), "up")
-    with pytest.raises(ValueError):
-        ladder_coefficient(HalfInt(2), HalfInt(1), "up")  # wrong parity for J=1
-    with pytest.raises(ValueError):
-        ladder_coefficient(HalfInt(1), HalfInt(1), "sideways")
+@pytest.mark.parametrize("two_j", HALF_GRID)
+def test_ladder_adjointness_exact(two_j):
+    # raising out of m equals lowering out of m + 1, bit for bit, and both are
+    # the root of the exact radicand (J - m)(J + m + 1) = i (2J - i + 1)
+    _, splus, sminus = spin_matrices(two_j)
+    for i in range(1, two_j + 1):  # column i holds m = J - i
+        assert splus[i - 1, i] == sminus[i, i - 1] == math.sqrt(i * (two_j - i + 1))
 
 
 def test_s3_ordering():
-    s = spin_matrices(HalfInt(1))
-    assert np.array_equal(s.s3, np.diag([0.5, -0.5]))
-    s = spin_matrices(HalfInt(3))
-    assert np.array_equal(np.diag(s.s3), [1.5, 0.5, -0.5, -1.5])
+    s3, _, _ = spin_matrices(1)
+    assert np.array_equal(s3, np.diag([0.5, -0.5]))
+    s3, splus, sminus = spin_matrices(3)
+    assert np.array_equal(np.diag(s3), [1.5, 0.5, -0.5, -1.5])
     # S+ strictly superdiagonal, S- strictly subdiagonal
-    assert np.allclose(np.tril(s.splus), 0)
-    assert np.allclose(np.triu(s.sminus), 0)
-    assert np.array_equal(s.splus, s.sminus.T)
+    assert np.allclose(np.tril(splus), 0)
+    assert np.allclose(np.triu(sminus), 0)
+    assert np.array_equal(splus, sminus.T)
 
 
-@pytest.mark.parametrize("J", HALF_GRID)
-def test_su2_identities(J):
-    s = spin_matrices(J)
-    dim = J.twice + 1
-    comm = s.splus @ s.sminus - s.sminus @ s.splus
-    assert np.abs(comm - 2 * s.s3).max() <= 1e-12
-    casimir = s.s3 @ s.s3 + 0.5 * (s.splus @ s.sminus + s.sminus @ s.splus)
-    jf = float(J)
-    assert np.abs(casimir - jf * (jf + 1) * np.eye(dim)).max() <= 1e-12
-
-
-def test_spin_matrices_consistent_with_ladder():
-    J = HalfInt(5)
-    s = spin_matrices(J)
-    for i in range(1, J.twice + 1):
-        m = HalfInt(J.twice - 2 * i)  # level at column i
-        assert s.splus[i - 1, i] == ladder_coefficient(J, m, "up")
+@pytest.mark.parametrize("two_j", HALF_GRID)
+def test_su2_identities(two_j):
+    s3, splus, sminus = spin_matrices(two_j)
+    comm = splus @ sminus - sminus @ splus
+    assert np.abs(comm - 2 * s3).max() <= 1e-12
+    casimir = s3 @ s3 + 0.5 * (splus @ sminus + sminus @ splus)
+    jf = two_j / 2
+    assert np.abs(casimir - jf * (jf + 1) * np.eye(two_j + 1)).max() <= 1e-12
 
 
 def test_spin_zero_rejected():
     with pytest.raises(ValueError):
-        spin_matrices(HalfInt(0))
+        spin_matrices(0)
