@@ -22,17 +22,19 @@ Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
 product formed in exact integers and square-rooted once.  The table is
 also the storage: an operator is its diagonal vector plus a hop scale
-(delta_inv, 1 or 0) over the sector's unscaled h1 CSR, which is built once
-per sector from one hop direction (the strict lower triangle, int32 ranks)
-and shared by every operator of the sector.  So kink = ising_kink +
-delta_inv * h1 + (1 - s) * h2 holds entrywise, as does ising_free =
-ising_kink + h2.
+(delta_inv, 1 or 0) over the strict lower triangle L of the sector's
+unscaled h1 (int32 ranks), a CSR that is built once per sector from one hop
+direction and shared by every operator of the sector.  h1 is symmetric, so
+h1 = L + L^T, and every product applies it as L x + L^T x.  So kink =
+ising_kink + delta_inv * h1 + (1 - s) * h2 holds entrywise, as does
+ising_free = ising_kink + h2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,7 +74,7 @@ def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
 class HoppingStructure:
     """COO triplets of the pure hopping term (the h1 variant): one hop
     direction only, the strict lower triangle (cols < rows) with int32 ranks;
-    ``hopping_matrix`` turns them into the h1 CSR."""
+    ``hopping_lower`` turns them into that triangle's CSR."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -120,41 +122,20 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
     return out
 
 
-def hopping_matrix(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
-    """The unscaled h1 CSR (int32 indices) from ``hopping_structure``'s triplets.
-
-    A counting sort on rows, each row's lower entries before its upper ones.
-    The triplets come bond by bond with ascending rows.  The neighbor a rank
-    reaches across bond a ranks below the one it reaches across a later bond,
-    and the rank reaching it across bond a ranks above the one reaching it
-    across a later bond.  So a run of ascending rows holds each rank at most
-    once as a row and once as a column, and scattering the runs forward (lower
-    entries), then backward (upper entries), leaves every row sorted.
-    """
-    rows, cols, vals = structure.rows, structure.cols, structure.values
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dim) + np.bincount(cols, minlength=dim),
-              out=indptr[1:])
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    fill = indptr[:-1].copy()  # next free slot of each row
-    cuts = np.flatnonzero(rows[1:] <= rows[:-1]) + 1
-    runs = list(zip(np.r_[0, cuts], np.r_[cuts, rows.size]))
-    for key, other, order in ((rows, cols, runs), (cols, rows, runs[::-1])):
-        for a, b in order:
-            pos = fill[key[a:b]]
-            indices[pos], data[pos] = other[a:b], vals[a:b]
-            fill[key[a:b]] = pos + 1
-    if not np.array_equal(fill, indptr[1:]):
-        raise ValueError("triplets are not in hopping_structure's bond order")
+def hopping_lower(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
+    """The strict lower triangle of the unscaled h1 as a CSR (int32 indices),
+    from ``hopping_structure``'s triplets."""
     from scipy import sparse
 
-    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return sparse.csr_matrix((structure.values, (structure.rows, structure.cols)),
+                             shape=(dim, dim))
 
 
 def hopping_bytes(dim: int, hops: int) -> int:
-    """Bytes of the h1 CSR of a sector with ``sector_counts`` (dim, hops): an
-    int32 index and a float64 value per entry plus int32 row pointers."""
-    return 2 * hops * (4 + 8) + 4 * (dim + 1)
+    """Bytes of the lower-triangle CSR of a sector with ``sector_counts``
+    (dim, hops): an int32 index and a float64 value per hop plus int32 row
+    pointers."""
+    return hops * (4 + 8) + 4 * (dim + 1)
 
 
 def sector_bytes(dim: int, n_sites: int) -> int:
@@ -173,13 +154,19 @@ def sector_bytes(dim: int, n_sites: int) -> int:
 
 @dataclass
 class SectorOperator:
-    """A variant restricted to one sector as diag + hop_scale * h1 (index =
-    rank); ``h1`` is the sector's unscaled hopping CSR, shared by every
-    operator of the sector (an empty CSR when none was built)."""
+    """A variant restricted to one sector as diag + hop_scale * (L + L^T)
+    (index = rank); ``lower`` is the strict lower triangle L of the sector's
+    unscaled hopping, shared by every operator of the sector (an empty CSR
+    when none was built)."""
 
     diag: np.ndarray
-    h1: sparse.csr_matrix
+    lower: sparse.csr_matrix
     hop_scale: float
+
+    @cached_property
+    def upper(self) -> sparse.csc_matrix:
+        """L^T, a CSC view of L's own arrays, made once rather than per product."""
+        return self.lower.T
 
     @property
     def dim(self) -> int:
@@ -187,7 +174,7 @@ class SectorOperator:
 
     @property
     def diagonal_only(self) -> bool:
-        return self.hop_scale == 0.0 or self.h1.nnz == 0
+        return self.hop_scale == 0.0 or self.lower.nnz == 0
 
     @property
     def matrix(self) -> sparse.csr_matrix:
@@ -195,14 +182,15 @@ class SectorOperator:
         solve uses it); exactly zero diagonal entries are not stored."""
         from scipy import sparse
 
-        return sparse.diags(self.diag, format="csr") + self.hop_scale * self.h1
+        return sparse.diags(self.diag, format="csr") + self.hop_scale * (self.lower + self.upper)
 
     def diagonal(self) -> np.ndarray:
         return self.diag
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        y = self.h1 @ v
-        # y = hop_scale * y + diag * v in cache-sized blocks: no n-vector temporary
+        y = self.lower @ v
+        y += self.upper @ v  # the one n-vector temporary
+        # y = hop_scale * y + diag * v in cache-sized blocks
         step = 16384
         for lo in range(0, y.size, step):
             block = y[lo:lo + step]
@@ -212,14 +200,16 @@ class SectorOperator:
 
     def to_dense(self, rows=slice(None)) -> np.ndarray:
         """The dense matrix, or its principal submatrix on the sorted ranks ``rows``."""
-        dense = (self.hop_scale * self.h1[rows][:, rows]).toarray()
+        sub = self.lower[rows][:, rows]  # the lower triangle of h1's submatrix
+        dense = (self.hop_scale * (sub + sub.T)).toarray()
         np.fill_diagonal(dense, self.diag[rows])  # h1 has no diagonal entries
         return dense
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum; used to scale residual tolerances."""
-        # every hop entry is negative, so -h1 @ 1 holds h1's absolute row sums
-        sums = np.abs(self.diag) - self.hop_scale * (self.h1 @ np.ones(self.dim))
+        # every hop entry is negative, so -(L + L^T) @ 1 holds h1's absolute row sums
+        ones = np.ones(self.dim)
+        sums = np.abs(self.diag) - self.hop_scale * (self.lower @ ones + self.upper @ ones)
         return float(sums.max())
 
 
@@ -230,15 +220,15 @@ def build_sector_operator(
     variant: str = "kink",
     delta_inv: float | None = None,
     basis: SectorBasis | None = None,
-    h1: sparse.csr_matrix | None = None,
+    lower: sparse.csr_matrix | None = None,
 ) -> SectorOperator:
     """One sector-restricted variant as diag + hop_scale * h1.
 
     ``delta_inv`` is required (in [0, 1]) for the kink and antikink variants
     and must be omitted for the parameter-free ones.  A prebuilt ``basis``
-    and ``h1`` (``hopping_matrix``) may be passed to share them across
-    variants and anisotropy values; h1 is built here only when the variant
-    hops and none is given.
+    and h1 triangle ``lower`` (``hopping_lower``) may be passed to share them
+    across variants and anisotropy values; the triangle is built here only
+    when the variant hops and none is given.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -269,12 +259,13 @@ def build_sector_operator(
         "h2": (0, 1.0, 0.0),
     }
     e, b, hop_scale = weights[variant]
-    if h1 is None and hop_scale == 0.0:
+    if lower is None and hop_scale == 0.0:
         from scipy import sparse
 
-        h1 = sparse.csr_matrix((basis.dim, basis.dim))
-    elif h1 is None:
-        h1 = hopping_matrix(hopping_structure(basis), basis.dim)
-    elif h1.shape != (basis.dim, basis.dim):
-        raise ValueError("supplied h1 does not match the basis")
-    return SectorOperator(e * ising_diagonal(basis) + b * boundary_diagonal(basis), h1, hop_scale)
+        lower = sparse.csr_matrix((basis.dim, basis.dim))
+    elif lower is None:
+        lower = hopping_lower(hopping_structure(basis), basis.dim)
+    elif lower.shape != (basis.dim, basis.dim):
+        raise ValueError("supplied lower triangle does not match the basis")
+    return SectorOperator(e * ising_diagonal(basis) + b * boundary_diagonal(basis), lower,
+                          hop_scale)

@@ -22,7 +22,7 @@ from .basis import SectorBasis, _check_dimension, _sector_shape, sector_counts
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
-from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_matrix,
+from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_lower,
                           hopping_structure, sector_bytes)
 
 SWEEP_FIELDS = (
@@ -85,7 +85,7 @@ def _job_seed(plan_seed: int, job_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=plan_seed, spawn_key=(job_index,))
 
 
-def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, h1,
+def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, lower,
                  delta_inv: float) -> list:
     base = {
         "two_j": plan.two_j,
@@ -97,7 +97,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, h1,
     try:
         op = build_sector_operator(
             HalfInt(plan.two_j), plan.L, HalfInt(basis.two_m), "kink", delta_inv,
-            basis=basis, h1=h1,
+            basis=basis, lower=lower,
         )
         record = solve_lowest(op, plan.k, seed=_job_seed(plan.seed, job_index))
     except Exception as exc:  # job failures degrade to a status row
@@ -146,7 +146,7 @@ def check_memory(need: int, what: str) -> None:
 
 def _preflight(J, L, M, k: int | None) -> None:
     """Refuse, from one counting table, a sector over the dimension limit or
-    whose basis and diagonal, plus its h1 CSR and k-pair solve when it hops,
+    whose basis and diagonal, plus its h1 triangle and k-pair solve when it hops,
     need more memory than the process may use; k is None when every job is a
     delta_inv = 0 exact sort."""
     # the solver's scipy is mapped before the mapped size is subtracted from RLIMIT_AS
@@ -164,9 +164,9 @@ def run_sweep(plan: SweepPlan) -> list:
     """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
 
     Every sector is checked before the first is built.  Each sector is built,
-    run over the whole grid and dropped before the next one; its h1 CSR is
-    built once, only if some delta_inv > 0, and every grid point's operator
-    shares it.  A sector whose mirror -M was already solved in the plan,
+    run over the whole grid and dropped before the next one; the strict lower
+    triangle of its h1, the only hopping it stores, is built once, only if
+    some delta_inv > 0, and every grid point's operator shares it.  A sector whose mirror -M was already solved in the plan,
     with every row ok, reuses that mirror's rows with only two_m replaced:
     the mirror's matrix is a permutation of its own, so eigenvalues, cluster
     sizes and residuals carry over exactly.
@@ -184,10 +184,10 @@ def run_sweep(plan: SweepPlan) -> list:
             rows.extend(dict(row, two_m=tm) for row in solved.pop(-tm))
             continue
         basis = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
-        h1 = hopping_matrix(hopping_structure(basis), basis.dim) if needs_hops else None
+        lower = hopping_lower(hopping_structure(basis), basis.dim) if needs_hops else None
         sector = []
         for g, dv in enumerate(plan.delta_inv_grid):
-            sector.extend(_sector_rows(plan, s * n_grid + g, basis, h1, dv))
+            sector.extend(_sector_rows(plan, s * n_grid + g, basis, lower, dv))
         rows.extend(sector)
         if tm != 0 and -tm in requested and all_ok(sector):
             solved[tm] = sector

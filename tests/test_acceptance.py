@@ -28,7 +28,7 @@ from xxzkink.groundstate import groundstate_vector
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (
     build_sector_operator,
-    hopping_matrix,
+    hopping_lower,
     hopping_structure,
     ising_diagonal,
 )
@@ -337,10 +337,10 @@ def test_c11_solver_cross_validation(tmp_path):
                 if not 8 <= dim <= 2000:
                     continue
                 basis = SectorBasis(H(two_j), L, H(two_m))
-                h1 = hopping_matrix(hopping_structure(basis), basis.dim)
+                lower = hopping_lower(hopping_structure(basis), basis.dim)
                 for dv in grid:
                     op = build_sector_operator(
-                        H(two_j), L, H(two_m), "kink", dv, basis=basis, h1=h1
+                        H(two_j), L, H(two_m), "kink", dv, basis=basis, lower=lower
                     )
                     ref = dense_spectrum(op).eigenvalues[:6]
                     got = lanczos_lowest(op, 6, seed=13).eigenvalues

@@ -106,7 +106,7 @@ def test_lanczos_deflation_lifts_past_wide_gap():
     base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
     diag = np.full(base.dim, 5.0)
     diag[0] = -5.0
-    op = SectorOperator(diag, base.h1, 0.0)
+    op = SectorOperator(diag, base.lower, 0.0)
     rec = lanczos_lowest(op, 2, seed=0)
     assert np.allclose(rec.eigenvalues, [-5.0, 5.0], atol=1e-10)
 
@@ -389,7 +389,7 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
     # with the 34 values spread over [5, 6] the filter engages
     base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
     diag = np.concatenate(([-5.0], np.linspace(5.0, 6.0, base.dim - 1)))
-    op = SectorOperator(diag, base.h1, 0.0)
+    op = SectorOperator(diag, base.lower, 0.0)
     degrees.clear()
     rec = lanczos_lowest(op, 2, seed=0)
     assert degrees[0] == FILTER_DEGREE

@@ -17,7 +17,7 @@ from xxzkink.hamiltonian import (
     boundary_diagonal,
     build_sector_operator,
     hopping_bytes,
-    hopping_matrix,
+    hopping_lower,
     hopping_structure,
     ising_diagonal,
 )
@@ -94,14 +94,14 @@ def test_decomposition_identity():
     # kink(dv) == ising_kink + dv * h1 + (1 - sqrt(1 - dv^2)) * h2, entrywise
     for two_m in reachable_sectors(H(3), 3):
         basis = SectorBasis(H(3), 3, H(two_m))
-        h1 = hopping_matrix(hopping_structure(basis), basis.dim)
+        lower = hopping_lower(hopping_structure(basis), basis.dim)
         parts = {
-            v: build_sector_operator(H(3), 3, H(two_m), v, basis=basis, h1=h1)
+            v: build_sector_operator(H(3), 3, H(two_m), v, basis=basis, lower=lower)
             for v in ("ising_kink", "h1", "h2")
         }
         for dv in (0.1, 0.4, 0.9):
             kink = build_sector_operator(
-                H(3), 3, H(two_m), "kink", dv, basis=basis, h1=h1
+                H(3), 3, H(two_m), "kink", dv, basis=basis, lower=lower
             )
             recombined = (
                 parts["ising_kink"].matrix
@@ -196,7 +196,7 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
         assert v == -0.5 * math.sqrt(radicand)
     # assembly adds the transpose: both directions, exactly symmetric
     h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis,
-                               h1=hopping_matrix(s, basis.dim)).matrix
+                               lower=hopping_lower(s, basis.dim)).matrix
     assert h1.nnz == raise_lower.sum() + lower_raise.sum()
     assert (h1 != h1.T).nnz == 0
 
@@ -221,9 +221,9 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     moved[np.arange(s.rows.size), bond] -= 1
     moved[np.arange(s.rows.size), bond + 1] += 1
     assert np.array_equal(basis.down[s.cols], moved)
-    h1 = hopping_matrix(s, basis.dim)
+    lower = hopping_lower(s, basis.dim)
     assert hopping_bytes(basis.dim, basis.hops) == (
-        h1.data.nbytes + h1.indices.nbytes + h1.indptr.nbytes)
+        lower.data.nbytes + lower.indices.nbytes + lower.indptr.nbytes)
 
 
 @pytest.mark.parametrize("two_j, L, two_m", [
@@ -232,29 +232,41 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
 def test_hopping_matrix_equals_both_direction_coo(two_j, L, two_m):
     basis = SectorBasis(H(two_j), L, H(two_m))
     s = hopping_structure(basis)
-    h1 = hopping_matrix(s, basis.dim)
-    ref = sparse.csr_matrix(
+    lower = hopping_lower(s, basis.dim)
+    shape = (basis.dim, basis.dim)
+    # the stored CSR is the COO of the triplets, rows sorted, int32 indices
+    order = np.lexsort((s.cols, s.rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(s.rows, minlength=basis.dim))])
+    for name, want in (("indptr", indptr), ("indices", s.cols[order]), ("data", s.values[order])):
+        assert np.array_equal(getattr(lower, name), want), name
+    assert lower.indices.dtype == lower.indptr.dtype == np.int32
+    assert lower.data.dtype == np.float64
+    # L + L^T is h1: the both-direction COO, entry for entry
+    both = sparse.csr_matrix(
         (np.concatenate([s.values, s.values]),
          (np.concatenate([s.rows, s.cols]), np.concatenate([s.cols, s.rows]))),
-        shape=(basis.dim, basis.dim),
+        shape=shape,
     )
+    full = (lower + lower.T).tocsr()
+    full.sort_indices()
     for name in ("indptr", "indices", "data"):
-        got, want = getattr(h1, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert h1.indices.dtype == np.int32
+        assert np.array_equal(getattr(full, name), getattr(both, name)), name
 
 
 @pytest.mark.parametrize("two_j, L, two_m, dv", [(3, 2, -1, 0.4), (3, 4, -3, 0.7), (127, 1, -127, 0.3)])
 def test_matvec_matches_assembled_matrix(two_j, L, two_m, dv):
     # (3, 4, -3) has 27 876 states, so matvec works through several blocks
     basis = SectorBasis(H(two_j), L, H(two_m))
-    h1 = hopping_matrix(hopping_structure(basis), basis.dim)
+    lower = hopping_lower(hopping_structure(basis), basis.dim)
     v = np.random.default_rng(5).standard_normal(basis.dim)
     rows = np.arange(0, basis.dim, 7)
     for variant in ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2"):
         op = build_sector_operator(H(two_j), L, H(two_m), variant,
                                    dv if variant in ("kink", "antikink") else None,
-                                   basis=basis, h1=h1)
+                                   basis=basis, lower=lower)
+        # L^T is a view: the operator stores the triangle's arrays once
+        assert all(np.shares_memory(getattr(op.upper, name), getattr(lower, name))
+                   for name in ("data", "indices", "indptr"))
         matrix = op.matrix
         norm = float(abs(matrix).sum(axis=1).max())
         assert op.inf_norm() == pytest.approx(norm, rel=1e-14)
@@ -285,10 +297,13 @@ def test_build_errors():
         build_sector_operator(H(1), 2, H(99), "kink", 0.5)  # unreachable sector
     with pytest.raises(ValueError):
         build_sector_operator(H(1), 2, H(3), "heisenberg", 0.5)
-    # a basis or an h1 of another sector
+    # a basis or an h1 triangle of another sector
     basis, other = SectorBasis(H(1), 2, H(3)), SectorBasis(H(1), 2, H(1))
     with pytest.raises(ValueError, match="supplied basis does not match"):
         build_sector_operator(H(1), 2, H(1), "kink", 0.5, basis=basis)
-    h1 = hopping_matrix(hopping_structure(other), other.dim)
-    with pytest.raises(ValueError, match="supplied h1 does not match"):
-        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, h1=h1)
+    lower = hopping_lower(hopping_structure(other), other.dim)
+    with pytest.raises(ValueError, match="supplied lower triangle does not match"):
+        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, lower=lower)
+    # a stale keyword fails instead of being read as the full h1
+    with pytest.raises(TypeError):
+        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, h1=lower)

@@ -1,13 +1,18 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import xxzkink.eigensolver
 import xxzkink.hamiltonian
 import xxzkink.sweep
-from xxzkink.basis import reachable_sectors
+from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.checks import verify_ising_theorems
-from xxzkink.eigensolver import lanczos_lowest
+from xxzkink.eigensolver import lanczos_lowest, solve_bytes, solve_lowest
 from xxzkink.halfint import HalfInt
+from xxzkink.hamiltonian import (build_sector_operator, hopping_bytes, hopping_lower,
+                                 hopping_structure, sector_bytes)
 from xxzkink.sweep import (
     PROFILE_FIELDS,
     SweepPlan,
@@ -77,14 +82,14 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
         return build(basis)
 
     patch(counted)
-    # every grid point of a sector shares that sector's one h1 object
+    # every grid point of a sector shares that sector's one h1 triangle object
     build_op = xxzkink.sweep.build_sector_operator
     shared = {}
 
     def spied(J, L, M, variant, delta_inv, **kwargs):
         op = build_op(J, L, M, variant, delta_inv, **kwargs)
-        shared.setdefault(M.twice, set()).add(id(kwargs["h1"]))
-        assert op.h1 is kwargs["h1"]
+        shared.setdefault(M.twice, set()).add(id(kwargs["lower"]))
+        assert op.lower is kwargs["lower"]
         return op
 
     monkeypatch.setattr(xxzkink.sweep, "build_sector_operator", spied)
@@ -94,6 +99,30 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
     assert calls == [-3, 5]
     assert sorted(shared) == [-3, 5]
     assert all(len(ids) == 1 and id(None) not in ids for ids in shared.values())
+
+
+# the filtered route of the 27 876-state sector, then its degree-1 route
+@pytest.mark.parametrize("min_dim", [None, 10**9])
+def test_a_job_fits_its_preflight_estimate(monkeypatch, min_dim):
+    # basis, h1 triangle, operator and k = 6 solve, as run_sweep does them
+    J, L, M, k = H(3), 4, H(-3), 6
+    if min_dim is not None:
+        monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
+    dim, hops = sector_counts(J, L, M)
+    need = sector_bytes(dim, 2 * L + 1) + hopping_bytes(dim, hops) + solve_bytes(dim, k)
+    # the preflight admits the job and maps scipy's solvers before anything is built
+    xxzkink.sweep._preflight(J, L, M, k)
+    tracemalloc.start()
+    try:
+        basis = SectorBasis(J, L, M)
+        lower = hopping_lower(hopping_structure(basis), basis.dim)
+        op = build_sector_operator(J, L, M, "kink", 0.4, basis=basis, lower=lower)
+        record = solve_lowest(op, k, seed=np.random.SeedSequence(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 27876 and record.solver == "lanczos"
+    assert peak <= need
 
 
 def spy_solves(monkeypatch, fail_on=None):
