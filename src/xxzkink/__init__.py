@@ -9,7 +9,6 @@ from .basis import (
 )
 from .hamiltonian import (
     SectorOperator,
-    VARIANTS,
     build_sector_operator,
     hopping_structure,
     ising_diagonal,

@@ -108,10 +108,12 @@ def parse_delta_list(text: str) -> tuple:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an --out whose directory is missing or not writable, before any
-    work and without creating the file."""
+    """Refuse an --out that names a directory, or whose directory is missing or
+    not writable, before any work and without creating the file."""
     if out is None:
         return
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     folder = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(folder):
         code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT

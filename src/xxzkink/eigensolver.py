@@ -99,7 +99,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
         raise ValueError("empty sector")
     k = n if k is None else min(k, n)
     if op.diagonal_only:
-        diag = op.diagonal()
+        diag = op.diag
         order = np.argsort(diag, kind="stable")[:k]
         vecs = None
         if keep_vectors:
@@ -167,7 +167,7 @@ def _interlacing_bounds(op) -> np.ndarray:
     configurations (a stable sort); by Cauchy interlacing mu_j >= lambda_j(H)."""
     from scipy.linalg import eigh
 
-    rows = np.sort(np.argsort(op.diagonal(), kind="stable")[:CUT_STATES])
+    rows = np.sort(np.argsort(op.diag, kind="stable")[:CUT_STATES])
     return eigh(op.to_dense(rows), eigvals_only=True)
 
 

@@ -6,7 +6,7 @@ state has unnormalized amplitude
 
     prod_alpha  binom(2J, d_alpha)^(1/2) * q^(alpha * d_alpha) ,
 
-an exact zero mode of the kink variant at delta_inv = 1/delta.  Amplitudes
+an exact zero mode of the kink chain at delta_inv = 1/delta.  Amplitudes
 are accumulated in log space: the powers of q span hundreds of orders of
 magnitude on longer chains, and only ratios against the largest amplitude
 matter after normalization.

@@ -1,33 +1,30 @@
 """Sector-restricted matrices of the anisotropic chain with domain-wall fields.
 
-All variants act on one magnetization sector and are real symmetric.  With
-s = sqrt(1 - delta_inv^2) and bond energies
+Two chains act on one magnetization sector, both real symmetric: the kink
+chain and its antikink mirror.  Each is summed from three blocks, the bond
+energies, the boundary term and the unscaled hopping:
 
-    E(c) = sum_a (J + m_a)(J - m_{a+1})      (nonnegative integers)
-    F(c) = sum_a (J^2 - m_a m_{a+1})         (exact half-integers)
+    E(c) = sum_a (J + m_a)(J - m_{a+1})      (ising_diagonal; nonnegative integers)
+    B(c) = J (m_L - m_{-L})                  (boundary_diagonal; multiples of 1/2)
+    h1                                       (hopping_lower; its strict lower triangle)
 
-and the boundary term B(c) = J (m_L - m_{-L}), to which F(c) - E(c) =
-sum_a J (m_{a+1} - m_a) telescopes, each variant is a diagonal e E + b B
-plus hopping scaled by h:
+With s = sqrt(1 - delta_inv^2),
 
-    variant     e   b        h
-    kink        1   1 - s    delta_inv
-    antikink    1   1 + s    delta_inv      (diag F + s B)
-    ising_kink  1   0        0              (diag E)
-    ising_free  1   1        0              (diag F)
-    h1          0   0        1
-    h2          0   1        0              (diag B)
+    kink     = E + (1 - s) B + delta_inv h1
+    antikink = E + (1 + s) B + delta_inv h1
+
+F = E + B = sum_a (J^2 - m_a m_{a+1}) is the Ising diagonal with free ends,
+as sum_a J (m_{a+1} - m_a) telescopes to B; at delta_inv = 1 both chains are
+F + h1.
 
 Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
-product formed in exact integers and square-rooted once.  The table is
-also the storage: an operator is its diagonal vector plus a hop scale
-(delta_inv, 1 or 0) over the strict lower triangle L of the sector's
-unscaled h1 (int32 ranks), a CSR that is built once per sector from one hop
-direction and shared by every operator of the sector.  h1 is symmetric, so
-h1 = L + L^T, and every product applies it as L x + L^T x.  So kink =
-ising_kink + delta_inv * h1 + (1 - s) * h2 holds entrywise, as does
-ising_free = ising_kink + h2.
+product formed in exact integers and square-rooted once.  An operator is its
+diagonal vector plus the hop scale delta_inv over the strict lower triangle L
+of the sector's unscaled h1 (int32 ranks), a CSR that is built once per
+sector from one hop direction and shared by every operator of the sector.
+h1 is symmetric, so h1 = L + L^T, and every product applies it as
+L x + L^T x.
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ from .halfint import as_half
 
 if TYPE_CHECKING:  # scipy is imported where a CSR is built, so ising-check never loads it
     from scipy import sparse
-
-VARIANTS = ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")
 
 
 def ising_diagonal(basis: SectorBasis) -> np.ndarray:
@@ -72,9 +67,9 @@ def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
 
 @dataclass
 class HoppingStructure:
-    """COO triplets of the pure hopping term (the h1 variant): one hop
-    direction only, the strict lower triangle (cols < rows) with int32 ranks;
-    ``hopping_lower`` turns them into that triangle's CSR."""
+    """COO triplets of the unscaled hopping h1: one hop direction only, the
+    strict lower triangle (cols < rows) with int32 ranks; ``hopping_lower``
+    turns them into that triangle's CSR."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -154,7 +149,7 @@ def sector_bytes(dim: int, n_sites: int) -> int:
 
 @dataclass
 class SectorOperator:
-    """A variant restricted to one sector as diag + hop_scale * (L + L^T)
+    """A chain restricted to one sector as diag + hop_scale * (L + L^T)
     (index = rank); ``lower`` is the strict lower triangle L of the sector's
     unscaled hopping, shared by every operator of the sector (an empty CSR
     when none was built)."""
@@ -183,9 +178,6 @@ class SectorOperator:
         from scipy import sparse
 
         return sparse.diags(self.diag, format="csr") + self.hop_scale * (self.lower + self.upper)
-
-    def diagonal(self) -> np.ndarray:
-        return self.diag
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         y = self.lower @ v
@@ -217,49 +209,35 @@ def build_sector_operator(
     J,
     L,
     M,
-    variant: str = "kink",
-    delta_inv: float | None = None,
+    variant: str,
+    delta_inv: float,
     basis: SectorBasis | None = None,
     lower: sparse.csr_matrix | None = None,
 ) -> SectorOperator:
-    """One sector-restricted variant as diag + hop_scale * h1.
+    """The kink or antikink chain of one sector as diag + delta_inv * h1.
 
-    ``delta_inv`` is required (in [0, 1]) for the kink and antikink variants
-    and must be omitted for the parameter-free ones.  A prebuilt ``basis``
-    and h1 triangle ``lower`` (``hopping_lower``) may be passed to share them
-    across variants and anisotropy values; the triangle is built here only
-    when the variant hops and none is given.
+    ``variant`` is "kink" (diagonal E + (1 - s) B) or "antikink"
+    (E + (1 + s) B), with s = sqrt(1 - delta_inv^2) and delta_inv in [0, 1].
+    A prebuilt ``basis`` and h1 triangle ``lower`` (``hopping_lower``) may be
+    passed to share them across chains and anisotropy values; the triangle is
+    built here only when delta_inv > 0 and none is given.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in ("kink", "antikink"):
+        raise ValueError(f"unknown variant {variant!r}; expected 'kink' or 'antikink'")
     J = as_half(J)
     M = as_half(M)
-    if variant in ("kink", "antikink"):
-        if delta_inv is None:
-            raise ValueError(f"variant {variant!r} requires delta_inv")
-        delta_inv = float(delta_inv)
-        if not 0.0 <= delta_inv <= 1.0:
-            raise ValueError(f"delta_inv must lie in [0, 1], got {delta_inv}")
-    elif delta_inv is not None:
-        raise ValueError(f"variant {variant!r} takes no delta_inv")
+    delta_inv = float(delta_inv)
+    if not 0.0 <= delta_inv <= 1.0:
+        raise ValueError(f"delta_inv must lie in [0, 1], got {delta_inv}")
 
     if basis is None:
         basis = SectorBasis(J, L, M)
     elif (basis.two_j, basis.L, basis.two_m) != (J.twice, int(L), M.twice):
         raise ValueError("supplied basis does not match (J, L, M)")
 
-    s = 0.0 if delta_inv is None else math.sqrt(1.0 - delta_inv * delta_inv)
-    # variant -> weights (e, b, h) of E, of B = J (m_L - m_{-L}) and of h1
-    weights = {
-        "kink": (1, 1.0 - s, delta_inv),
-        "antikink": (1, 1.0 + s, delta_inv),
-        "ising_kink": (1, 0.0, 0.0),
-        "ising_free": (1, 1.0, 0.0),
-        "h1": (0, 0.0, 1.0),
-        "h2": (0, 1.0, 0.0),
-    }
-    e, b, hop_scale = weights[variant]
-    if lower is None and hop_scale == 0.0:
+    s = math.sqrt(1.0 - delta_inv * delta_inv)
+    b = 1.0 - s if variant == "kink" else 1.0 + s
+    if lower is None and delta_inv == 0.0:
         from scipy import sparse
 
         lower = sparse.csr_matrix((basis.dim, basis.dim))
@@ -267,5 +245,4 @@ def build_sector_operator(
         lower = hopping_lower(hopping_structure(basis), basis.dim)
     elif lower.shape != (basis.dim, basis.dim):
         raise ValueError("supplied lower triangle does not match the basis")
-    return SectorOperator(e * ising_diagonal(basis) + b * boundary_diagonal(basis), lower,
-                          hop_scale)
+    return SectorOperator(ising_diagonal(basis) + b * boundary_diagonal(basis), lower, delta_inv)

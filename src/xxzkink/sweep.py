@@ -219,7 +219,7 @@ def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
     """(site, ground, first-excited) magnetization profile rows.
 
     The ground profile comes from the product-form zero mode; the excited one
-    from the numerically obtained second eigenvector of the kink variant at
+    from the numerically obtained second eigenvector of the kink chain at
     delta_inv = 1/delta.  Sectors of dimension 1 have no excited column.
     """
     delta = float(delta)

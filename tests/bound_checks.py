@@ -8,7 +8,8 @@ import numpy as np
 
 from xxzkink.basis import SectorBasis
 from xxzkink.halfint import as_half
-from xxzkink.hamiltonian import build_sector_operator
+from xxzkink.hamiltonian import (SectorOperator, hopping_lower, hopping_structure,
+                                 ising_diagonal)
 
 
 def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> float:
@@ -62,8 +63,10 @@ def sampled_bound_ratio(J, L, M, trials: int = 1000, seed: int = 0,
     J = as_half(J)
     if basis is None:
         basis = SectorBasis(J, L, M)
-    h1 = build_sector_operator(J, L, M, "h1", basis=basis)
-    h0 = build_sector_operator(J, L, M, "ising_kink", basis=basis)
+    # H1 = h1 (the unscaled hopping) and H0 = E (the bond energies), from their blocks
+    lower = hopping_lower(hopping_structure(basis), basis.dim)
+    h1 = SectorOperator(np.zeros(basis.dim), lower, 1.0)
+    h0 = SectorOperator(ising_diagonal(basis).astype(float), lower, 0.0)
     jf = float(J)
     slope = math.sqrt(jf * jf + 2.0 * jf**3)
     offset = 2.0 * jf * jf

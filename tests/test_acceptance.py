@@ -27,6 +27,7 @@ from xxzkink.eigensolver import DENSE_MAX, dense_spectrum, lanczos_lowest, solve
 from xxzkink.groundstate import groundstate_vector
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (
+    boundary_diagonal,
     build_sector_operator,
     hopping_lower,
     hopping_structure,
@@ -191,8 +192,7 @@ def test_c07_relative_bound_sampled():
     for two_j, L, two_m in ((3, 3, -3), (4, 3, 0), (2, 4, 2)):
         basis = SectorBasis(H(two_j), L, H(two_m))
         worst = sampled_bound_ratio(H(two_j), L, H(two_m), trials=1000, seed=0, basis=basis)
-        h2 = build_sector_operator(H(two_j), L, H(two_m), "h2", basis=basis)
-        norm_exact = float(np.abs(h2.diagonal()).max()) == 2.0 * (two_j / 2.0) ** 2
+        norm_exact = float(np.abs(boundary_diagonal(basis)).max()) == 2.0 * (two_j / 2.0) ** 2
         checks.append((two_j, L, two_m, worst, norm_exact))
     ok = all(w <= 1.0 + 1e-10 and flag for *_, w, flag in checks)
     detail = "; ".join(f"(J={tj/2:g},L={L},M={tm/2:g}): max ratio {w:.3f}" for tj, L, tm, w, _ in checks)

@@ -3,9 +3,10 @@ import pytest
 
 from bound_checks import relative_bound_constant, sampled_bound_ratio
 from oracles import two_site_operators
+from xxzkink.basis import SectorBasis
 from xxzkink.certificates import certificate_constants, local_inequality_margin, series_margin
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import build_sector_operator
+from xxzkink.hamiltonian import boundary_diagonal
 
 H = HalfInt
 
@@ -116,6 +117,6 @@ def test_random_vector_bound_check():
 
 def test_h2_diagonal_norm():
     for two_j, L, two_m in ((3, 2, -3), (2, 3, 0), (4, 2, 2)):
-        op = build_sector_operator(H(two_j), L, H(two_m), "h2")
-        assert np.abs(op.diagonal()).max() == 2.0 * (two_j / 2.0) ** 2
+        edge = boundary_diagonal(SectorBasis(H(two_j), L, H(two_m)))
+        assert np.abs(edge).max() == 2.0 * (two_j / 2.0) ** 2
 

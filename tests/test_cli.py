@@ -447,6 +447,21 @@ def test_unwritable_out_is_refused(capsys, monkeypatch, tmp_path):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["spectrum", "-J", "3/2", "-L", "4", "--two-m=-3/2", "--delta-inv", "0.4", "--k", "3"],
+     "run_sweep"),
+    (["certify", "-J", "3/2", "-L", "4"], "least_completion"),
+])
+def test_out_naming_a_directory_is_refused_before_any_work(capsys, monkeypatch, tmp_path,
+                                                           argv, work):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the refusal")
+
+    monkeypatch.setattr(xxzkink.cli, work, unreachable)
+    _refused(capsys, [*argv, "--out", str(tmp_path)], f"Is a directory: '{tmp_path}'")
+    assert os.listdir(tmp_path) == []
+
+
 def test_exact_sort_route_is_priced_before_any_basis(capsys, monkeypatch):
     # 18 009 460 int8 rows of 51 digits and the int16 Ising temporaries
     monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: 2**31)

@@ -14,6 +14,7 @@ from oracles import (
 from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (
+    SectorOperator,
     boundary_diagonal,
     build_sector_operator,
     hopping_bytes,
@@ -72,7 +73,7 @@ def test_ising_diagonal_matches_scalar_energy():
 def test_ising_limit_diagonal_spectrum():
     op = build_sector_operator(H(1), 2, H(3), "kink", 0.0)
     assert op.diagonal_only
-    assert sorted(op.diagonal()) == [0, 1, 1, 1, 1]
+    assert sorted(op.diag) == [0, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -80,35 +81,21 @@ def test_ising_limit_diagonal_spectrum():
     [(1, 1, 0.0), (1, 1, 0.3), (1, 2, 0.7), (2, 1, 0.4), (1, 1, 1.0), (3, 1, 0.25)],
 )
 def test_operators_match_tensor_oracle(two_j, L, delta_inv):
-    for variant in ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2"):
-        dv = delta_inv if variant in ("kink", "antikink") else None
-        full = kron_kink_hamiltonian(two_j, L, delta_inv, variant)
-        for two_m in reachable_sectors(H(two_j), L):
-            basis = SectorBasis(H(two_j), L, H(two_m))
-            op = build_sector_operator(H(two_j), L, H(two_m), variant, dv, basis=basis)
-            idx = sector_kron_indices(basis)
-            assert np.abs(full[np.ix_(idx, idx)] - op.to_dense()).max() <= 1e-12
-
-
-def test_decomposition_identity():
-    # kink(dv) == ising_kink + dv * h1 + (1 - sqrt(1 - dv^2)) * h2, entrywise
-    for two_m in reachable_sectors(H(3), 3):
-        basis = SectorBasis(H(3), 3, H(two_m))
+    oracle = {v: kron_kink_hamiltonian(two_j, L, delta_inv, v)
+              for v in ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2")}
+    for two_m in reachable_sectors(H(two_j), L):
+        basis = SectorBasis(H(two_j), L, H(two_m))
+        idx = sector_kron_indices(basis)
+        energy, edge = ising_diagonal(basis), boundary_diagonal(basis)
         lower = hopping_lower(hopping_structure(basis), basis.dim)
-        parts = {
-            v: build_sector_operator(H(3), 3, H(two_m), v, basis=basis, lower=lower)
-            for v in ("ising_kink", "h1", "h2")
-        }
-        for dv in (0.1, 0.4, 0.9):
-            kink = build_sector_operator(
-                H(3), 3, H(two_m), "kink", dv, basis=basis, lower=lower
-            )
-            recombined = (
-                parts["ising_kink"].matrix
-                + dv * parts["h1"].matrix
-                + (1.0 - math.sqrt(1.0 - dv * dv)) * parts["h2"].matrix
-            )
-            assert abs(kink.matrix - recombined).max() <= 1e-12
+        # the two chains, and the three blocks they are summed from
+        got = {v: build_sector_operator(H(two_j), L, H(two_m), v, delta_inv,
+                                        basis=basis).to_dense()
+               for v in ("kink", "antikink")}
+        got.update(ising_kink=np.diag(energy), ising_free=np.diag(energy + edge),
+                   h2=np.diag(edge), h1=(lower + lower.T).toarray())
+        for variant, full in oracle.items():
+            assert np.abs(full[np.ix_(idx, idx)] - got[variant]).max() <= 1e-12, variant
 
 
 def test_exact_transpose_symmetry():
@@ -119,18 +106,13 @@ def test_exact_transpose_symmetry():
         (1, 3, "kink", 1.0),
     ]:
         for two_m in reachable_sectors(H(two_j), L)[:: max(1, two_j)]:
-            op = build_sector_operator(H(two_j), L, H(two_m), variant, dv)
+            if variant == "h1":  # the unscaled hopping as an operator of its own
+                basis = SectorBasis(H(two_j), L, H(two_m))
+                op = SectorOperator(np.zeros(basis.dim),
+                                    hopping_lower(hopping_structure(basis), basis.dim), 1.0)
+            else:
+                op = build_sector_operator(H(two_j), L, H(two_m), variant, dv)
             assert (op.matrix - op.matrix.T).nnz == 0
-
-
-def test_free_minus_kink_is_boundary_term():
-    for two_m in (-4, 0, 2, 6):
-        basis = SectorBasis(H(2), 2, H(two_m))
-        free = build_sector_operator(H(2), 2, H(two_m), "ising_free", basis=basis)
-        kink = build_sector_operator(H(2), 2, H(two_m), "ising_kink", basis=basis)
-        h2 = build_sector_operator(H(2), 2, H(two_m), "h2", basis=basis)
-        diff = free.matrix - kink.matrix - h2.matrix
-        assert abs(diff).max() == 0.0
 
 
 def test_hopping_entries_are_ladder_products():
@@ -170,8 +152,7 @@ def test_diagonals_exact_at_the_int8_spin_limit(two_m):
     diag = ising_diagonal(basis)
     assert diag.dtype == np.int64
     assert diag.tolist() == energy
-    free_op = build_sector_operator(H(127), 1, H(two_m), "ising_free", basis=basis)
-    assert free_op.diag.tolist() == free
+    assert (diag + boundary_diagonal(basis)).tolist() == free
     assert boundary_diagonal(basis).tolist() == edge
     if two_m == -127:
         assert max(energy) == 127 * 127
@@ -195,8 +176,7 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
         radicand = _hop_radicand(127, int(down[r, a]), int(down[r, a + 1]))
         assert v == -0.5 * math.sqrt(radicand)
     # assembly adds the transpose: both directions, exactly symmetric
-    h1 = build_sector_operator(J, 1, H(two_m), "h1", basis=basis,
-                               lower=hopping_lower(s, basis.dim)).matrix
+    h1 = SectorOperator(np.zeros(basis.dim), hopping_lower(s, basis.dim), 1.0).matrix
     assert h1.nnz == raise_lower.sum() + lower_raise.sum()
     assert (h1 != h1.T).nnz == 0
 
@@ -260,10 +240,13 @@ def test_matvec_matches_assembled_matrix(two_j, L, two_m, dv):
     lower = hopping_lower(hopping_structure(basis), basis.dim)
     v = np.random.default_rng(5).standard_normal(basis.dim)
     rows = np.arange(0, basis.dim, 7)
-    for variant in ("kink", "antikink", "ising_kink", "ising_free", "h1", "h2"):
-        op = build_sector_operator(H(two_j), L, H(two_m), variant,
-                                   dv if variant in ("kink", "antikink") else None,
-                                   basis=basis, lower=lower)
+    energy, edge = ising_diagonal(basis).astype(float), boundary_diagonal(basis)
+    # the two chains, then E, E + B, h1 and B as operators over the same triangle
+    ops = [build_sector_operator(H(two_j), L, H(two_m), v, dv, basis=basis, lower=lower)
+           for v in ("kink", "antikink")]
+    ops += [SectorOperator(energy, lower, 0.0), SectorOperator(energy + edge, lower, 0.0),
+            SectorOperator(np.zeros(basis.dim), lower, 1.0), SectorOperator(edge, lower, 0.0)]
+    for op in ops:
         # L^T is a view: the operator stores the triangle's arrays once
         assert all(np.shares_memory(getattr(op.upper, name), getattr(lower, name))
                    for name in ("data", "indices", "indptr"))
@@ -289,14 +272,14 @@ def test_kink_antikink_unitary_equivalence():
 def test_build_errors():
     with pytest.raises(ValueError):
         build_sector_operator(H(1), 2, H(3), "kink", 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         build_sector_operator(H(1), 2, H(3), "kink")  # missing delta_inv
     with pytest.raises(ValueError):
-        build_sector_operator(H(1), 2, H(3), "h1", 0.5)  # stray delta_inv
-    with pytest.raises(ValueError):
         build_sector_operator(H(1), 2, H(99), "kink", 0.5)  # unreachable sector
-    with pytest.raises(ValueError):
-        build_sector_operator(H(1), 2, H(3), "heisenberg", 0.5)
+    # only the two chains are built; their blocks have functions of their own
+    for variant in ("ising_kink", "heisenberg"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            build_sector_operator(H(1), 2, H(3), variant, 0.5)
     # a basis or an h1 triangle of another sector
     basis, other = SectorBasis(H(1), 2, H(3)), SectorBasis(H(1), 2, H(1))
     with pytest.raises(ValueError, match="supplied basis does not match"):
