@@ -72,8 +72,7 @@ def _count_table(two_j: int, n: int, total: int) -> tuple:
     """(ways, dim, hops), refused by _check_table before anything is allocated.
     ways[i][r] is the number of length-(n-i) digit tails with sum r, exact
     ints; dim = ways[0][total]; hops counts one hop direction (h1's strict
-    lower triangle): on each bond, the configurations with d_a >= 1 and
-    d_{a+1} <= 2J - 1, by inclusion-exclusion on the two pinned digits."""
+    lower triangle, ``_hop_count``)."""
     _check_table(two_j, n, total)
     ways = [[0] * (total + 1) for _ in range(n + 1)]
     ways[n][0] = 1
@@ -86,9 +85,19 @@ def _count_table(two_j: int, n: int, total: int) -> tuple:
             if r > two_j:
                 window -= nxt[r - two_j - 1]
             row[r] = window
+    return ways, ways[0][total], _hop_count(ways, two_j, n, total)
+
+
+def _hop_count(ways, two_j: int, n: int, total: int) -> int:
+    """Moves of one hop direction in the n-site chains with digit sum total,
+    from their counting table ``ways`` (whose columns reach total): on each
+    bond, the rows with d_a >= 1 and d_{a+1} <= 2J - 1, by inclusion-exclusion
+    on the two pinned digits."""
+    if n < 2:
+        return 0
     rest = total - two_j  # digit sum left once d_{a+1} = 2J
     pinned = ways[1][rest] - ways[2][rest] if rest >= 0 else 0
-    return ways, ways[0][total], (n - 1) * (ways[0][total] - ways[1][total] - pinned)
+    return (n - 1) * (ways[0][total] - ways[1][total] - pinned)
 
 
 def sector_counts(J, L, M) -> tuple:
@@ -168,23 +177,43 @@ class SectorBasis:
             raise ValueError(f"two_m={self.two_m} labels an unreachable sector")
         ways, self.dim, self.hops = _count_table(self.two_j, self.n_sites, self.total_down)
         _check_dimension(self.dim, self.two_m)
-        self.ways = np.array([[min(c, self.dim) for c in row] for row in ways], dtype=np.int32)
-        self.prefix_counts = np.zeros((self.n_sites + 1, self.total_down + 2), dtype=np.int64)
-        np.cumsum(self.ways, axis=1, out=self.prefix_counts[:, 1:])
+        self.ways = _clip(ways, self.dim)
+        self.prefix_counts = prefix_counts(self.ways)
         self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, self.ways)
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector.
+        """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector."""
+        return rank_terms(self.prefix_counts, rows)
 
-        A row ranks after every row that first differs from it by a smaller
-        digit d < d_i at some site i, and those number
-        sum_{d < d_i} ways[i+1, R_i - d] = P[i+1, R_i + 1] - P[i+1, R_{i+1} + 1],
-        where R_i is the row's digit sum from site i on and R_{i+1} = R_i - d_i."""
-        rows = np.asarray(rows, dtype=np.int64)
-        upper = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1] + 1  # R_i + 1
-        sites = np.arange(1, self.n_sites + 1)
-        table = self.prefix_counts
-        return (table[sites, upper] - table[sites, upper - rows]).sum(axis=1)
+
+def _clip(ways, cap: int) -> np.ndarray:
+    """An exact counting table clipped to cap, as int32."""
+    return np.array([[min(c, cap) for c in row] for row in ways], dtype=np.int32)
+
+
+def prefix_counts(ways: np.ndarray) -> np.ndarray:
+    """P[i, r] = sum of ways[i, :r], the table that ``rank_terms`` reads."""
+    table = np.zeros((ways.shape[0], ways.shape[1] + 1), dtype=np.int64)
+    np.cumsum(ways, axis=1, out=table[:, 1:])
+    return table
+
+
+def rank_terms(table: np.ndarray, rows, first: int = 0, rest: int = 0) -> np.ndarray:
+    """Sum of the rank terms of sites first, first + 1, ... of digit rows on
+    those sites, when the sites after them hold ``rest`` down units; ``table``
+    is the sector's prefix_counts.  Over all sites (first = rest = 0) this is
+    the rank.
+
+    A row ranks after every row that first differs from it by a smaller
+    digit d < d_i at some site i, and those number
+    sum_{d < d_i} ways[i+1, R_i - d] = P[i+1, R_i + 1] - P[i+1, R_{i+1} + 1],
+    where R_i is the row's digit sum from site i on and R_{i+1} = R_i - d_i.
+    The term of site i reads only d_i and R_i, so a rank splits into a sum
+    over a left and a right group of sites."""
+    rows = np.asarray(rows, dtype=np.int64)
+    upper = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1] + (rest + 1)  # R_i + 1
+    sites = np.arange(first + 1, first + rows.shape[1] + 1)
+    return (table[sites, upper] - table[sites, upper - rows]).sum(axis=1)
 
 
 def reachable_sectors(J, L) -> list:

@@ -85,6 +85,28 @@ def group_multiplicities(values, cluster_tol: float = CLUSTER_TOL) -> list:
     return clusters
 
 
+def _lowest_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(values, kind="stable")[:k], by partial selection: the k
+    smallest values, ties taken by lowest index, in stable sorted order."""
+    if k >= values.size:
+        return np.argsort(values, kind="stable")
+    kth = np.partition(values, k - 1)[k - 1]
+    below = np.flatnonzero(values < kth)
+    picks = np.concatenate([below, np.flatnonzero(values == kth)[:k - below.size]])
+    picks.sort()
+    return picks[np.argsort(values[picks], kind="stable")]
+
+
+def _by_rank(op: SectorOperator, vecs: np.ndarray | None) -> np.ndarray | None:
+    """Eigenvector rows moved from the operator's index to the rank, so that a
+    returned vector is indexed like the sector's basis on either route."""
+    if vecs is None or op.order is None:
+        return vecs
+    out = np.empty_like(vecs)
+    out[op.order] = vecs
+    return out
+
+
 # largest sector for the dense route: with one BLAS thread and k = 6, a full
 # eigh plus its residuals ties with Lanczos between n = 161 and n = 203
 DENSE_MAX = 200
@@ -100,13 +122,14 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
     k = n if k is None else min(k, n)
     if op.diagonal_only:
         diag = op.diag
-        order = np.argsort(diag, kind="stable")[:k]
+        order = _lowest_indices(diag, k)
         vecs = None
         if keep_vectors:
             vecs = np.zeros((n, k))
             vecs[order, np.arange(k)] = 1.0
         vals = diag[order].astype(float)
-        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals), vecs)
+        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals),
+                              _by_rank(op, vecs))
     from scipy.linalg import eigh
 
     H = op.to_dense()
@@ -118,7 +141,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
         block = H @ V[:, start:stop] - V[:, start:stop] * vals[start:stop]
         residuals[start:stop] = np.linalg.norm(block, axis=0)
     return SpectrumRecord(vals, residuals, "dense", group_multiplicities(vals),
-                          V if keep_vectors else None)
+                          _by_rank(op, V) if keep_vectors else None)
 
 
 class LanczosError(RuntimeError):
@@ -167,7 +190,7 @@ def _interlacing_bounds(op) -> np.ndarray:
     configurations (a stable sort); by Cauchy interlacing mu_j >= lambda_j(H)."""
     from scipy.linalg import eigh
 
-    rows = np.sort(np.argsort(op.diag, kind="stable")[:CUT_STATES])
+    rows = np.sort(_lowest_indices(op.diag, CUT_STATES))
     return eigh(op.to_dense(rows), eigvals_only=True)
 
 
@@ -367,7 +390,7 @@ def lanczos_lowest(op: SectorOperator, k: int, seed: int = 0,
     res = np.asarray(pool_res)[order]
     vecs = None
     if keep_vectors:
-        vecs = pool_vecs[:, order]
+        vecs = _by_rank(op, pool_vecs[:, order])
     return SpectrumRecord(vals, res, "lanczos", group_multiplicities(vals), vecs)
 
 

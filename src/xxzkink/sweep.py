@@ -22,8 +22,8 @@ from .basis import SectorBasis, _check_dimension, _sector_shape, sector_counts
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
-from .hamiltonian import (build_sector_operator, hopping_bytes, hopping_lower,
-                          hopping_structure, sector_bytes)
+from .hamiltonian import (HalfChains, build_sector_operator, half_chain_bytes, half_chain_route,
+                          hopping_bytes, hopping_lower, hopping_structure, sector_bytes)
 
 SWEEP_FIELDS = (
     "two_j",
@@ -85,19 +85,18 @@ def _job_seed(plan_seed: int, job_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=plan_seed, spawn_key=(job_index,))
 
 
-def _sector_rows(plan: SweepPlan, job_index: int, basis: SectorBasis, lower,
+def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, shared: dict,
                  delta_inv: float) -> list:
     base = {
         "two_j": plan.two_j,
         "L": plan.L,
-        "two_m": basis.two_m,
+        "two_m": two_m,
         "delta_inv": delta_inv,
         "band_edge": plan.two_j,
     }
     try:
         op = build_sector_operator(
-            HalfInt(plan.two_j), plan.L, HalfInt(basis.two_m), "kink", delta_inv,
-            basis=basis, lower=lower,
+            HalfInt(plan.two_j), plan.L, HalfInt(two_m), "kink", delta_inv, **shared,
         )
         record = solve_lowest(op, plan.k, seed=_job_seed(plan.seed, job_index))
     except Exception as exc:  # job failures degrade to a status row
@@ -144,37 +143,52 @@ def check_memory(need: int, what: str) -> None:
                          f"{limit / 2**30:.1f} GiB this process may use")
 
 
-def _preflight(J, L, M, k: int | None) -> None:
+def _preflight(J, L, M, k: int | None) -> int:
     """Refuse, from one counting table, a sector over the dimension limit or
-    whose basis and diagonal, plus its h1 triangle and k-pair solve when it hops,
-    need more memory than the process may use; k is None when every job is a
-    delta_inv = 0 exact sort."""
+    whose basis and diagonal, plus its hopping (the h1 triangle, or on the
+    half-chain route the half tables) and k-pair solve when it hops, need more
+    memory than the process may use; k is None when every job is a
+    delta_inv = 0 exact sort.  Returns the sector's dimension."""
     # the solver's scipy is mapped before the mapped size is subtracted from RLIMIT_AS
     import scipy.sparse.linalg  # noqa: F401
     dim, hops = sector_counts(J, L, M)
     _check_dimension(dim, M.twice)
     need, what = sector_bytes(dim, 2 * int(L) + 1), f"sector two_m={M.twice}"
     if k is not None:
-        need += hopping_bytes(dim, hops) + solve_bytes(dim, k)
+        hopping = half_chain_bytes(J, L, M) if half_chain_route(dim) else hopping_bytes(dim, hops)
+        need += hopping + solve_bytes(dim, k)
         what += f" with k={k}"
     check_memory(need, what)
+    return dim
+
+
+def _shared(J, L, M, dim: int, needs_hops: bool) -> dict:
+    """What every operator of a sector shares: its half-chain tables on that
+    route, else its basis and, when it hops, its h1 triangle."""
+    if needs_hops and half_chain_route(dim):
+        return {"halves": HalfChains(J, L, M)}
+    basis = SectorBasis(J, L, M)
+    lower = hopping_lower(hopping_structure(basis), basis.dim) if needs_hops else None
+    return {"basis": basis, "lower": lower}
 
 
 def run_sweep(plan: SweepPlan) -> list:
     """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
 
     Every sector is checked before the first is built.  Each sector is built,
-    run over the whole grid and dropped before the next one; the strict lower
-    triangle of its h1, the only hopping it stores, is built once, only if
-    some delta_inv > 0, and every grid point's operator shares it.  A sector whose mirror -M was already solved in the plan,
-    with every row ok, reuses that mirror's rows with only two_m replaced:
-    the mirror's matrix is a permutation of its own, so eigenvalues, cluster
-    sizes and residuals carry over exactly.
+    run over the whole grid and dropped before the next one.  Its hopping is
+    built once, only if some delta_inv > 0, and every grid point's operator
+    shares it: below HALF_CHAIN_MIN_DIM states the strict lower triangle of
+    its h1 beside its basis, else its half-chain tables and no basis, so no
+    digit rows stay alive through the solves.  A sector whose mirror -M was
+    already solved in the plan, with every row ok, reuses that mirror's rows
+    with only two_m replaced: the mirror's matrix is a permutation of its
+    own, so eigenvalues, cluster sizes and residuals carry over exactly.
     """
     plan.validate()  # a refused plan is refused before scipy is loaded
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
-    for tm in plan.two_m_list:
-        _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
+    dims = {tm: _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm),
+                           plan.k if needs_hops else None) for tm in plan.two_m_list}
     n_grid = len(plan.delta_inv_grid)
     requested = set(plan.two_m_list)
     solved = {}  # two_m -> its rows, held until its mirror is emitted
@@ -183,11 +197,11 @@ def run_sweep(plan: SweepPlan) -> list:
         if -tm in solved:
             rows.extend(dict(row, two_m=tm) for row in solved.pop(-tm))
             continue
-        basis = SectorBasis(HalfInt(plan.two_j), plan.L, HalfInt(tm))
-        lower = hopping_lower(hopping_structure(basis), basis.dim) if needs_hops else None
+        shared = _shared(HalfInt(plan.two_j), plan.L, HalfInt(tm), dims[tm], needs_hops)
         sector = []
         for g, dv in enumerate(plan.delta_inv_grid):
-            sector.extend(_sector_rows(plan, s * n_grid + g, basis, lower, dv))
+            sector.extend(_sector_rows(plan, s * n_grid + g, tm, shared, dv))
+        del shared
         rows.extend(sector)
         if tm != 0 and -tm in requested and all_ok(sector):
             solved[tm] = sector

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -19,12 +20,14 @@ from xxzkink.eigensolver import (
     _interlacing_bounds,
     _interlacing_cut,
     _lanczos_sweep,
+    _lowest_indices,
     dense_spectrum,
     group_multiplicities,
     lanczos_lowest,
     solve_bytes,
     solve_lowest,
 )
+import xxzkink.hamiltonian
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import SectorOperator, build_sector_operator
 
@@ -499,3 +502,32 @@ def test_solve_bytes_bounds_the_lanczos_solve(monkeypatch, min_dim):
     finally:
         tracemalloc.stop()
     assert peak <= solve_bytes(op.dim, 6)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=80), k=st.integers(1, 90),
+       floats=st.booleans())
+def test_lowest_indices_equal_the_stable_argsort(values, k, floats):
+    # few distinct values, so most picks are ties broken by the lowest index
+    values = np.asarray(values, dtype=float if floats else np.int64)
+    got = _lowest_indices(values, k)
+    assert np.array_equal(got, np.argsort(values, kind="stable")[:k])
+
+
+@pytest.mark.parametrize("sector, delta_inv", [((3, 4, -3), 0.4), ((3, 3, -1), 0.4),
+                                               ((3, 3, -1), 1.0)])
+def test_lanczos_agrees_on_both_routes(monkeypatch, sector, delta_inv):
+    # 27 876 states run the filtered first run, 2128 states the degree-1 one
+    two_j, L, two_m = sector
+    records = []
+    for min_dim in (math.inf, 0):
+        monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
+        op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
+        records.append((op, lanczos_lowest(op, 4, seed=5, keep_vectors=True)))
+    (tri, a), (blk, b) = records
+    assert blk.halves is not None and (tri.dim >= FILTER_MIN_DIM) == (sector == (3, 4, -3))
+    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
+    assert [m for _, m in a.clusters] == [m for _, m in b.clusters]
+    # the kept vectors are indexed by rank on either route
+    for value, vector in zip(b.eigenvalues, b.eigenvectors.T):
+        assert np.linalg.norm(tri.matvec(vector) - value * vector) <= 1e-9 * tri.inf_norm()

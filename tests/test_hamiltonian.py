@@ -13,10 +13,13 @@ from oracles import (
 )
 from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
+import xxzkink.hamiltonian
 from xxzkink.hamiltonian import (
+    HalfChains,
     SectorOperator,
     boundary_diagonal,
     build_sector_operator,
+    half_chain_bytes,
     hopping_bytes,
     hopping_lower,
     hopping_structure,
@@ -290,3 +293,92 @@ def test_build_errors():
     # a stale keyword fails instead of being read as the full h1
     with pytest.raises(TypeError):
         build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, h1=lower)
+
+
+def _both_routes(monkeypatch, build):
+    """build() with every sector on the triangle, then on the half-chain tables."""
+    out = []
+    for min_dim in (math.inf, 0):
+        monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
+        out.append(build())
+    return out
+
+
+# every chain 2J = 1..5, L <= 4; the sectors M <= 0 of at most 3000 states,
+# and the largest of at most 30 000
+@pytest.mark.parametrize("two_j, L", [(j, L) for j in range(1, 6) for L in range(1, 5)])
+def test_half_chain_route_matches_the_triangle(monkeypatch, two_j, L):
+    dims = {tm: sector_counts(H(two_j), L, H(tm))[0]
+            for tm in reachable_sectors(H(two_j), L) if tm <= 0}
+    sectors = [tm for tm, dim in dims.items() if dim <= 3000]
+    sectors += [max((tm for tm in dims if dims[tm] <= 30000), key=dims.get)]
+    rng = np.random.default_rng(two_j * 10 + L)
+    for two_m in sectors:
+        tri, blk = _both_routes(monkeypatch, lambda: build_sector_operator(
+            H(two_j), L, H(two_m), "kink", 0.7))
+        assert tri.halves is None and tri.order is None and blk.lower is None
+        basis = SectorBasis(H(two_j), L, H(two_m))
+        order = blk.order
+        assert order.dtype == np.int32
+        assert np.array_equal(np.sort(order), np.arange(basis.dim))
+        assert np.array_equal(blk.halves.digit_rows(np.arange(basis.dim)), basis.down[order])
+        assert blk.halves.hops == basis.hops
+        # the diagonal entry for entry; h1 x through the order map
+        assert np.array_equal(blk.diag, tri.diag[order])
+        x = rng.standard_normal(basis.dim)
+        want = (tri.lower @ x + tri.upper @ x)[order]
+        got = blk.halves.apply(x[order])
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        assert np.abs(blk.matvec(x[order]) - tri.matvec(x)[order]).max() <= 1e-13 * (
+            1.0 + tri.inf_norm())
+        assert blk.inf_norm() == pytest.approx(tri.inf_norm(), rel=1e-13)
+        # submatrices and the assembled matrix hold the very same entries
+        rows = np.sort(rng.choice(basis.dim, min(basis.dim, 60), replace=False))
+        ranks = np.argsort(order[rows])
+        assert np.array_equal(blk.to_dense(rows)[np.ix_(ranks, ranks)],
+                              tri.to_dense(np.sort(order[rows])))
+        matrix = blk.matrix
+        assert matrix.nnz == tri.matrix.nnz
+        assert (matrix != tri.matrix[order][:, order]).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "two_j,L,delta_inv",
+    [(1, 1, 0.3), (1, 2, 0.7), (2, 1, 0.4), (1, 1, 1.0), (3, 1, 0.25), (2, 2, 0.6)],
+)
+def test_half_chain_operators_match_tensor_oracle(two_j, L, delta_inv):
+    oracle = {v: kron_kink_hamiltonian(two_j, L, delta_inv, v) for v in ("kink", "antikink")}
+    for two_m in reachable_sectors(H(two_j), L):
+        halves = HalfChains(H(two_j), L, H(two_m))
+        idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[halves.order]
+        for variant, full in oracle.items():
+            op = build_sector_operator(H(two_j), L, H(two_m), variant, delta_inv, halves=halves)
+            assert np.abs(full[np.ix_(idx, idx)] - op.to_dense()).max() <= 1e-12, variant
+
+
+@pytest.mark.parametrize("two_j, L, two_m", [(3, 4, -3), (1, 3, -1), (127, 1, -127), (2, 1, 6)])
+def test_half_chain_bytes_price_the_tables(two_j, L, two_m):
+    halves = HalfChains(H(two_j), L, H(two_m))
+    tables = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                 for m in halves.left_hop + halves.right_hop)
+    tables += sum(rows.nbytes for rows in halves.left + halves.right)
+    rows = sum(len(r) for r in halves.left + halves.right)
+    # two float64 factors per row bound the middle bond's; then the product's
+    # two scratch blocks and the order map
+    factors = sum(len(a) + len(b) for _, _, a, b in halves.middle[1:])
+    assert 8 * factors <= 16 * rows
+    assert half_chain_bytes(H(two_j), L, H(two_m)) == (
+        tables + 16 * rows + 2 * 8 * halves.largest + halves.order.nbytes)
+    assert all(m.indices.dtype == m.indptr.dtype == np.int32
+               for m in halves.left_hop + halves.right_hop)
+
+
+def test_half_chain_tables_refuse_what_the_basis_refuses():
+    with pytest.raises(ValueError, match="unreachable"):
+        HalfChains(H(1), 2, H(99))
+    halves = HalfChains(H(1), 2, H(1))
+    with pytest.raises(ValueError, match="half-chain tables do not match"):
+        build_sector_operator(H(1), 2, H(3), "kink", 0.5, halves=halves)
+    with pytest.raises(ValueError, match="not both"):
+        build_sector_operator(H(1), 2, H(1), "kink", 0.5, halves=halves,
+                              lower=hopping_lower(hopping_structure(SectorBasis(H(1), 2, H(1))), 10))

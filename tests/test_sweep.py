@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.checks import verify_ising_theorems
 from xxzkink.eigensolver import lanczos_lowest, solve_bytes, solve_lowest
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import (build_sector_operator, hopping_bytes, hopping_lower,
-                                 hopping_structure, sector_bytes)
+from xxzkink.hamiltonian import (build_sector_operator, half_chain_bytes, hopping_bytes,
+                                 hopping_lower, hopping_structure, sector_bytes)
 from xxzkink.sweep import (
     PROFILE_FIELDS,
     SweepPlan,
@@ -101,28 +102,75 @@ def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch)
     assert all(len(ids) == 1 and id(None) not in ids for ids in shared.values())
 
 
-# the filtered route of the 27 876-state sector, then its degree-1 route
-@pytest.mark.parametrize("min_dim", [None, 10**9])
-def test_a_job_fits_its_preflight_estimate(monkeypatch, min_dim):
-    # basis, h1 triangle, operator and k = 6 solve, as run_sweep does them
+# the filtered route of the 27 876-state sector, its degree-1 route, and the
+# filtered route with h1 applied from the half-chain tables
+@pytest.mark.parametrize("min_dim, halves", [
+    pytest.param(None, False, id="None"),
+    pytest.param(10**9, False, id="1000000000"),
+    pytest.param(None, True, id="halves"),
+])
+def test_a_job_fits_its_preflight_estimate(monkeypatch, min_dim, halves):
+    # the sector's shared hopping, operator and k = 6 solve, as run_sweep does them
     J, L, M, k = H(3), 4, H(-3), 6
     if min_dim is not None:
         monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
+    monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", 0 if halves else 10**9)
     dim, hops = sector_counts(J, L, M)
-    need = sector_bytes(dim, 2 * L + 1) + hopping_bytes(dim, hops) + solve_bytes(dim, k)
+    hopping = half_chain_bytes(J, L, M) if halves else hopping_bytes(dim, hops)
+    need = sector_bytes(dim, 2 * L + 1) + hopping + solve_bytes(dim, k)
     # the preflight admits the job and maps scipy's solvers before anything is built
-    xxzkink.sweep._preflight(J, L, M, k)
+    assert xxzkink.sweep._preflight(J, L, M, k) == dim
     tracemalloc.start()
     try:
-        basis = SectorBasis(J, L, M)
-        lower = hopping_lower(hopping_structure(basis), basis.dim)
-        op = build_sector_operator(J, L, M, "kink", 0.4, basis=basis, lower=lower)
+        shared = xxzkink.sweep._shared(J, L, M, dim, True)
+        op = build_sector_operator(J, L, M, "kink", 0.4, **shared)
         record = solve_lowest(op, k, seed=np.random.SeedSequence(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dim == 27876 and record.solver == "lanczos"
+    assert (op.halves is not None) == halves == ("halves" in shared)
     assert peak <= need
+
+
+def _on_both_routes(monkeypatch, run):
+    """run() with every sector on the triangle, then on the half-chain tables."""
+    out = []
+    for min_dim in (math.inf, 0):
+        monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
+        out.append(run())
+    return out
+
+
+def test_sweeps_agree_on_both_routes(monkeypatch):
+    # the Ising limit, dense and Lanczos sectors, and mirror copies
+    plan = small_plan(two_j=3, L=3, two_m_list=(-5, -1, 1, 15), delta_inv_grid=(0.0, 0.4, 1.0))
+    tri, blk = _on_both_routes(monkeypatch, lambda: run_sweep(plan))
+    assert len(tri) == len(blk) and all_ok(blk)
+    for a, b in zip(tri, blk):
+        assert abs(a["eigenvalue"] - b["eigenvalue"]) <= 1e-12
+        assert {**a, "eigenvalue": 0, "residual": 0} == {**b, "eigenvalue": 0, "residual": 0}
+
+
+def test_a_half_chain_sweep_builds_no_basis(monkeypatch):
+    monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", 0)
+
+    def refuse(*args):
+        raise AssertionError("digit rows built on the half-chain route")
+
+    monkeypatch.setattr(xxzkink.sweep, "SectorBasis", refuse)
+    assert all_ok(run_sweep(small_plan(two_m_list=(-3, 3), delta_inv_grid=(0.0, 0.4))))
+
+
+@pytest.mark.parametrize("sector", [(3, 3, -3), (2, 3, 0)])
+def test_profiles_agree_on_both_routes(monkeypatch, sector):
+    # 1918 and 393 states: Lanczos with eigenvectors, mapped back to ranks
+    two_j, L, two_m = sector
+    tri, blk = _on_both_routes(monkeypatch, lambda: profile_table(H(two_j), L, H(two_m), 2.5,
+                                                                  seed=3))
+    for a, b in zip(tri, blk):
+        assert a["site"] == b["site"] and a["ground_profile"] == b["ground_profile"]
+        assert abs(a["first_excited_profile"] - b["first_excited_profile"]) <= 1e-10
 
 
 def spy_solves(monkeypatch, fail_on=None):
