@@ -5,7 +5,6 @@ from .halfint import HalfInt, as_half
 from .basis import (
     SectorBasis,
     reachable_sectors,
-    sector_dimension,
 )
 from .hamiltonian import (
     SectorOperator,
@@ -14,16 +13,13 @@ from .hamiltonian import (
     ising_diagonal,
 )
 from .ising import (
-    DegeneratePair,
     EdgeSectorError,
     GroundDescriptor,
     KinkExcitation,
     band_edge_multiplicity_lower_bound,
-    degenerate_pairs,
     excitation_config,
     excitation_energy,
     excitation_sets,
-    ground_config,
     ground_descriptor,
     isolation_distance,
     localized_excitations,

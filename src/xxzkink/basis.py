@@ -106,11 +106,6 @@ def sector_counts(J, L, M) -> tuple:
     return (0, 0) if total is None else _count_table(as_half(J).twice, n, total)[1:]
 
 
-def sector_dimension(J, L, M) -> int:
-    """Exact number of configurations with total magnetization M (0 if unreachable)."""
-    return sector_counts(J, L, M)[0]
-
-
 def _check_dimension(dim: int, two_m: int) -> None:
     """The one limit on a sector's size; dim, maybe hundreds of digits, is not printed."""
     if dim > MAX_STATES:
@@ -163,7 +158,8 @@ class SectorBasis:
         ways[i, r], the number of digit tails on sites i.. with sum r,
         clipped to dim
     prefix_counts : (n_sites + 1, total_down + 2) int64 array
-        P[i, r] = sum of ways[i, :r], read by ``rank_rows``
+        P[i, r] = sum of ways[i, :r]; ``rank_terms(prefix_counts, rows)``
+        gives the ranks of digit rows of the sector
 
     An unreachable M is refused with ValueError, so every basis has a row.
     """
@@ -180,10 +176,6 @@ class SectorBasis:
         self.ways = _clip(ways, self.dim)
         self.prefix_counts = prefix_counts(self.ways)
         self.down = _enumerate_down(self.two_j, self.n_sites, self.total_down, self.ways)
-
-    def rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of digit rows (shape (N, n_sites)); rows must belong to the sector."""
-        return rank_terms(self.prefix_counts, rows)
 
 
 def _clip(ways, cap: int) -> np.ndarray:

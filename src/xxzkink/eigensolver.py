@@ -97,11 +97,9 @@ def _lowest_indices(values: np.ndarray, k: int) -> np.ndarray:
     return picks[np.argsort(values[picks], kind="stable")]
 
 
-def _by_rank(op: SectorOperator, vecs: np.ndarray | None) -> np.ndarray | None:
+def _by_rank(op: SectorOperator, vecs: np.ndarray) -> np.ndarray:
     """Eigenvector rows moved from the operator's index to the rank, so that a
-    returned vector is indexed like the sector's basis on either route."""
-    if vecs is None or op.order is None:
-        return vecs
+    returned vector is indexed like the sector's basis."""
     out = np.empty_like(vecs)
     out[op.order] = vecs
     return out
@@ -124,12 +122,11 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
         diag = op.diag
         order = _lowest_indices(diag, k)
         vecs = None
-        if keep_vectors:
+        if keep_vectors:  # unit vectors, placed by rank
             vecs = np.zeros((n, k))
-            vecs[order, np.arange(k)] = 1.0
+            vecs[op.order[order], np.arange(k)] = 1.0
         vals = diag[order].astype(float)
-        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals),
-                              _by_rank(op, vecs))
+        return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals), vecs)
     from scipy.linalg import eigh
 
     H = op.to_dense()

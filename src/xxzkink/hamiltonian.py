@@ -4,9 +4,9 @@ Two chains act on one magnetization sector, both real symmetric: the kink
 chain and its antikink mirror.  Each is summed from three blocks, the bond
 energies, the boundary term and the unscaled hopping:
 
-    E(c) = sum_a (J + m_a)(J - m_{a+1})      (ising_diagonal; nonnegative integers)
-    B(c) = J (m_L - m_{-L})                  (boundary_diagonal; multiples of 1/2)
-    h1                                       (hopping_lower or HalfChains)
+    E(c) = sum_a (J + m_a)(J - m_{a+1})      (nonnegative integers)
+    B(c) = J (m_L - m_{-L})                  (multiples of 1/2)
+    h1
 
 With s = sqrt(1 - delta_inv^2),
 
@@ -19,19 +19,27 @@ F + h1.
 
 Hopping couples configurations that exchange one unit across a bond; the
 entry is -(1/2) sqrt(product of the two ladder radicands), with the radicand
-product formed in exact integers and square-rooted once.  An operator is its
-diagonal vector plus the hop scale delta_inv over the sector's unscaled h1,
-built once per sector and shared by every operator of the sector, on one of
-two routes set by the sector's size alone (HALF_CHAIN_MIN_DIM):
+product formed in exact integers and square-rooted once.
 
-- a smaller sector is indexed by rank and stores the strict lower triangle
-  L of h1 (int32 ranks), a CSR built from one hop direction; h1 is
-  symmetric, so h1 = L + L^T, and every product applies it as L x + L^T x;
-- a larger one stores no h1.  It is indexed in a sum-major order, and
-  ``HalfChains`` applies h1 from the small hopping tables of its two
-  half-chains, block by block (Lin's two-table indexing used as a product:
-  H. Q. Lin, Phys. Rev. B 42 (1990) 6561; A. Weisse and H. Fehske, Lect.
-  Notes Phys. 739 (2008) 529).  Its ``order`` maps the index to the rank.
+Every sector is indexed and built from the tables of its two half-chains,
+sites -L..-1 and 0..L, each enumerated per digit sum (``HalfChains``; Lin's
+two-table indexing: H. Q. Lin, Phys. Rev. B 42 (1990) 6561; A. Weisse and
+H. Fehske, Lect. Notes Phys. 739 (2008) 529).  The index is sum-major: by
+the left digit sum, then the left row, then the right one; ``order`` maps it
+to the rank.  A table depends only on (2J, half length, digit sum), so a
+sweep builds each one once for all of its sectors.  An operator is its
+diagonal E + b B (``HalfChains.diagonal``) plus the hop scale delta_inv over
+the sector's unscaled h1, which every operator of the sector shares.  The
+sector's size alone (HALF_CHAIN_MIN_DIM) picks the product kernel:
+
+- a smaller sector multiplies by one symmetric CSR of h1, assembled from
+  ``HalfChains.hop_pairs`` on its first product;
+- a larger one stores no h1 and applies it block by block from the half
+  tables (``HalfChains.apply``).
+
+``ising_diagonal`` and ``hopping_structure`` give E and one hop direction of
+h1 in rank order over a ``SectorBasis``: the reference the half tables are
+checked against.
 """
 
 from __future__ import annotations
@@ -43,12 +51,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import (SectorBasis, _check_dimension, _clip, _count_table, _enumerate_down,
-                    _hop_count, _sector_shape, prefix_counts, rank_terms, sector_counts)
+from .basis import (_check_dimension, _clip, _count_table, _enumerate_down, _hop_count,
+                    _sector_shape, prefix_counts, rank_terms)
 from .halfint import as_half
 
 if TYPE_CHECKING:  # scipy is imported where a CSR is built, so ising-check never loads it
     from scipy import sparse
+
+    from .basis import SectorBasis
 
 
 def ising_diagonal(basis: SectorBasis) -> np.ndarray:
@@ -67,17 +77,10 @@ def ising_diagonal(basis: SectorBasis) -> np.ndarray:
     return energy
 
 
-def boundary_diagonal(basis: SectorBasis) -> np.ndarray:
-    """Vector of J (m_L - m_{-L}) over the sector; exact multiples of 1/2."""
-    d = basis.down
-    return 0.5 * basis.two_j * (d[:, 0].astype(np.int16) - d[:, -1])
-
-
 @dataclass
 class HoppingStructure:
     """COO triplets of the unscaled hopping h1: one hop direction only, the
-    strict lower triangle (cols < rows) with int32 ranks; ``hopping_lower``
-    turns them into that triangle's CSR."""
+    strict lower triangle (cols < rows) with int32 ranks."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -96,9 +99,9 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
 
     The neighbor's rank is the row's own rank plus a correction read off the
     counting table: only the digit sum from site a+1 on changes, from R to
-    R + 1, so ``rank_rows`` moves by ways[a+2, R+1] - ways[a+1, R+1], two
-    lookups per row.  R is total_down minus a running int32 prefix; ranks
-    are int32, as MAX_STATES < 2**31.
+    R + 1, so the rank (``rank_terms``) moves by ways[a+2, R+1] -
+    ways[a+1, R+1], two lookups per row.  R is total_down minus a running
+    int32 prefix; ranks are int32, as MAX_STATES < 2**31.
     """
     return _hops(basis.two_j, basis.down, basis.ways, basis.total_down, basis.hops)
 
@@ -127,44 +130,51 @@ def _hops(tj: int, down: np.ndarray, ways: np.ndarray, total: int, size: int) ->
     return out
 
 
-def hopping_lower(structure: HoppingStructure, dim: int) -> sparse.csr_matrix:
-    """The strict lower triangle of the unscaled h1 as a CSR (int32 indices),
-    from ``hopping_structure``'s triplets."""
+def _both_directions(i: np.ndarray, j: np.ndarray, value: np.ndarray,
+                     dim: int) -> sparse.csr_matrix:
+    """The symmetric CSR (int32 indices) with the entries value at (i, j)
+    and at (j, i), one hop direction given."""
     from scipy import sparse
 
-    return sparse.csr_matrix((structure.values, (structure.rows, structure.cols)),
-                             shape=(dim, dim))
+    return sparse.csr_matrix((np.concatenate([value, value]),
+                              (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(dim, dim))
 
 
 def hopping_bytes(dim: int, hops: int) -> int:
-    """Bytes of the lower-triangle CSR of a sector with ``sector_counts``
-    (dim, hops): an int32 index and a float64 value per hop plus int32 row
-    pointers."""
-    return hops * (4 + 8) + 4 * (dim + 1)
+    """Bytes at the peak of building the symmetric CSR of h1
+    (``HalfChains.csr``) of a sector with ``sector_counts`` (dim, hops): the
+    CSR, an int32 index and a float64 value for each of its 2 hops entries
+    plus int32 row pointers, beside the both-direction COO it is converted
+    from (32 bytes a hop) and ``hop_pairs``' triplets (16), and 16 KiB for the
+    small objects around them.  ``hop_pairs``' digit rows, keys and sort are
+    freed before that peak."""
+    return hops * (24 + 32 + 16) + 4 * (dim + 1) + 2**14
 
 
-# smallest sector whose operators apply h1 from half-chain tables: medians of
-# 30 products h1 x in ms, one BLAS thread, blockwise against L x + L^T x
-#   dim (2J, L, 2M)          blockwise  triangle
-#     2 128 (3, 3, -1)         0.14       0.02
-#    27 876 (3, 4, -3)         0.37       0.24
-#    50 388 (1, 9, -5)         0.39       0.42
-#    59 950 (3, 5, -15)        0.55       0.53
-#    93 600 (4, 4, -10)        1.02       0.94
-#   100 298 (3, 5, -13)        0.91       0.98
-#   145 899 (5, 4, -19)        1.29       1.37
-#   171 106 (2, 6, -4)         1.37       1.69
-#   220 198 (3, 5, -9)         1.93       2.18
-#   411 334 (3, 5, -3)         3.68       4.55
-# From here on the tables win at 2J <= 5.  Short chains of large spin stay
-# 4-8 % slower per product, 1.39 against 1.33 at (7, 3, -1) (134 512 states)
-# and 2.03 against 1.95 at (8, 3, -10) (213 402), as the middle bond is one
-# of six bonds there; they still store no h1.
+# smallest sector whose operators apply h1 block by block rather than from one
+# CSR: the faster of two medians of 30 products h1 x in ms, one BLAS thread
+#   dim (2J, L, 2M)          blockwise   CSR
+#     2 128 (3, 3, -1)         0.15      0.01
+#    27 876 (3, 4, -3)         0.37      0.22
+#    50 388 (1, 9, -5)         0.34      0.33
+#    93 600 (4, 4, -10)        0.87      0.70
+#   100 298 (3, 5, -13)        0.84      0.80
+#   134 512 (7, 3, -1)         1.94      1.26
+#   145 899 (5, 4, -19)        1.29      1.13
+#   171 106 (2, 6, -4)         1.36      1.51
+#   220 198 (3, 5, -9)         1.81      1.94
+#   411 334 (3, 5, -3)         3.36      4.01
+# The blocks win from about 150 000 states at 2J <= 5, and short chains of
+# large spin, whose middle bond is one of few, stay faster on the CSR.  The
+# CSR costs 24 bytes per hop (12 MiB at 100 298 states, 57 MiB at 411 334),
+# where the tables take under 1 MiB, so the blocks start where they are
+# within 5 % of it.
 HALF_CHAIN_MIN_DIM = 100_000
 
 
-def half_chain_route(dim: int) -> bool:
-    """Whether a hopping sector of dim states takes the half-chain tables."""
+def blockwise(dim: int) -> bool:
+    """Whether a sector of dim states applies h1 block by block rather than
+    from one CSR."""
     return dim >= HALF_CHAIN_MIN_DIM
 
 
@@ -197,13 +207,15 @@ def half_chain_bytes(J, L, M) -> int:
     return need + 2 * 8 * largest + 4 * dim
 
 
-def _half_chain(tj: int, n: int, u: int, ways, cap: int) -> tuple:
+def _half_chain(tj: int, n: int, u: int, ways) -> tuple:
     """The digit rows of the n-site chains with digit sum u, from their exact
-    counting table ``ways`` clipped to cap, and their symmetric hopping CSR."""
-    clipped = _clip(ways, cap)
+    counting table ``ways`` clipped to their number of rows, and their
+    symmetric hopping CSR.  Every count these read is at most that number, so
+    the table is the same whichever chain's counting table it comes from."""
+    clipped = _clip(ways, ways[0][u])
     down = _enumerate_down(tj, n, u, clipped)
-    lower = hopping_lower(_hops(tj, down, clipped, u, _hop_count(ways, tj, n, u)), len(down))
-    return down, (lower + lower.T).tocsr()
+    moves = _hops(tj, down, clipped, u, _hop_count(ways, tj, n, u))
+    return down, _both_directions(moves.rows, moves.cols, moves.values, len(down))
 
 
 class HalfChains:
@@ -233,10 +245,12 @@ class HalfChains:
     (int8 digit rows per block), ``left_hop`` and ``right_hop`` (symmetric
     CSRs per block), ``middle`` (per block s > 0: r, c and the factors over
     the tail and the head), ``largest`` (the largest block's size) and
-    ``hops``, the moves of one hop direction.
+    ``hops``, the moves of one hop direction.  ``tables`` maps (half length,
+    digit sum) to a half's rows and CSR; a dict shared by several sectors of
+    one chain builds each of them once.
     """
 
-    def __init__(self, J, L, M):
+    def __init__(self, J, L, M, tables: dict | None = None):
         J, M = as_half(J), as_half(M)
         self.L = L = int(L)
         self.two_j = tj = J.twice
@@ -247,13 +261,18 @@ class HalfChains:
             raise ValueError(f"two_m={M.twice} labels an unreachable sector")
         sums, left, right, self.dim = _half_counts(tj, L, total)
         _check_dimension(self.dim, M.twice)
-        self.hops = sector_counts(J, L, M)[1]
         drange = np.arange(tj + 1, dtype=np.int64)
         rad_up = (drange * (tj - drange + 1)).astype(float)
         rad_down = ((tj - drange) * (drange + 1)).astype(float)
-        self.left, self.left_hop = zip(*(_half_chain(tj, L, s, left, self.dim) for s in sums))
-        self.right, self.right_hop = zip(*(_half_chain(tj, L + 1, total - s, right, self.dim)
-                                           for s in sums))
+        tables = {} if tables is None else tables
+
+        def half(n, u, ways):
+            if (n, u) not in tables:
+                tables[n, u] = _half_chain(tj, n, u, ways)
+            return tables[n, u]
+
+        self.left, self.left_hop = zip(*(half(L, s, left) for s in sums))
+        self.right, self.right_hop = zip(*(half(L + 1, total - s, right) for s in sums))
         sizes = [len(a) * len(b) for a, b in zip(self.left, self.right)]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.largest = max(sizes)
@@ -263,6 +282,10 @@ class HalfChains:
             c = int(np.searchsorted(self.right[k][:, 0], tj))
             a = -0.5 * np.sqrt(rad_up[self.left[k][r:, 0]])
             self.middle.append((r, c, a, np.sqrt(rad_down[self.right[k][:c, 0]])))
+        # the moves inside each half, times the other half's rows, then the middle bond's
+        self.hops = sum(hl.nnz // 2 * len(b) + hr.nnz // 2 * len(a) for a, b, hl, hr
+                        in zip(self.left, self.right, self.left_hop, self.right_hop))
+        self.hops += sum(len(a) * c for _, c, a, _ in self.middle[1:])
 
     def _blocks(self, x: np.ndarray) -> list:
         """x as its row-major blocks X_s (views)."""
@@ -306,8 +329,8 @@ class HalfChains:
         return y
 
     def diagonal(self, b: float) -> np.ndarray:
-        """E + b B in sum-major order, summed as ising_diagonal(basis) +
-        b * boundary_diagonal(basis) are, so entry for entry the same."""
+        """E + b B in sum-major order: E in exact integers, B in exact
+        multiples of 1/2, so each entry is rounded only in b B and the sum."""
         tj = self.two_j
         out = np.empty(self.dim)
         for lo, hi, left, right in zip(self.offsets, self.offsets[1:], self.left, self.right):
@@ -374,13 +397,21 @@ class HalfChains:
             found.append((src, dst, value))
         return tuple(np.concatenate(part) for part in zip(*found))
 
+    @cached_property
+    def csr(self) -> sparse.csr_matrix:
+        """h1 as one symmetric CSR in sum-major order, from ``hop_pairs``
+        (hopping_bytes prices it)."""
+        return _both_directions(*self.hop_pairs(np.arange(self.dim)), self.dim)
+
 
 def sector_bytes(dim: int, n_sites: int) -> int:
-    """Bytes that building a sector's basis and its operator's diagonal take:
-    the int8 digit rows plus the enumeration's int32 node arrays.  The
-    per-bond diagonals (an int64 sum and one int16 bond vector), the float
-    diagonals and the exact sort's argsort come after those temporaries are
-    freed and stay below them."""
+    """Bytes that a sector's digit rows and diagonal take, priced as a
+    ``SectorBasis`` (the int8 digit rows plus the enumeration's int32 node
+    arrays), which ``profile`` builds for the zero mode.  The half tables,
+    the diagonal with its per-block temporaries and the exact sort stay below
+    it: their tracemalloc peak at delta_inv = 0, k = 6 was 0.13 to 0.63 of it
+    at (2J, L, 2M) = (3, 5, -3), (1, 12, 5), (1, 16, 19), (7, 3, -1) and
+    (3, 6, 1), 134 512 to 6 506 786 states."""
     # ru_maxrss per state, less the n digit bytes: building the basis took
     # 30 / 29 / 40 / 41 / 47 at (2J, L, 2M) = (3, 5, 1), (3, 6, 1), (1, 12, 5),
     # (1, 16, 19), (1, 20, 29), and 23 to 27 at four sectors with 2J = 7 to
@@ -391,60 +422,44 @@ def sector_bytes(dim: int, n_sites: int) -> int:
 
 @dataclass
 class SectorOperator:
-    """A chain restricted to one sector as diag + hop_scale * h1.
-
-    Below HALF_CHAIN_MIN_DIM states the index is the rank and h1 is applied
-    as L x + L^T x from ``lower``, the strict lower triangle L of the sector's
-    unscaled hopping (an empty CSR when none was built).  On larger sectors
-    ``halves`` holds h1 as ``HalfChains`` tables, ``lower`` is None and the
-    index is sum-major; ``order`` maps it to the rank.  Either hopping is
-    shared by every operator of the sector."""
+    """A chain restricted to one sector as diag + hop_scale * h1, indexed in
+    the sum-major order of its ``halves`` (``HalfChains``), which hold h1 and
+    are shared by every operator of the sector; ``order`` maps the index to
+    the rank.  Below HALF_CHAIN_MIN_DIM states h1 is applied from one
+    symmetric CSR (``HalfChains.csr``), else block by block."""
 
     diag: np.ndarray
-    lower: sparse.csr_matrix | None
+    halves: HalfChains
     hop_scale: float
-    halves: HalfChains | None = None
-
-    @cached_property
-    def upper(self) -> sparse.csc_matrix:
-        """L^T, a CSC view of L's own arrays, made once rather than per product."""
-        return self.lower.T
 
     @property
     def dim(self) -> int:
         return self.diag.size
 
     @property
-    def order(self) -> np.ndarray | None:
-        """The rank of each index, None where the index is the rank."""
-        return None if self.halves is None else self.halves.order
+    def order(self) -> np.ndarray:
+        """The rank of each index."""
+        return self.halves.order
 
     @property
     def diagonal_only(self) -> bool:
-        hops = self.lower.nnz if self.halves is None else self.halves.hops
-        return self.hop_scale == 0.0 or hops == 0
+        return self.hop_scale == 0.0 or self.halves.hops == 0
 
     @property
     def matrix(self) -> sparse.csr_matrix:
         """The operator as one CSR, assembled on demand for inspection (no
-        solve uses it); exactly zero diagonal entries are not stored."""
+        solve uses it, and its h1 is not kept); exactly zero entries are not
+        stored."""
         from scipy import sparse
 
-        if self.halves is None:
-            one_way, other = self.lower, self.upper
-        else:  # one entry per hop pair, so h1 is it plus its transpose
-            i, j, value = self.halves.hop_pairs(np.arange(self.dim))
-            one_way = sparse.csr_matrix((value, (i, j)), shape=(self.dim, self.dim))
-            other = one_way.T
-        return sparse.diags(self.diag, format="csr") + self.hop_scale * (one_way + other)
+        h1 = _both_directions(*self.halves.hop_pairs(np.arange(self.dim)), self.dim)
+        return sparse.diags(self.diag, format="csr") + self.hop_scale * h1
 
     def _hop(self, v: np.ndarray) -> np.ndarray:
         """h1 @ v."""
-        if self.halves is not None:
+        if blockwise(self.dim):
             return self.halves.apply(v)
-        y = self.lower @ v
-        y += self.upper @ v  # the one n-vector temporary
-        return y
+        return self.halves.csr @ v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         y = self._hop(v)
@@ -458,14 +473,10 @@ class SectorOperator:
 
     def to_dense(self, rows=slice(None)) -> np.ndarray:
         """The dense matrix, or its principal submatrix on the sorted indices ``rows``."""
-        if self.halves is None:
-            sub = self.lower[rows][:, rows]  # the lower triangle of h1's submatrix
-            dense = (self.hop_scale * (sub + sub.T)).toarray()
-        else:
-            index = np.arange(self.dim)[rows]
-            i, j, value = self.halves.hop_pairs(index)
-            dense = np.zeros((index.size, index.size))
-            dense[i, j] = dense[j, i] = self.hop_scale * value
+        index = np.arange(self.dim)[rows]
+        i, j, value = self.halves.hop_pairs(index)
+        dense = np.zeros((index.size, index.size))
+        dense[i, j] = dense[j, i] = self.hop_scale * value
         np.fill_diagonal(dense, self.diag[rows])  # h1 has no diagonal entries
         return dense
 
@@ -476,26 +487,14 @@ class SectorOperator:
         return float(sums.max())
 
 
-def build_sector_operator(
-    J,
-    L,
-    M,
-    variant: str,
-    delta_inv: float,
-    basis: SectorBasis | None = None,
-    lower: sparse.csr_matrix | None = None,
-    halves: HalfChains | None = None,
-) -> SectorOperator:
+def build_sector_operator(J, L, M, variant: str, delta_inv: float,
+                          halves: HalfChains | None = None) -> SectorOperator:
     """The kink or antikink chain of one sector as diag + delta_inv * h1.
 
     ``variant`` is "kink" (diagonal E + (1 - s) B) or "antikink"
     (E + (1 + s) B), with s = sqrt(1 - delta_inv^2) and delta_inv in [0, 1].
-    A prebuilt ``basis`` and h1 triangle ``lower`` (``hopping_lower``), or
-    prebuilt ``halves`` (``HalfChains``), may be passed to share them across
-    chains and anisotropy values.  Without either, a sector that hops
-    (delta_inv > 0) with at least HALF_CHAIN_MIN_DIM states builds its half
-    tables and no basis, any other sector its basis and, when it hops, its
-    triangle.
+    Prebuilt ``halves`` (``HalfChains``) may be passed to share them, and the
+    h1 they hold, across chains and anisotropy values; else they are built.
     """
     if variant not in ("kink", "antikink"):
         raise ValueError(f"unknown variant {variant!r}; expected 'kink' or 'antikink'")
@@ -504,30 +503,10 @@ def build_sector_operator(
     delta_inv = float(delta_inv)
     if not 0.0 <= delta_inv <= 1.0:
         raise ValueError(f"delta_inv must lie in [0, 1], got {delta_inv}")
-    if lower is not None and halves is not None:
-        raise ValueError("pass a lower triangle or half-chain tables, not both")
-    if basis is not None and (basis.two_j, basis.L, basis.two_m) != (J.twice, int(L), M.twice):
-        raise ValueError("supplied basis does not match (J, L, M)")
-
+    if halves is None:
+        halves = HalfChains(J, L, M)
+    elif (halves.two_j, halves.L, halves.two_m) != (J.twice, int(L), M.twice):
+        raise ValueError("supplied half-chain tables do not match (J, L, M)")
     s = math.sqrt(1.0 - delta_inv * delta_inv)
     b = 1.0 - s if variant == "kink" else 1.0 + s
-    if halves is None and lower is None and delta_inv > 0.0:
-        dim = basis.dim if basis is not None else sector_counts(J, L, M)[0]
-        if half_chain_route(dim):
-            halves = HalfChains(J, L, M)
-    if halves is not None:
-        if (halves.two_j, halves.L, halves.two_m) != (J.twice, int(L), M.twice):
-            raise ValueError("supplied half-chain tables do not match (J, L, M)")
-        return SectorOperator(halves.diagonal(b), None, delta_inv, halves)
-
-    if basis is None:
-        basis = SectorBasis(J, L, M)
-    if lower is None and delta_inv == 0.0:
-        from scipy import sparse
-
-        lower = sparse.csr_matrix((basis.dim, basis.dim))
-    elif lower is None:
-        lower = hopping_lower(hopping_structure(basis), basis.dim)
-    elif lower.shape != (basis.dim, basis.dim):
-        raise ValueError("supplied lower triangle does not match the basis")
-    return SectorOperator(ising_diagonal(basis) + b * boundary_diagonal(basis), lower, delta_inv)
+    return SectorOperator(halves.diagonal(b), halves, delta_inv)

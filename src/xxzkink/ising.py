@@ -136,14 +136,6 @@ def _wall_row(J, L: int, x: int, m) -> np.ndarray:
     return row
 
 
-def ground_config(J, L, M) -> np.ndarray:
-    """The unique zero-energy configuration of the sector, as an int8 digit row."""
-    J = as_half(J)
-    L = int(L)
-    desc = ground_descriptor(J, L, M)
-    return _wall_row(J, L, desc.x, desc.m)
-
-
 def excitation_energy(J, m, n: int, sign: int) -> int:
     """n^2 + (J + sign*m) n, exact integer."""
     J = as_half(J)
@@ -261,38 +253,6 @@ def isolation_distance(J, L, M, energies, least: np.ndarray) -> list:
     if values.size == 1:
         raise ValueError("sector has a single distinct level; no isolation distance")
     return [int(np.abs(values[values != E] - E).min()) for E in energies]
-
-
-@dataclass(frozen=True)
-class DegeneratePair:
-    a: int
-    b: int
-    m: HalfInt
-    energy: int
-
-
-def degenerate_pairs(J) -> list:
-    """Below-band degeneracies beyond the symmetric m=0 doubling.
-
-    Each factorization 2J = a*b with 2 <= a <= b pairs the first rightward
-    excitation with the (a-1)-th leftward one at m = J - 2 + a - b, both at
-    energy 2J - 1 + a - b, mirrored at -m when m is nonzero.
-    """
-    J = as_half(J)
-    tj = J.twice
-    out = []
-    for a in range(2, int(tj**0.5) + 1):
-        if tj % a != 0:
-            continue
-        b = tj // a
-        if b < a:
-            continue
-        m = J - 2 + a - b
-        energy = tj - 1 + a - b
-        out.append(DegeneratePair(a, b, m, energy))
-        if m.twice != 0:
-            out.append(DegeneratePair(a, b, -m, energy))
-    return out
 
 
 def band_edge_multiplicity_lower_bound(J, L, M) -> int:

@@ -4,7 +4,10 @@ Jobs run in (sector, delta_inv, eig_index) order.  Solver seeds are derived
 per job index from the plan seed, which makes reruns with identical flags and
 seed byte-identical.  Spin flip composed with the reflection alpha -> -alpha
 carries sector M onto -M entry for entry, so a sector whose mirror was already
-solved in the plan reuses that mirror's rows instead of being solved again.
+solved in the plan copies that mirror's rows instead of being solved again.
+The copy is exact; a separate solve of the mirror agrees to rounding only, as
+the split into L and L + 1 sites that orders a sector is not mirror-symmetric
+and the two sum in different orders.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from .basis import SectorBasis, _check_dimension, _sector_shape, sector_counts
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
-from .hamiltonian import (HalfChains, build_sector_operator, half_chain_bytes, half_chain_route,
-                          hopping_bytes, hopping_lower, hopping_structure, sector_bytes)
+from .hamiltonian import (HalfChains, blockwise, build_sector_operator, half_chain_bytes,
+                          hopping_bytes, sector_bytes)
+from .hamiltonian import hopping_structure  # noqa: F401  (not called here; bench/traced.py hooks it)
 
 SWEEP_FIELDS = (
     "two_j",
@@ -85,7 +89,7 @@ def _job_seed(plan_seed: int, job_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=plan_seed, spawn_key=(job_index,))
 
 
-def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, shared: dict,
+def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, halves: HalfChains,
                  delta_inv: float) -> list:
     base = {
         "two_j": plan.two_j,
@@ -96,7 +100,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, shared: dict,
     }
     try:
         op = build_sector_operator(
-            HalfInt(plan.two_j), plan.L, HalfInt(two_m), "kink", delta_inv, **shared,
+            HalfInt(plan.two_j), plan.L, HalfInt(two_m), "kink", delta_inv, halves=halves,
         )
         record = solve_lowest(op, plan.k, seed=_job_seed(plan.seed, job_index))
     except Exception as exc:  # job failures degrade to a status row
@@ -143,65 +147,55 @@ def check_memory(need: int, what: str) -> None:
                          f"{limit / 2**30:.1f} GiB this process may use")
 
 
-def _preflight(J, L, M, k: int | None) -> int:
+def _preflight(J, L, M, k: int | None) -> None:
     """Refuse, from one counting table, a sector over the dimension limit or
-    whose basis and diagonal, plus its hopping (the h1 triangle, or on the
-    half-chain route the half tables) and k-pair solve when it hops, need more
-    memory than the process may use; k is None when every job is a
-    delta_inv = 0 exact sort.  Returns the sector's dimension."""
+    whose digit rows and diagonal, plus its hopping (the CSR of h1, or from
+    HALF_CHAIN_MIN_DIM states on the half tables) and k-pair solve when it
+    hops, need more memory than the process may use; k is None when every job
+    is a delta_inv = 0 exact sort."""
     # the solver's scipy is mapped before the mapped size is subtracted from RLIMIT_AS
     import scipy.sparse.linalg  # noqa: F401
     dim, hops = sector_counts(J, L, M)
     _check_dimension(dim, M.twice)
     need, what = sector_bytes(dim, 2 * int(L) + 1), f"sector two_m={M.twice}"
     if k is not None:
-        hopping = half_chain_bytes(J, L, M) if half_chain_route(dim) else hopping_bytes(dim, hops)
+        hopping = half_chain_bytes(J, L, M) if blockwise(dim) else hopping_bytes(dim, hops)
         need += hopping + solve_bytes(dim, k)
         what += f" with k={k}"
     check_memory(need, what)
-    return dim
-
-
-def _shared(J, L, M, dim: int, needs_hops: bool) -> dict:
-    """What every operator of a sector shares: its half-chain tables on that
-    route, else its basis and, when it hops, its h1 triangle."""
-    if needs_hops and half_chain_route(dim):
-        return {"halves": HalfChains(J, L, M)}
-    basis = SectorBasis(J, L, M)
-    lower = hopping_lower(hopping_structure(basis), basis.dim) if needs_hops else None
-    return {"basis": basis, "lower": lower}
 
 
 def run_sweep(plan: SweepPlan) -> list:
     """All rows of the sweep, in deterministic (sector, delta_inv, eig) order.
 
     Every sector is checked before the first is built.  Each sector is built,
-    run over the whole grid and dropped before the next one.  Its hopping is
-    built once, only if some delta_inv > 0, and every grid point's operator
-    shares it: below HALF_CHAIN_MIN_DIM states the strict lower triangle of
-    its h1 beside its basis, else its half-chain tables and no basis, so no
-    digit rows stay alive through the solves.  A sector whose mirror -M was
-    already solved in the plan, with every row ok, reuses that mirror's rows
-    with only two_m replaced: the mirror's matrix is a permutation of its
-    own, so eigenvalues, cluster sizes and residuals carry over exactly.
+    run over the whole grid and dropped before the next one.  Its
+    ``HalfChains`` are built once and every grid point's operator shares
+    them, with the h1 they hold; the half tables themselves are built once
+    per sweep, as one dict shared by every sector.  A sector whose mirror -M
+    was already solved in the plan, with every row ok, copies that mirror's
+    rows with only two_m replaced: the mirror's matrix is a permutation of
+    its own, so its eigenvalues, cluster sizes and residuals are the mirror's
+    to rounding, and the copy keeps the pair's rows exactly equal.
     """
     plan.validate()  # a refused plan is refused before scipy is loaded
     needs_hops = any(dv > 0.0 for dv in plan.delta_inv_grid)
-    dims = {tm: _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm),
-                           plan.k if needs_hops else None) for tm in plan.two_m_list}
+    for tm in plan.two_m_list:
+        _preflight(HalfInt(plan.two_j), plan.L, HalfInt(tm), plan.k if needs_hops else None)
     n_grid = len(plan.delta_inv_grid)
     requested = set(plan.two_m_list)
+    tables = {}  # (half length, digit sum) -> half-chain table, for every sector
     solved = {}  # two_m -> its rows, held until its mirror is emitted
     rows = []
     for s, tm in enumerate(plan.two_m_list):
         if -tm in solved:
             rows.extend(dict(row, two_m=tm) for row in solved.pop(-tm))
             continue
-        shared = _shared(HalfInt(plan.two_j), plan.L, HalfInt(tm), dims[tm], needs_hops)
+        halves = HalfChains(HalfInt(plan.two_j), plan.L, HalfInt(tm), tables)
         sector = []
         for g, dv in enumerate(plan.delta_inv_grid):
-            sector.extend(_sector_rows(plan, s * n_grid + g, tm, shared, dv))
-        del shared
+            sector.extend(_sector_rows(plan, s * n_grid + g, tm, halves, dv))
+        del halves
         rows.extend(sector)
         if tm != 0 and -tm in requested and all_ok(sector):
             solved[tm] = sector
@@ -246,7 +240,7 @@ def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
     ground = magnetization_profile(groundstate_vector(J, L, M, delta, basis=basis))
     excited = None
     if basis.dim >= 2:
-        op = build_sector_operator(J, L, M, "kink", 1.0 / delta, basis=basis)
+        op = build_sector_operator(J, L, M, "kink", 1.0 / delta)
         record = solve_lowest(op, 2, seed=np.random.SeedSequence(seed), keep_vectors=True)
         excited = profile_from_amplitudes(basis, record.eigenvectors[:, 1])
     rows = []

@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
+from rank_order import hopping_lower
 from xxzkink.basis import SectorBasis
 from xxzkink.halfint import as_half
-from xxzkink.hamiltonian import (SectorOperator, hopping_lower, hopping_structure,
-                                 ising_diagonal)
+from xxzkink.hamiltonian import hopping_structure, ising_diagonal
 
 
 def relative_bound_constant(A: np.ndarray, B: np.ndarray, tol: float = 1e-10) -> float:
@@ -63,10 +63,11 @@ def sampled_bound_ratio(J, L, M, trials: int = 1000, seed: int = 0,
     J = as_half(J)
     if basis is None:
         basis = SectorBasis(J, L, M)
-    # H1 = h1 (the unscaled hopping) and H0 = E (the bond energies), from their blocks
+    # H1 = h1 (the unscaled hopping, L + L^T from its strict lower triangle L)
+    # and H0 = E (the bond energies), from their blocks in rank order
     lower = hopping_lower(hopping_structure(basis), basis.dim)
-    h1 = SectorOperator(np.zeros(basis.dim), lower, 1.0)
-    h0 = SectorOperator(ising_diagonal(basis).astype(float), lower, 0.0)
+    h1 = (lower + lower.T).tocsr()
+    h0 = ising_diagonal(basis).astype(float)
     jf = float(J)
     slope = math.sqrt(jf * jf + 2.0 * jf**3)
     offset = 2.0 * jf * jf
@@ -74,7 +75,7 @@ def sampled_bound_ratio(J, L, M, trials: int = 1000, seed: int = 0,
     def ratio(child):
         v = np.random.default_rng(child).standard_normal(basis.dim)
         v /= np.linalg.norm(v)
-        bound = slope * (np.linalg.norm(h0.matvec(v)) + offset)
-        return float(np.linalg.norm(h1.matvec(v)) / bound)
+        bound = slope * (np.linalg.norm(h0 * v) + offset)
+        return float(np.linalg.norm(h1 @ v) / bound)
 
     return max(ratio(child) for child in np.random.SeedSequence(seed).spawn(trials))

@@ -98,6 +98,13 @@ def kron_kink_hamiltonian(two_j, L, delta_inv, variant="kink"):
     return H
 
 
+def boundary_diagonal(basis):
+    """Vector of B = J (m_L - m_{-L}) over a sector basis, indexed by rank;
+    exact multiples of 1/2, from the digits as J (d_{-L} - d_L)."""
+    d = basis.down
+    return 0.5 * basis.two_j * (d[:, 0].astype(np.int16) - d[:, -1])
+
+
 def sector_kron_indices(basis):
     """Full-space tensor indices of a sector basis (site -L slowest)."""
     idx = np.zeros(basis.dim, dtype=np.int64)
@@ -105,6 +112,15 @@ def sector_kron_indices(basis):
     for i in range(basis.n_sites):
         idx = idx * radix + basis.down[:, i]
     return idx
+
+
+def dense_by_rank(op):
+    """An operator's dense matrix (anything with ``to_dense``, ``dim`` and
+    ``order``, the rank of each of its indices) with its rows and columns
+    moved to the rank, for comparison with rank-order references."""
+    dense = np.empty((op.dim, op.dim))
+    dense[np.ix_(op.order, op.order)] = op.to_dense()
+    return dense
 
 
 def brute_least_completion(two_j, k, r, p):

@@ -39,7 +39,7 @@ def test_benchmark_reference_call():
     # bench/reference.py builds the kink chain positionally and reads these two
     op = build_sector_operator(HalfInt(3), 2, HalfInt(-3), "kink", 0.4)
     matrix = op.matrix
-    assert matrix.nnz == np.count_nonzero(op.diag) + 2 * op.lower.nnz > 0
+    assert matrix.nnz == np.count_nonzero(op.diag) + 2 * op.halves.hops > 0
     assert op.inf_norm() == pytest.approx(np.abs(matrix.toarray()).sum(axis=1).max(), rel=1e-14)
 
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from bound_checks import relative_bound_constant, sampled_bound_ratio
-from oracles import two_site_operators
+from oracles import boundary_diagonal, two_site_operators
 from xxzkink.basis import SectorBasis
 from xxzkink.certificates import certificate_constants, local_inequality_margin, series_margin
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import boundary_diagonal
 
 H = HalfInt
 

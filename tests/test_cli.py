@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import xxzkink
-from xxzkink.basis import sector_dimension
+from xxzkink.basis import sector_counts
 from xxzkink.cli import main, parse_doubled, parse_grid, parse_sector_list
 from xxzkink.eigensolver import DENSE_MAX
 from xxzkink.halfint import HalfInt
@@ -58,7 +58,7 @@ def test_equivalent_spin_spellings(capsys):
 
 def test_sweep_file_byte_identical_rerun(tmp_path):
     # 203-state sectors: the delta_inv > 0 jobs take the seeded Lanczos route
-    assert sector_dimension(HalfInt(3), 3, HalfInt(-13)) > DENSE_MAX
+    assert sector_counts(HalfInt(3), 3, HalfInt(-13))[0] > DENSE_MAX
     args = [
         "sweep", "-J", "3/2", "-L", "3", "--two-m=-13/2,13/2", "--delta-inv", "0:0.4:3",
         "--k", "3", "--seed", "7",
@@ -135,7 +135,7 @@ def test_ising_check_at_length_20(capsys, spin, sectors):
     assert len(payload["sectors"]) == sectors
     by_two_m = {s["two_m"]: s for s in payload["sectors"]}
     for two_m in (-41 * J.twice, 2 - 41 * J.twice, -1, 1, 7, 41 * J.twice - 4):
-        assert by_two_m[two_m]["dim"] == sector_dimension(J, 20, HalfInt(two_m)), two_m
+        assert by_two_m[two_m]["dim"] == sector_counts(J, 20, HalfInt(two_m))[0], two_m
 
 
 def test_ising_check_budget_error(capsys):
@@ -301,9 +301,10 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 
 
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
-    # once for the memory preflight, once for the basis; of the sweep's 11
-    # mirror pairs only the M < 0 sector is built, so 22 + 11 tables, while
-    # ising-check reads the dims of all 6 sectors of its chain off one table
+    # once for the memory preflight, and once more for profile's basis (the
+    # half-chain tables count only their halves); the sweep's 22 sectors are
+    # preflighted, while ising-check reads the dims of all 6 sectors of its
+    # chain off one table
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -314,9 +315,9 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
     for module in (xxzkink.basis, xxzkink.checks):  # checks imports it by name
         monkeypatch.setattr(module, "_count_table", counted)
     for argv, tables in (
-        (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 2),
+        (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 1),
         (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
-        (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 33),
+        (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 22),
         (["ising-check", "-J", "1/2", "-L", "2"], 1),
     ):
         builds.clear()
@@ -366,7 +367,7 @@ def test_memory_preflight_refuses_with_exit_2(capsys, monkeypatch):
     args = ["spectrum", "-J", "3/2", "-L", "4", "--two-m=-3/2", "--delta-inv", "0.4"]
     assert main(args + ["--k", "27000"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sector two_m=-3 with k=27000 needs about 28.0 GiB")
+    assert err.startswith("error: sector two_m=-3 with k=27000 needs about 28.1 GiB")
     assert err.count("\n") == 1
     # the same sector fits at k = 3
     assert main(args + ["--k", "3"]) == 0
@@ -428,12 +429,13 @@ def test_certify_below_a_threshold_exits_1(capsys, monkeypatch):
 
 
 def _forbid_basis(monkeypatch):
-    """Make building any sweep or ising-check basis fail the test: the refusal
-    must come first."""
+    """Make building any sweep or ising-check basis or half-chain tables fail
+    the test: the refusal must come first."""
     def unreachable(*args):
         raise AssertionError("a basis was built before the refusal")
 
     monkeypatch.setattr(xxzkink.sweep, "SectorBasis", unreachable)
+    monkeypatch.setattr(xxzkink.sweep, "HalfChains", unreachable)
     monkeypatch.setattr(xxzkink.checks, "SectorBasis", unreachable)
 
 
@@ -536,13 +538,21 @@ def test_spin_above_int8_digit_limit_is_rejected(capsys):
 
 
 def test_sector_with_counts_above_64_bits_matches_its_mirror(capsys):
-    outs = []
-    for two_m in ("-67/2", "67/2"):
-        assert main(["spectrum", "-J", "1/2", "-L", "34", f"--two-m={two_m}",
+    def spectrum(sectors):
+        assert main(["spectrum", "-J", "1/2", "-L", "34", f"--two-m={sectors}",
                      "--delta-inv", "0.4", "--k", "3"]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.strip().split("\n")))
-        outs.append([{k: v for k, v in row.items() if k != "two_m"} for row in rows])
-    assert len(outs[0]) == 3 and outs[0] == outs[1]
+        return [{k: v for k, v in row.items() if k != "two_m"} for row in rows]
+
+    # one sweep copies the mirror's rows, exactly
+    both = spectrum("-67/2,67/2")
+    assert len(both) == 6 and both[:3] == both[3:]
+    # solved apart, the two sum in different orders: equal to rounding
+    alone = [spectrum(two_m) for two_m in ("-67/2", "67/2")]
+    assert alone[0] == both[:3]
+    for a, b in zip(*alone):
+        assert abs(float(a["eigenvalue"]) - float(b["eigenvalue"])) <= 1e-12
+        assert {**a, "eigenvalue": 0, "residual": 0} == {**b, "eigenvalue": 0, "residual": 0}
 
 
 def test_spectrum_at_half_length_one(capsys):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from rank_order import reference_kink
 import xxzkink.eigensolver
-from xxzkink.basis import reachable_sectors, sector_dimension
+from xxzkink.basis import reachable_sectors, sector_counts
 from xxzkink.eigensolver import (
     CONFIRM_TOL,
     DENSE_MAX,
@@ -64,6 +65,7 @@ def test_dense_sort_of_a_large_diagonal_sector():
     rec = dense_spectrum(ising, 4, keep_vectors=True)
     assert rec.eigenvectors.shape == (ising.dim, 4)
     for value, v in zip(rec.eigenvalues, rec.eigenvectors.T):
+        v = v[ising.order]  # returned by rank, applied in the operator's order
         assert np.array_equal(ising.matvec(v), value * v)
 
 
@@ -78,14 +80,14 @@ def test_dense_residual_certificates():
 def test_dense_keep_vectors():
     op = build_sector_operator(H(2), 2, H(0), "kink", 0.3)
     rec = dense_spectrum(op, keep_vectors=True)
-    v0 = rec.eigenvectors[:, 0]
+    v0 = rec.eigenvectors[op.order, 0]  # returned by rank, applied in the operator's order
     assert np.linalg.norm(op.matvec(v0) - rec.eigenvalues[0] * v0) <= 1e-10
 
 
 def test_lanczos_matches_dense():
     for two_j, L, dv in ((2, 2, 0.5), (3, 2, 0.4), (1, 3, 0.8), (3, 3, 0.7)):
         for two_m in reachable_sectors(H(two_j), L):
-            if not 8 <= sector_dimension(H(two_j), L, H(two_m)) <= 600:
+            if not 8 <= sector_counts(H(two_j), L, H(two_m))[0] <= 600:
                 continue
             op = build_sector_operator(H(two_j), L, H(two_m), "kink", dv)
             ref = dense_spectrum(op)
@@ -109,7 +111,7 @@ def test_lanczos_deflation_lifts_past_wide_gap():
     base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
     diag = np.full(base.dim, 5.0)
     diag[0] = -5.0
-    op = SectorOperator(diag, base.lower, 0.0)
+    op = SectorOperator(diag, base.halves, 0.0)
     rec = lanczos_lowest(op, 2, seed=0)
     assert np.allclose(rec.eigenvalues, [-5.0, 5.0], atol=1e-10)
 
@@ -260,7 +262,7 @@ SMALL_SECTORS = [
     for two_j in (1, 2, 3, 4)
     for L in (2, 3, 4)
     for two_m in reachable_sectors(H(two_j), L)
-    if 8 <= sector_dimension(H(two_j), L, H(two_m)) <= 400
+    if 8 <= sector_counts(H(two_j), L, H(two_m))[0] <= 400
 ]
 
 
@@ -392,7 +394,7 @@ def test_filtered_lanczos_deflation_lifts_past_wide_gap(monkeypatch):
     # with the 34 values spread over [5, 6] the filter engages
     base = build_sector_operator(H(1), 3, H(1), "kink", 0.5)
     diag = np.concatenate(([-5.0], np.linspace(5.0, 6.0, base.dim - 1)))
-    op = SectorOperator(diag, base.lower, 0.0)
+    op = SectorOperator(diag, base.halves, 0.0)
     degrees.clear()
     rec = lanczos_lowest(op, 2, seed=0)
     assert degrees[0] == FILTER_DEGREE
@@ -494,6 +496,7 @@ def test_filtered_extra_pair_is_never_returned(monkeypatch):
 def test_solve_bytes_bounds_the_lanczos_solve(monkeypatch, min_dim):
     # the filtered run for k + 1 pairs, and the degree-1 run and probe
     op = _filtered_sector(0.4)
+    op.halves.csr  # the sector's h1, built on the first product, is not the solve's
     monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
     tracemalloc.start()
     try:
@@ -517,17 +520,20 @@ def test_lowest_indices_equal_the_stable_argsort(values, k, floats):
 @pytest.mark.parametrize("sector, delta_inv", [((3, 4, -3), 0.4), ((3, 3, -1), 0.4),
                                                ((3, 3, -1), 1.0)])
 def test_lanczos_agrees_on_both_routes(monkeypatch, sector, delta_inv):
-    # 27 876 states run the filtered first run, 2128 states the degree-1 one
+    # 27 876 states run the filtered first run, 2128 states the degree-1 one;
+    # each with h1 x from the CSR, then from the half-chain blocks
     two_j, L, two_m = sector
     records = []
     for min_dim in (math.inf, 0):
         monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
         op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
         records.append((op, lanczos_lowest(op, 4, seed=5, keep_vectors=True)))
-    (tri, a), (blk, b) = records
-    assert blk.halves is not None and (tri.dim >= FILTER_MIN_DIM) == (sector == (3, 4, -3))
+    (csr, a), (blk, b) = records
+    assert (csr.dim >= FILTER_MIN_DIM) == (sector == (3, 4, -3))
     assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
     assert [m for _, m in a.clusters] == [m for _, m in b.clusters]
-    # the kept vectors are indexed by rank on either route
-    for value, vector in zip(b.eigenvalues, b.eigenvectors.T):
-        assert np.linalg.norm(tri.matvec(vector) - value * vector) <= 1e-9 * tri.inf_norm()
+    # the kept vectors are indexed by rank: eigenvectors of the rank-order reference
+    _, reference = reference_kink(two_j, L, two_m, delta_inv)
+    for record in (a, b):
+        for value, vector in zip(record.eigenvalues, record.eigenvectors.T):
+            assert np.linalg.norm(reference @ vector - value * vector) <= 1e-9 * csr.inf_norm()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,22 +7,22 @@ import pytest
 from scipy import sparse
 
 from oracles import (
+    boundary_diagonal,
     brute_config_energy,
     brute_sector_rows,
     kron_kink_hamiltonian,
     sector_kron_indices,
 )
-from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
+from rank_order import hopping_lower, reference_kink
+from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
 import xxzkink.hamiltonian
 from xxzkink.hamiltonian import (
     HalfChains,
     SectorOperator,
-    boundary_diagonal,
     build_sector_operator,
     half_chain_bytes,
     hopping_bytes,
-    hopping_lower,
     hopping_structure,
     ising_diagonal,
 )
@@ -45,10 +46,10 @@ def _bond_energies(two_j, row):
 
 
 def _diagonal_at(two_j, L, row):
-    """ising_diagonal's entry for one digit row, located by rank_rows."""
+    """ising_diagonal's entry for one digit row, located by its rank."""
     two_m = (2 * L + 1) * two_j - 2 * sum(row)
     basis = SectorBasis(H(two_j), L, H(two_m))
-    index = int(basis.rank_rows([row])[0])
+    index = int(rank_terms(basis.prefix_counts, [row])[0])
     assert basis.down[index].tolist() == row
     return ising_diagonal(basis)[index]
 
@@ -91,14 +92,18 @@ def test_operators_match_tensor_oracle(two_j, L, delta_inv):
         idx = sector_kron_indices(basis)
         energy, edge = ising_diagonal(basis), boundary_diagonal(basis)
         lower = hopping_lower(hopping_structure(basis), basis.dim)
-        # the two chains, and the three blocks they are summed from
-        got = {v: build_sector_operator(H(two_j), L, H(two_m), v, delta_inv,
-                                        basis=basis).to_dense()
-               for v in ("kink", "antikink")}
-        got.update(ising_kink=np.diag(energy), ising_free=np.diag(energy + edge),
-                   h2=np.diag(edge), h1=(lower + lower.T).toarray())
-        for variant, full in oracle.items():
-            assert np.abs(full[np.ix_(idx, idx)] - got[variant]).max() <= 1e-12, variant
+        halves = HalfChains(H(two_j), L, H(two_m))
+        at = idx[halves.order]  # the tensor index of each operator index
+        # the two chains and the blocks they are summed from, in the operators'
+        # order; then the rank-order blocks
+        got = [(v, at, build_sector_operator(H(two_j), L, H(two_m), v, delta_inv).to_dense())
+               for v in ("kink", "antikink")]
+        got += [("ising_kink", at, np.diag(halves.diagonal(0.0))),
+                ("ising_free", at, np.diag(halves.diagonal(1.0))), ("h1", at, halves.csr.toarray())]
+        got += [("ising_kink", idx, np.diag(energy)), ("ising_free", idx, np.diag(energy + edge)),
+                ("h2", idx, np.diag(edge)), ("h1", idx, (lower + lower.T).toarray())]
+        for variant, where, matrix in got:
+            assert np.abs(oracle[variant][np.ix_(where, where)] - matrix).max() <= 1e-12, variant
 
 
 def test_exact_transpose_symmetry():
@@ -110,24 +115,23 @@ def test_exact_transpose_symmetry():
     ]:
         for two_m in reachable_sectors(H(two_j), L)[:: max(1, two_j)]:
             if variant == "h1":  # the unscaled hopping as an operator of its own
-                basis = SectorBasis(H(two_j), L, H(two_m))
-                op = SectorOperator(np.zeros(basis.dim),
-                                    hopping_lower(hopping_structure(basis), basis.dim), 1.0)
+                halves = HalfChains(H(two_j), L, H(two_m))
+                op = SectorOperator(np.zeros(halves.dim), halves, 1.0)
             else:
                 op = build_sector_operator(H(two_j), L, H(two_m), variant, dv)
             assert (op.matrix - op.matrix.T).nnz == 0
 
 
 def test_hopping_entries_are_ladder_products():
-    basis = SectorBasis(H(3), 2, H(-1))
-    op = build_sector_operator(H(3), 2, H(-1), "kink", 0.5, basis=basis)
+    op = build_sector_operator(H(3), 2, H(-1), "kink", 0.5)
+    down = op.halves.digit_rows(np.arange(op.dim))
     coo = op.matrix.tocoo()
     checked = 0
     for r, c, v in zip(coo.row, coo.col, coo.data):
         if r == c:
             continue
-        a = basis.down[r]
-        b = basis.down[c]
+        a = down[r]
+        b = down[c]
         sites = np.nonzero(a != b)[0]
         assert sites.size == 2 and sites[1] == sites[0] + 1  # single nearest-neighbor hop
         da, db = (int(d) for d in a[sites])
@@ -137,7 +141,7 @@ def test_hopping_entries_are_ladder_products():
             radicand = _hop_radicand(3, db, da)
         assert v == 0.5 * (-0.5 * math.sqrt(radicand))  # delta_inv times the h1 entry
         checked += 1
-    assert checked == coo.nnz - basis.dim
+    assert checked == coo.nnz - op.dim
 
 
 # 2J = 127 is the largest spin the int8 digits hold.  At L = 1 the sector
@@ -157,6 +161,10 @@ def test_diagonals_exact_at_the_int8_spin_limit(two_m):
     assert diag.tolist() == energy
     assert (diag + boundary_diagonal(basis)).tolist() == free
     assert boundary_diagonal(basis).tolist() == edge
+    # the operators' diagonals, in their own order
+    halves = HalfChains(H(127), 1, H(two_m))
+    assert halves.diagonal(0.0).tolist() == [energy[r] for r in halves.order]
+    assert halves.diagonal(1.0).tolist() == [free[r] for r in halves.order]
     if two_m == -127:
         assert max(energy) == 127 * 127
 
@@ -178,14 +186,19 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
         assert step.tolist() == [0] * a + [-1, 1] + [0] * (basis.n_sites - a - 2)
         radicand = _hop_radicand(127, int(down[r, a]), int(down[r, a + 1]))
         assert v == -0.5 * math.sqrt(radicand)
-    # assembly adds the transpose: both directions, exactly symmetric
-    h1 = SectorOperator(np.zeros(basis.dim), hopping_lower(s, basis.dim), 1.0).matrix
+    # adding the transpose gives both directions, exactly symmetric
+    lower = hopping_lower(s, basis.dim)
+    h1 = (lower + lower.T).tocsr()
     assert h1.nnz == raise_lower.sum() + lower_raise.sum()
     assert (h1 != h1.T).nnz == 0
+    # and the operators' CSR holds the very same entries, in their own order
+    halves = HalfChains(J, 1, H(two_m))
+    assert (halves.csr != h1[halves.order][:, halves.order]).nnz == 0
 
 
 @pytest.mark.parametrize("two_j, L, two_m", [
     (1, 4, -1), (2, 3, 0), (3, 3, -3), (4, 2, 2), (5, 2, -5), (127, 1, -127), (127, 2, 621),
+    (1, 4, 7), (3, 4, -3),
 ])
 def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     basis = SectorBasis(H(two_j), L, H(two_m))
@@ -195,7 +208,7 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     assert s.values.dtype == np.float64
     assert (s.cols < s.rows).all()
     assert s.rows.nbytes + s.cols.nbytes + s.values.nbytes == 16 * s.rows.size
-    # one counting table gives both sizes, and the preflight prices the CSR exactly
+    # one counting table gives both sizes, and the preflight prices the CSR's build
     assert sector_counts(H(two_j), L, H(two_m)) == (basis.dim, s.rows.size)
     assert basis.hops == s.rows.size
     # triplets come bond by bond; each neighbour moves one unit from site a to a + 1
@@ -204,9 +217,19 @@ def test_hopping_structure_one_triangle_int32(two_j, L, two_m):
     moved[np.arange(s.rows.size), bond] -= 1
     moved[np.arange(s.rows.size), bond + 1] += 1
     assert np.array_equal(basis.down[s.cols], moved)
-    lower = hopping_lower(s, basis.dim)
-    assert hopping_bytes(basis.dim, basis.hops) == (
-        lower.data.nbytes + lower.indices.nbytes + lower.indptr.nbytes)
+    # the operators' symmetric CSR holds both directions with int32 indices
+    halves = HalfChains(H(two_j), L, H(two_m))
+    tracemalloc.start()
+    try:
+        csr = halves.csr
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= hopping_bytes(basis.dim, basis.hops)
+    assert csr.nnz == 2 * s.rows.size
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    assert csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes == (
+        2 * 12 * basis.hops + 4 * (basis.dim + 1))
 
 
 @pytest.mark.parametrize("two_j, L, two_m", [
@@ -234,25 +257,28 @@ def test_hopping_matrix_equals_both_direction_coo(two_j, L, two_m):
     full.sort_indices()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(full, name), getattr(both, name)), name
+    # the operators' CSR is the same h1, entry for entry, in their own order
+    halves = HalfChains(H(two_j), L, H(two_m))
+    assert (halves.csr != both[halves.order][:, halves.order]).nnz == 0
 
 
 @pytest.mark.parametrize("two_j, L, two_m, dv", [(3, 2, -1, 0.4), (3, 4, -3, 0.7), (127, 1, -127, 0.3)])
 def test_matvec_matches_assembled_matrix(two_j, L, two_m, dv):
     # (3, 4, -3) has 27 876 states, so matvec works through several blocks
-    basis = SectorBasis(H(two_j), L, H(two_m))
-    lower = hopping_lower(hopping_structure(basis), basis.dim)
-    v = np.random.default_rng(5).standard_normal(basis.dim)
-    rows = np.arange(0, basis.dim, 7)
-    energy, edge = ising_diagonal(basis).astype(float), boundary_diagonal(basis)
-    # the two chains, then E, E + B, h1 and B as operators over the same triangle
-    ops = [build_sector_operator(H(two_j), L, H(two_m), v, dv, basis=basis, lower=lower)
+    halves = HalfChains(H(two_j), L, H(two_m))
+    v = np.random.default_rng(5).standard_normal(halves.dim)
+    rows = np.arange(0, halves.dim, 7)
+    energy = halves.diagonal(0.0)
+    edge = halves.diagonal(1.0) - energy
+    # the two chains, then E, E + B, h1 and B as operators over the same tables
+    ops = [build_sector_operator(H(two_j), L, H(two_m), v, dv, halves=halves)
            for v in ("kink", "antikink")]
-    ops += [SectorOperator(energy, lower, 0.0), SectorOperator(energy + edge, lower, 0.0),
-            SectorOperator(np.zeros(basis.dim), lower, 1.0), SectorOperator(edge, lower, 0.0)]
+    ops += [SectorOperator(energy, halves, 0.0), SectorOperator(energy + edge, halves, 0.0),
+            SectorOperator(np.zeros(halves.dim), halves, 1.0), SectorOperator(edge, halves, 0.0)]
+    csr = halves.csr
     for op in ops:
-        # L^T is a view: the operator stores the triangle's arrays once
-        assert all(np.shares_memory(getattr(op.upper, name), getattr(lower, name))
-                   for name in ("data", "indices", "indptr"))
+        # every operator of the sector applies the one CSR of h1 its tables hold
+        assert op.halves.csr is csr
         matrix = op.matrix
         norm = float(abs(matrix).sum(axis=1).max())
         assert op.inf_norm() == pytest.approx(norm, rel=1e-14)
@@ -283,63 +309,66 @@ def test_build_errors():
     for variant in ("ising_kink", "heisenberg"):
         with pytest.raises(ValueError, match="unknown variant"):
             build_sector_operator(H(1), 2, H(3), variant, 0.5)
-    # a basis or an h1 triangle of another sector
-    basis, other = SectorBasis(H(1), 2, H(3)), SectorBasis(H(1), 2, H(1))
-    with pytest.raises(ValueError, match="supplied basis does not match"):
-        build_sector_operator(H(1), 2, H(1), "kink", 0.5, basis=basis)
-    lower = hopping_lower(hopping_structure(other), other.dim)
-    with pytest.raises(ValueError, match="supplied lower triangle does not match"):
-        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, lower=lower)
-    # a stale keyword fails instead of being read as the full h1
-    with pytest.raises(TypeError):
-        build_sector_operator(H(1), 2, H(3), "kink", 0.5, basis=basis, h1=lower)
-
-
-def _both_routes(monkeypatch, build):
-    """build() with every sector on the triangle, then on the half-chain tables."""
-    out = []
-    for min_dim in (math.inf, 0):
-        monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
-        out.append(build())
-    return out
+    # half-chain tables of another sector
+    with pytest.raises(ValueError, match="half-chain tables do not match"):
+        build_sector_operator(H(1), 2, H(3), "kink", 0.5, halves=HalfChains(H(1), 2, H(1)))
+    # a stale keyword (a basis, an h1 triangle or a full h1) fails instead of being ignored
+    for stale in ("basis", "lower", "h1"):
+        with pytest.raises(TypeError):
+            build_sector_operator(H(1), 2, H(3), "kink", 0.5, **{stale: None})
 
 
 # every chain 2J = 1..5, L <= 4; the sectors M <= 0 of at most 3000 states,
 # and the largest of at most 30 000
 @pytest.mark.parametrize("two_j, L", [(j, L) for j in range(1, 6) for L in range(1, 5)])
-def test_half_chain_route_matches_the_triangle(monkeypatch, two_j, L):
+def test_half_chain_route_matches_the_triangle(two_j, L):
+    # the operators, indexed and built from half-chain tables, against the
+    # rank-order reference summed from the strict lower triangle of h1
     dims = {tm: sector_counts(H(two_j), L, H(tm))[0]
             for tm in reachable_sectors(H(two_j), L) if tm <= 0}
     sectors = [tm for tm, dim in dims.items() if dim <= 3000]
     sectors += [max((tm for tm in dims if dims[tm] <= 30000), key=dims.get)]
     rng = np.random.default_rng(two_j * 10 + L)
     for two_m in sectors:
-        tri, blk = _both_routes(monkeypatch, lambda: build_sector_operator(
-            H(two_j), L, H(two_m), "kink", 0.7))
-        assert tri.halves is None and tri.order is None and blk.lower is None
-        basis = SectorBasis(H(two_j), L, H(two_m))
-        order = blk.order
+        basis, reference = reference_kink(two_j, L, two_m, 0.7)
+        lower = hopping_lower(hopping_structure(basis), basis.dim)
+        op = build_sector_operator(H(two_j), L, H(two_m), "kink", 0.7)
+        order = op.order
         assert order.dtype == np.int32
         assert np.array_equal(np.sort(order), np.arange(basis.dim))
-        assert np.array_equal(blk.halves.digit_rows(np.arange(basis.dim)), basis.down[order])
-        assert blk.halves.hops == basis.hops
-        # the diagonal entry for entry; h1 x through the order map
-        assert np.array_equal(blk.diag, tri.diag[order])
+        assert np.array_equal(op.halves.digit_rows(np.arange(basis.dim)), basis.down[order])
+        assert op.halves.hops == basis.hops
+        # the diagonal entry for entry; h1 x from either kernel, through the order map
+        assert np.array_equal(op.diag, reference.diagonal()[order])
         x = rng.standard_normal(basis.dim)
-        want = (tri.lower @ x + tri.upper @ x)[order]
-        got = blk.halves.apply(x[order])
-        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
-        assert np.abs(blk.matvec(x[order]) - tri.matvec(x)[order]).max() <= 1e-13 * (
-            1.0 + tri.inf_norm())
-        assert blk.inf_norm() == pytest.approx(tri.inf_norm(), rel=1e-13)
+        want = (lower @ x + lower.T @ x)[order]
+        for got in (op.halves.csr @ x[order], op.halves.apply(x[order])):
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        norm = float(abs(reference).sum(axis=1).max())
+        assert np.abs(op.matvec(x[order]) - (reference @ x)[order]).max() <= 1e-13 * (1.0 + norm)
+        assert op.inf_norm() == pytest.approx(norm, rel=1e-13)
         # submatrices and the assembled matrix hold the very same entries
         rows = np.sort(rng.choice(basis.dim, min(basis.dim, 60), replace=False))
         ranks = np.argsort(order[rows])
-        assert np.array_equal(blk.to_dense(rows)[np.ix_(ranks, ranks)],
-                              tri.to_dense(np.sort(order[rows])))
-        matrix = blk.matrix
-        assert matrix.nnz == tri.matrix.nnz
-        assert (matrix != tri.matrix[order][:, order]).nnz == 0
+        chosen = np.sort(order[rows])
+        assert np.array_equal(op.to_dense(rows)[np.ix_(ranks, ranks)],
+                              reference[chosen][:, chosen].toarray())
+        matrix = op.matrix
+        assert matrix.nnz == reference.nnz
+        assert (matrix != reference[order][:, order]).nnz == 0
+
+
+def test_csr_and_blockwise_products_agree(monkeypatch):
+    # h1 x on one sector, from the CSR and from the half-chain blocks
+    halves = HalfChains(H(3), 4, H(-3))
+    h1 = SectorOperator(np.zeros(halves.dim), halves, 1.0)
+    x = np.random.default_rng(3).standard_normal(halves.dim)
+    products = []
+    for min_dim in (math.inf, 0):
+        monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
+        products.append(h1.matvec(x))
+    assert "csr" in vars(halves)  # the first product built the CSR
+    assert np.linalg.norm(products[0] - products[1]) <= 1e-15 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +408,3 @@ def test_half_chain_tables_refuse_what_the_basis_refuses():
     halves = HalfChains(H(1), 2, H(1))
     with pytest.raises(ValueError, match="half-chain tables do not match"):
         build_sector_operator(H(1), 2, H(3), "kink", 0.5, halves=halves)
-    with pytest.raises(ValueError, match="not both"):
-        build_sector_operator(H(1), 2, H(1), "kink", 0.5, halves=halves,
-                              lower=hopping_lower(hopping_structure(SectorBasis(H(1), 2, H(1))), 10))

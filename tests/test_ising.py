@@ -1,21 +1,20 @@
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from oracles import brute_config_energy, brute_least_completion
 import xxzkink.ising
-from xxzkink.basis import SectorBasis, reachable_sectors
+from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import ising_diagonal
 from xxzkink.ising import (
     EdgeSectorError,
     band_edge_multiplicity_lower_bound,
-    degenerate_pairs,
     excitation_config,
     excitation_energy,
     excitation_sets,
-    ground_config,
     ground_descriptor,
     isolation_distance,
     least_completion,
@@ -25,6 +24,43 @@ from xxzkink.ising import (
 )
 
 H = HalfInt
+
+
+def ground_config(J, L, M) -> np.ndarray:
+    """The unique zero-energy configuration of the sector, as an int8 digit row."""
+    desc = ground_descriptor(J, L, M)
+    return xxzkink.ising._wall_row(J, L, desc.x, desc.m)
+
+
+@dataclass(frozen=True)
+class DegeneratePair:
+    a: int
+    b: int
+    m: HalfInt
+    energy: int
+
+
+def degenerate_pairs(J) -> list:
+    """Below-band degeneracies beyond the symmetric m=0 doubling.
+
+    Each factorization 2J = a*b with 2 <= a <= b pairs the first rightward
+    excitation with the (a-1)-th leftward one at m = J - 2 + a - b, both at
+    energy 2J - 1 + a - b, mirrored at -m when m is nonzero.
+    """
+    tj = J.twice
+    out = []
+    for a in range(2, int(tj**0.5) + 1):
+        if tj % a != 0:
+            continue
+        b = tj // a
+        if b < a:
+            continue
+        m = J - 2 + a - b
+        energy = tj - 1 + a - b
+        out.append(DegeneratePair(a, b, m, energy))
+        if m.twice != 0:
+            out.append(DegeneratePair(a, b, -m, energy))
+    return out
 
 
 def test_ground_descriptor_examples():
@@ -50,7 +86,7 @@ def test_ground_config_is_unique_zero_energy_state():
                 assert int((diag == 0).sum()) == 1
                 row = ground_config(H(two_j), L, H(two_m))
                 assert row.dtype == np.int8
-                index = int(basis.rank_rows(row[None, :])[0])
+                index = int(rank_terms(basis.prefix_counts, row[None, :])[0])
                 assert np.array_equal(basis.down[index], row)
                 assert diag[index] == 0 == brute_config_energy(two_j, row.tolist())
 
@@ -86,7 +122,7 @@ def test_excitation_configs_reproduce_energies():
                 ground = ground_config(H(two_j), L, H(two_m)).astype(int)
                 for exc in excitations:
                     row = exc.config
-                    index = int(basis.rank_rows(row[None, :])[0])
+                    index = int(rank_terms(basis.prefix_counts, row[None, :])[0])
                     assert np.array_equal(basis.down[index], row)
                     assert brute_config_energy(two_j, row.tolist()) == exc.energy
                     assert 0 < exc.energy < two_j

@@ -8,8 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_kink_hamiltonian, sector_kron_indices
-from xxzkink.basis import SectorBasis, reachable_sectors
+from oracles import dense_by_rank, kron_kink_hamiltonian, sector_kron_indices
+from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors
 from xxzkink.eigensolver import dense_spectrum
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import build_sector_operator
@@ -37,19 +37,19 @@ def test_rank_unrank_round_trip(data, two_j, L):
     digits = data.draw(st.lists(st.integers(0, two_j), min_size=2 * L + 1, max_size=2 * L + 1))
     two_m = (2 * L + 1) * two_j - 2 * sum(digits)
     basis = SectorBasis(H(two_j), L, H(two_m))
-    index = int(basis.rank_rows([digits])[0])
+    index = int(rank_terms(basis.prefix_counts, [digits])[0])
     assert basis.down[index].tolist() == digits
     other = data.draw(st.integers(0, basis.dim - 1))
-    assert basis.rank_rows(basis.down[other:other + 1]).tolist() == [other]
+    assert rank_terms(basis.prefix_counts, basis.down[other:other + 1]).tolist() == [other]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(sector=sectors(KRON_CHAINS), delta_inv=delta_invs)
 def test_kink_matrix_matches_tensor_product(sector, delta_inv):
     two_j, L, two_m = sector
-    basis = SectorBasis(H(two_j), L, H(two_m))
-    op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv, basis=basis)
-    idx = sector_kron_indices(basis)
+    op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
+    # tensor indices of the rows by rank, moved to the operator's order
+    idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[op.order]
     full = kron_kink_hamiltonian(two_j, L, delta_inv)
     assert np.abs(full[np.ix_(idx, idx)] - op.to_dense()).max() <= 1e-12
 
@@ -70,9 +70,9 @@ def test_spin_flip_reflection_maps_sector_to_minus_sector_property(sector, delta
     two_j, L, two_m = sector
     basis = SectorBasis(H(two_j), L, H(two_m))
     mirror = SectorBasis(H(two_j), L, H(-two_m))
-    perm = mirror.rank_rows(two_j - basis.down[:, ::-1])
-    a = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv, basis=basis)
-    b = build_sector_operator(H(two_j), L, H(-two_m), "kink", delta_inv, basis=mirror)
-    assert np.array_equal(b.to_dense()[np.ix_(perm, perm)], a.to_dense())
+    perm = rank_terms(mirror.prefix_counts, two_j - basis.down[:, ::-1])
+    a = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
+    b = build_sector_operator(H(two_j), L, H(-two_m), "kink", delta_inv)
+    assert np.array_equal(dense_by_rank(b)[np.ix_(perm, perm)], dense_by_rank(a))
     va, vb = dense_spectrum(a).eigenvalues, dense_spectrum(b).eigenvalues
     assert np.abs(va - vb).max() <= 1e-12 * (1.0 + np.abs(va).max())

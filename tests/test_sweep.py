@@ -8,12 +8,12 @@ import pytest
 import xxzkink.eigensolver
 import xxzkink.hamiltonian
 import xxzkink.sweep
-from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
+from xxzkink.basis import reachable_sectors, sector_counts
 from xxzkink.checks import verify_ising_theorems
 from xxzkink.eigensolver import lanczos_lowest, solve_bytes, solve_lowest
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import (build_sector_operator, half_chain_bytes, hopping_bytes,
-                                 hopping_lower, hopping_structure, sector_bytes)
+from xxzkink.hamiltonian import (HalfChains, build_sector_operator, half_chain_bytes,
+                                 hopping_bytes, sector_bytes)
 from xxzkink.sweep import (
     PROFILE_FIELDS,
     SweepPlan,
@@ -63,54 +63,82 @@ def test_ising_limit_rows():
 
 
 def test_hopping_built_once_per_sector_and_only_off_the_ising_limit(monkeypatch):
-    build = xxzkink.hamiltonian.hopping_structure
+    # the CSR of h1 is every h1 entry of the sector at once
+    pairs = xxzkink.hamiltonian.HalfChains.hop_pairs
+    built = []
 
-    # patched where the sweep and the operator assembly look it up
-    def patch(fn):
-        for module in (xxzkink.sweep, xxzkink.hamiltonian):
-            monkeypatch.setattr(module, "hopping_structure", fn)
+    def counted(halves, index):
+        if index.size == halves.dim:
+            built.append(halves.two_m)
+        return pairs(halves, index)
 
-    def refuse(basis):
-        raise AssertionError("hopping built for an all-zero grid")
-
-    patch(refuse)
-    assert all_ok(run_sweep(small_plan(delta_inv_grid=(0.0,))))
-
-    calls = []
-
-    def counted(basis):
-        calls.append(basis.two_m)
-        return build(basis)
-
-    patch(counted)
-    # every grid point of a sector shares that sector's one h1 triangle object
+    monkeypatch.setattr(xxzkink.hamiltonian.HalfChains, "hop_pairs", counted)
+    # every grid point of a sector shares that sector's one HalfChains object
     build_op = xxzkink.sweep.build_sector_operator
     shared = {}
 
     def spied(J, L, M, variant, delta_inv, **kwargs):
         op = build_op(J, L, M, variant, delta_inv, **kwargs)
-        shared.setdefault(M.twice, set()).add(id(kwargs["lower"]))
-        assert op.lower is kwargs["lower"]
+        shared.setdefault(M.twice, set()).add(id(kwargs["halves"]))
+        assert op.halves is kwargs["halves"]
         return op
 
     monkeypatch.setattr(xxzkink.sweep, "build_sector_operator", spied)
-    # 3 reuses the rows of its mirror -3 and builds nothing
-    plan = small_plan(two_m_list=(-3, 5, 3), delta_inv_grid=(0.0, 0.2, 0.4))
+    # 203 states take Lanczos, whose products build the CSR; 2M = 21 has 1 state
+    plan = small_plan(two_j=3, L=3, two_m_list=(-13, 21, 13), delta_inv_grid=(0.0,))
+    assert all_ok(run_sweep(plan)) and built == []
+    shared.clear()
+    # 13 reuses the rows of its mirror -13 and builds nothing
+    plan = small_plan(two_j=3, L=3, two_m_list=(-13, 21, 13), delta_inv_grid=(0.0, 0.2, 0.4))
     assert all_ok(run_sweep(plan))
-    assert calls == [-3, 5]
-    assert sorted(shared) == [-3, 5]
-    assert all(len(ids) == 1 and id(None) not in ids for ids in shared.values())
+    assert built == [-13]
+    assert sorted(shared) == [-13, 21]
+    assert all(len(ids) == 1 for ids in shared.values())
 
 
-# the filtered route of the 27 876-state sector, its degree-1 route, and the
-# filtered route with h1 applied from the half-chain tables
+def test_an_all_sector_sweep_builds_each_half_table_once(monkeypatch):
+    made = []
+    half_chain = xxzkink.hamiltonian._half_chain
+
+    def counted(tj, n, u, ways):
+        made.append((n, u))
+        return half_chain(tj, n, u, ways)
+
+    monkeypatch.setattr(xxzkink.hamiltonian, "_half_chain", counted)
+    sectors = reachable_sectors(H(3), 3)
+    built = {}
+    build = xxzkink.sweep.HalfChains
+
+    def spied(J, L, M, tables):
+        built[M.twice] = build(J, L, M, tables)
+        return built[M.twice]
+
+    monkeypatch.setattr(xxzkink.sweep, "HalfChains", spied)
+    assert all_ok(run_sweep(small_plan(two_j=3, L=3, two_m_list=tuple(sectors))))
+    # each table (half length, digit sum) that some solved sector needs, once
+    needs = []
+    for halves in built.values():
+        sums = xxzkink.hamiltonian._half_counts(3, 3, halves.total_down)[0]
+        needs += [(3, s) for s in sums] + [(4, halves.total_down - s) for s in sums]
+    assert sorted(made) == sorted(set(needs)) and len(made) < len(needs)
+    # the shared tables hold the rows and CSRs that a sector builds for itself
+    for tm, halves in built.items():
+        alone = HalfChains(H(3), 3, H(tm))
+        for got, want in ((halves.left, alone.left), (halves.right, alone.right)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for got, want in ((halves.left_hop, alone.left_hop), (halves.right_hop, alone.right_hop)):
+            assert all((a != b).nnz == 0 for a, b in zip(got, want))
+
+
+# the filtered route of the 27 876-state sector and its degree-1 route, with
+# h1 x from the CSR, and the filtered route with h1 x from the half-chain blocks
 @pytest.mark.parametrize("min_dim, halves", [
     pytest.param(None, False, id="None"),
     pytest.param(10**9, False, id="1000000000"),
     pytest.param(None, True, id="halves"),
 ])
 def test_a_job_fits_its_preflight_estimate(monkeypatch, min_dim, halves):
-    # the sector's shared hopping, operator and k = 6 solve, as run_sweep does them
+    # the sector's tables, operator and k = 6 solve, as run_sweep does them
     J, L, M, k = H(3), 4, H(-3), 6
     if min_dim is not None:
         monkeypatch.setattr(xxzkink.eigensolver, "FILTER_MIN_DIM", min_dim)
@@ -119,22 +147,21 @@ def test_a_job_fits_its_preflight_estimate(monkeypatch, min_dim, halves):
     hopping = half_chain_bytes(J, L, M) if halves else hopping_bytes(dim, hops)
     need = sector_bytes(dim, 2 * L + 1) + hopping + solve_bytes(dim, k)
     # the preflight admits the job and maps scipy's solvers before anything is built
-    assert xxzkink.sweep._preflight(J, L, M, k) == dim
+    xxzkink.sweep._preflight(J, L, M, k)
     tracemalloc.start()
     try:
-        shared = xxzkink.sweep._shared(J, L, M, dim, True)
-        op = build_sector_operator(J, L, M, "kink", 0.4, **shared)
+        op = build_sector_operator(J, L, M, "kink", 0.4)
         record = solve_lowest(op, k, seed=np.random.SeedSequence(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dim == 27876 and record.solver == "lanczos"
-    assert (op.halves is not None) == halves == ("halves" in shared)
+    assert ("csr" in vars(op.halves)) != halves
     assert peak <= need
 
 
 def _on_both_routes(monkeypatch, run):
-    """run() with every sector on the triangle, then on the half-chain tables."""
+    """run() with every product h1 x from the CSR, then from the half-chain blocks."""
     out = []
     for min_dim in (math.inf, 0):
         monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", min_dim)
@@ -145,18 +172,16 @@ def _on_both_routes(monkeypatch, run):
 def test_sweeps_agree_on_both_routes(monkeypatch):
     # the Ising limit, dense and Lanczos sectors, and mirror copies
     plan = small_plan(two_j=3, L=3, two_m_list=(-5, -1, 1, 15), delta_inv_grid=(0.0, 0.4, 1.0))
-    tri, blk = _on_both_routes(monkeypatch, lambda: run_sweep(plan))
-    assert len(tri) == len(blk) and all_ok(blk)
-    for a, b in zip(tri, blk):
+    csr, blk = _on_both_routes(monkeypatch, lambda: run_sweep(plan))
+    assert len(csr) == len(blk) and all_ok(blk)
+    for a, b in zip(csr, blk):
         assert abs(a["eigenvalue"] - b["eigenvalue"]) <= 1e-12
         assert {**a, "eigenvalue": 0, "residual": 0} == {**b, "eigenvalue": 0, "residual": 0}
 
 
 def test_a_half_chain_sweep_builds_no_basis(monkeypatch):
-    monkeypatch.setattr(xxzkink.hamiltonian, "HALF_CHAIN_MIN_DIM", 0)
-
     def refuse(*args):
-        raise AssertionError("digit rows built on the half-chain route")
+        raise AssertionError("digit rows of a whole sector built by a sweep")
 
     monkeypatch.setattr(xxzkink.sweep, "SectorBasis", refuse)
     assert all_ok(run_sweep(small_plan(two_m_list=(-3, 3), delta_inv_grid=(0.0, 0.4))))
@@ -166,9 +191,9 @@ def test_a_half_chain_sweep_builds_no_basis(monkeypatch):
 def test_profiles_agree_on_both_routes(monkeypatch, sector):
     # 1918 and 393 states: Lanczos with eigenvectors, mapped back to ranks
     two_j, L, two_m = sector
-    tri, blk = _on_both_routes(monkeypatch, lambda: profile_table(H(two_j), L, H(two_m), 2.5,
+    csr, blk = _on_both_routes(monkeypatch, lambda: profile_table(H(two_j), L, H(two_m), 2.5,
                                                                   seed=3))
-    for a, b in zip(tri, blk):
+    for a, b in zip(csr, blk):
         assert a["site"] == b["site"] and a["ground_profile"] == b["ground_profile"]
         assert abs(a["first_excited_profile"] - b["first_excited_profile"]) <= 1e-10
 
