@@ -1,4 +1,4 @@
-"""Fixed-magnetization configuration bases: counting, enumeration, ranking.
+"""Fixed-magnetization configuration bases: counting and enumeration.
 
 A chain on sites alpha = -L..L carries one spin of magnitude J per site.  A
 configuration assigns each site a local eigenvalue m_alpha in {-J, ..., J};
@@ -16,9 +16,9 @@ site -L is most significant and at each site larger m (smaller d) comes
 first.  Counts are exact Python ints.  A materialized basis keeps one
 table: those counts clipped to dim, and their prefix sums over the
 remaining digit sum.  Enumeration and hopping read only entries that a
-row of the sector reaches, each at most dim, and ranking reads differences
-of prefix sums that span only such entries, so the clipping loses nothing
-and every sector fits.
+row of the sector reaches, each at most dim, and a rank is a sum of
+differences of prefix sums that span only such entries, so the clipping
+loses nothing and every sector fits.
 
 The digits of a materialized basis are stored as int8, one byte per site,
 which limits the spin to 2J <= 127.  The digit array is site-major
@@ -158,8 +158,8 @@ class SectorBasis:
         ways[i, r], the number of digit tails on sites i.. with sum r,
         clipped to dim
     prefix_counts : (n_sites + 1, total_down + 2) int64 array
-        P[i, r] = sum of ways[i, :r]; ``rank_terms(prefix_counts, rows)``
-        gives the ranks of digit rows of the sector
+        P[i, r] = sum of ways[i, :r], the table that ranks digit rows of
+        the sector
 
     An unreachable M is refused with ValueError, so every basis has a row.
     """
@@ -184,28 +184,11 @@ def _clip(ways, cap: int) -> np.ndarray:
 
 
 def prefix_counts(ways: np.ndarray) -> np.ndarray:
-    """P[i, r] = sum of ways[i, :r], the table that ``rank_terms`` reads."""
+    """P[i, r] = sum of ways[i, :r]; a rank is a sum over the sites of
+    differences of two of its entries."""
     table = np.zeros((ways.shape[0], ways.shape[1] + 1), dtype=np.int64)
     np.cumsum(ways, axis=1, out=table[:, 1:])
     return table
-
-
-def rank_terms(table: np.ndarray, rows, first: int = 0, rest: int = 0) -> np.ndarray:
-    """Sum of the rank terms of sites first, first + 1, ... of digit rows on
-    those sites, when the sites after them hold ``rest`` down units; ``table``
-    is the sector's prefix_counts.  Over all sites (first = rest = 0) this is
-    the rank.
-
-    A row ranks after every row that first differs from it by a smaller
-    digit d < d_i at some site i, and those number
-    sum_{d < d_i} ways[i+1, R_i - d] = P[i+1, R_i + 1] - P[i+1, R_{i+1} + 1],
-    where R_i is the row's digit sum from site i on and R_{i+1} = R_i - d_i.
-    The term of site i reads only d_i and R_i, so a rank splits into a sum
-    over a left and a right group of sites."""
-    rows = np.asarray(rows, dtype=np.int64)
-    upper = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1] + (rest + 1)  # R_i + 1
-    sites = np.arange(first + 1, first + rows.shape[1] + 1)
-    return (table[sites, upper] - table[sites, upper - rows]).sum(axis=1)
 
 
 def reachable_sectors(J, L) -> list:

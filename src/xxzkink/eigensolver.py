@@ -46,6 +46,12 @@ from .hamiltonian import SectorOperator
 
 @dataclass
 class SpectrumRecord:
+    """The k lowest pairs of one solve: ascending eigenvalues, their residuals
+    |H v - lambda v|, the route ("dense" or "lanczos") and the
+    (representative, multiplicity) clusters.  ``eigenvectors`` holds one
+    column per eigenvalue, indexed in the operator's own order, or None
+    unless the vectors were kept."""
+
     eigenvalues: np.ndarray
     residuals: np.ndarray
     solver: str
@@ -97,14 +103,6 @@ def _lowest_indices(values: np.ndarray, k: int) -> np.ndarray:
     return picks[np.argsort(values[picks], kind="stable")]
 
 
-def _by_rank(op: SectorOperator, vecs: np.ndarray) -> np.ndarray:
-    """Eigenvector rows moved from the operator's index to the rank, so that a
-    returned vector is indexed like the sector's basis."""
-    out = np.empty_like(vecs)
-    out[op.order] = vecs
-    return out
-
-
 # largest sector for the dense route: with one BLAS thread and k = 6, a full
 # eigh plus its residuals ties with Lanczos between n = 161 and n = 203
 DENSE_MAX = 200
@@ -113,7 +111,8 @@ DENSE_MAX = 200
 def dense_spectrum(op: SectorOperator, k: int | None = None,
                    keep_vectors: bool = False) -> SpectrumRecord:
     """The k lowest pairs (all when k is None): an exact sort of a diagonal-only
-    operator at any size, else a direct symmetric solve (solve_bytes prices it)."""
+    operator at any size, else a direct symmetric solve (solve_bytes prices it).
+    Kept eigenvectors are indexed in the operator's own order."""
     n = op.dim
     if n == 0:
         raise ValueError("empty sector")
@@ -122,9 +121,9 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
         diag = op.diag
         order = _lowest_indices(diag, k)
         vecs = None
-        if keep_vectors:  # unit vectors, placed by rank
+        if keep_vectors:
             vecs = np.zeros((n, k))
-            vecs[op.order[order], np.arange(k)] = 1.0
+            vecs[order, np.arange(k)] = 1.0
         vals = diag[order].astype(float)
         return SpectrumRecord(vals, np.zeros(k), "dense", group_multiplicities(vals), vecs)
     from scipy.linalg import eigh
@@ -138,7 +137,7 @@ def dense_spectrum(op: SectorOperator, k: int | None = None,
         block = H @ V[:, start:stop] - V[:, start:stop] * vals[start:stop]
         residuals[start:stop] = np.linalg.norm(block, axis=0)
     return SpectrumRecord(vals, residuals, "dense", group_multiplicities(vals),
-                          _by_rank(op, V) if keep_vectors else None)
+                          V if keep_vectors else None)
 
 
 class LanczosError(RuntimeError):
@@ -290,6 +289,7 @@ def lanczos_lowest(op: SectorOperator, k: int, seed: int = 0,
 
     Deterministic for a fixed seed: start vectors come from one PCG64 stream.
     Residuals of all returned pairs are at most TOL * (1 + max row sum).
+    Kept eigenvectors are indexed in the operator's own order.
     Each ARPACK run is capped at min(dim, max(300, 20 k)) restarts, and a
     solve that has not settled the window after 2 k + 8 runs raises.
 
@@ -385,9 +385,7 @@ def lanczos_lowest(op: SectorOperator, k: int, seed: int = 0,
     order = np.argsort(np.asarray(pool_vals), kind="stable")[:k]
     vals = np.asarray(pool_vals)[order]
     res = np.asarray(pool_res)[order]
-    vecs = None
-    if keep_vectors:
-        vecs = _by_rank(op, pool_vecs[:, order])
+    vecs = pool_vecs[:, order] if keep_vectors else None
     return SpectrumRecord(vals, res, "lanczos", group_multiplicities(vals), vecs)
 
 
@@ -415,7 +413,8 @@ def solve_bytes(n: int, k: int) -> int:
 def solve_lowest(op: SectorOperator, k: int, seed: int = 0,
                  keep_vectors: bool = False) -> SpectrumRecord:
     """The k lowest pairs: diagonal-only operators and sectors of at most DENSE_MAX
-    states, or with k >= dim, take dense_spectrum; all others deflated Lanczos."""
+    states, or with k >= dim, take dense_spectrum; all others deflated Lanczos.
+    Kept eigenvectors are indexed in the operator's own order."""
     k = int(k)
     if k < 1:
         raise ValueError("need k >= 1")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SectorBasis
 from .halfint import as_half
+from .hamiltonian import HalfChains
 
 
 def q_from_delta(delta: float) -> float:
@@ -46,43 +46,58 @@ def q_from_delta(delta: float) -> float:
 
 @dataclass
 class SectorVector:
-    """Dense real amplitudes over one sector basis, unit 2-norm."""
+    """Real amplitudes over one sector, unit 2-norm, indexed in the sum-major
+    order of the sector's ``halves`` (``HalfChains``), like its operators."""
 
-    basis: SectorBasis
+    halves: HalfChains
     amplitudes: np.ndarray
 
 
-def groundstate_vector(J, L, M, delta: float, basis: SectorBasis | None = None) -> SectorVector:
-    """Normalized product-form ground state of the sector at anisotropy delta > 1."""
+def groundstate_vector(J, L, M, delta: float, halves: HalfChains | None = None) -> SectorVector:
+    """Normalized product-form ground state of the sector at anisotropy delta > 1.
+
+    The log-amplitude is a sum over sites, so each block of the sum-major
+    index is a left-row term plus a right-row term, broadcast."""
     delta = float(delta)
     if delta <= 1.0:
         raise ValueError(f"the product form needs delta > 1, got {delta}")
     J = as_half(J)
     M = as_half(M)
     L = int(L)
-    if basis is None:
-        basis = SectorBasis(J, L, M)
-    elif (basis.two_j, basis.L, basis.two_m) != (J.twice, L, M.twice):
-        raise ValueError("supplied basis does not match (J, L, M)")
-    q = q_from_delta(delta)
-    tj = basis.two_j
+    if halves is None:
+        halves = HalfChains(J, L, M)
+    elif (halves.two_j, halves.L, halves.two_m) != (J.twice, L, M.twice):
+        raise ValueError("supplied half-chain tables do not match (J, L, M)")
+    log_q = math.log(q_from_delta(delta))
+    tj = halves.two_j
     log_binom = np.array(
         [math.lgamma(tj + 1) - math.lgamma(d + 1) - math.lgamma(tj - d + 1) for d in range(tj + 1)]
     )
-    alphas = np.arange(-L, L + 1, dtype=float)
-    down = np.ascontiguousarray(basis.down)  # float row sums in row-major order
-    log_amp = 0.5 * log_binom[down].sum(axis=1) + math.log(q) * (down @ alphas)
+
+    def term(rows, alphas):
+        return 0.5 * log_binom[rows].sum(axis=1) + log_q * (rows @ alphas)
+
+    log_amp = np.empty(halves.dim)
+    # the left rows run outward from site -1, the right ones from site 0
+    for X, left, right in zip(halves.blocks(log_amp), halves.left, halves.right):
+        X[...] = term(left, -np.arange(1.0, L + 1))[:, None] + term(right, np.arange(L + 1.0))
     amp = np.exp(log_amp - log_amp.max())
-    return SectorVector(basis, amp / np.linalg.norm(amp))
+    return SectorVector(halves, amp / np.linalg.norm(amp))
 
 
-def profile_from_amplitudes(basis: SectorBasis, amplitudes: np.ndarray) -> np.ndarray:
-    """Site-resolved magnetization <S3_alpha> of a unit vector over the sector."""
+def profile_from_amplitudes(halves: HalfChains, amplitudes: np.ndarray) -> np.ndarray:
+    """Site-resolved magnetization <S3_alpha> of a unit vector over the sector,
+    indexed in the sum-major order of ``halves``: each block's weights W_s
+    reduce to W_s.sum(1) @ left and W_s.sum(0) @ right."""
+    left_down, right_down = np.zeros(halves.L), np.zeros(halves.L + 1)
     weights = np.asarray(amplitudes) ** 2
-    # the sum over states runs in the row-major order of the digit rows
-    return 0.5 * basis.two_j - weights @ np.ascontiguousarray(basis.down)
+    for W, left, right in zip(halves.blocks(weights), halves.left, halves.right):
+        left_down += W.sum(axis=1) @ left
+        right_down += W.sum(axis=0) @ right
+    # the left rows run outward from site -1, so site -L comes last
+    return 0.5 * halves.two_j - np.concatenate([left_down[::-1], right_down])
 
 
 def magnetization_profile(vector: SectorVector) -> np.ndarray:
     """<S3_alpha> for alpha = -L..L; each entry lies in [-J, J]."""
-    return profile_from_amplitudes(vector.basis, vector.amplitudes)
+    return profile_from_amplitudes(vector.halves, vector.amplitudes)

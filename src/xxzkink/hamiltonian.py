@@ -25,9 +25,10 @@ Every sector is indexed and built from the tables of its two half-chains,
 sites -L..-1 and 0..L, each enumerated per digit sum (``HalfChains``; Lin's
 two-table indexing: H. Q. Lin, Phys. Rev. B 42 (1990) 6561; A. Weisse and
 H. Fehske, Lect. Notes Phys. 739 (2008) 529).  The index is sum-major: by
-the left digit sum, then the left row, then the right one; ``order`` maps it
-to the rank.  A table depends only on (2J, half length, digit sum), so a
-sweep builds each one once for all of its sectors.  An operator is its
+the left digit sum, then the left row, then the right one; every vector of
+the sector, a kept eigenvector or the zero mode, is indexed so too.  A table
+depends only on (2J, half length, digit sum), so a sweep builds each one
+once for all of its sectors.  An operator is its
 diagonal E + b B (``HalfChains.diagonal``) plus the hop scale delta_inv over
 the sector's unscaled h1, which every operator of the sector shares.  The
 sector's size alone (HALF_CHAIN_MIN_DIM) picks the product kernel:
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .basis import (_check_dimension, _clip, _count_table, _enumerate_down, _hop_count,
-                    _sector_shape, prefix_counts, rank_terms)
+                    _sector_shape)
 from .halfint import as_half
 
 if TYPE_CHECKING:  # scipy is imported where a CSR is built, so ising-check never loads it
@@ -99,9 +100,10 @@ def hopping_structure(basis: SectorBasis) -> HoppingStructure:
 
     The neighbor's rank is the row's own rank plus a correction read off the
     counting table: only the digit sum from site a+1 on changes, from R to
-    R + 1, so the rank (``rank_terms``) moves by ways[a+2, R+1] -
-    ways[a+1, R+1], two lookups per row.  R is total_down minus a running
-    int32 prefix; ranks are int32, as MAX_STATES < 2**31.
+    R + 1, so the rank, a sum of per-site terms read off the prefix sums of
+    ways, moves by ways[a+2, R+1] - ways[a+1, R+1], two lookups per row.  R
+    is total_down minus a running int32 prefix; ranks are int32, as
+    MAX_STATES < 2**31.
     """
     return _hops(basis.two_j, basis.down, basis.ways, basis.total_down, basis.hops)
 
@@ -193,18 +195,18 @@ def half_chain_bytes(J, L, M) -> int:
     """Bytes of a sector's half-chain tables (``HalfChains``): per block, two
     symmetric CSRs (an int32 index and a float64 value per entry plus int32
     row pointers), the int8 digit rows and two float64 middle-bond factors per
-    row; then the two scratch blocks of a product and the int32 order map."""
+    row; then the two scratch blocks of a product."""
     J, M = as_half(J), as_half(M)
     L = int(L)
     total = _sector_shape(J, L, M)[1]
-    sums, left, right, dim = _half_counts(J.twice, L, total)
+    sums, left, right, _ = _half_counts(J.twice, L, total)
     need = largest = 0
     for s in sums:
         for ways, n, u in ((left, L, s), (right, L + 1, total - s)):
             rows = ways[0][u]
             need += 2 * 12 * _hop_count(ways, J.twice, n, u) + 4 * (rows + 1) + rows * (n + 16)
         largest = max(largest, left[0][s] * right[0][total - s])
-    return need + 2 * 8 * largest + 4 * dim
+    return need + 2 * 8 * largest
 
 
 def _half_chain(tj: int, n: int, u: int, ways) -> tuple:
@@ -287,7 +289,7 @@ class HalfChains:
                         in zip(self.left, self.right, self.left_hop, self.right_hop))
         self.hops += sum(len(a) * c for _, c, a, _ in self.middle[1:])
 
-    def _blocks(self, x: np.ndarray) -> list:
+    def blocks(self, x: np.ndarray) -> list:
         """x as its row-major blocks X_s (views)."""
         return [x[lo:hi].reshape(len(a), len(b))
                 for lo, hi, a, b in zip(self.offsets, self.offsets[1:], self.left, self.right)]
@@ -301,7 +303,7 @@ class HalfChains:
             raise ValueError(f"expected a vector of {self.dim} entries, got shape {x.shape}")
         y = np.empty_like(x)
         scratch = np.empty(2 * self.largest)
-        xs, ys = self._blocks(x), self._blocks(y)
+        xs, ys = self.blocks(x), self.blocks(y)
         for X, Y, hl, hr in zip(xs, ys, self.left_hop, self.right_hop):
             nl, nr = X.shape
             # X h_R = (h_R X^T)^T, as h_R is symmetric, through two transposed copies
@@ -341,20 +343,6 @@ class HalfChains:
             energy = el[:, None] + er[None, :] + (tj - dl[:, :1]) * dr[None, :, 0]
             edge = 0.5 * tj * (dl[:, -1:] - dr[None, :, -1])  # J (d_{-L} - d_L)
             out[lo:hi] = (energy + b * edge).ravel()
-        return out
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """int32 map from the sum-major index to the rank (``SectorBasis``
-        order): a rank is a sum of per-site terms (``rank_terms``), the left
-        sites' and the right sites', so each block is one broadcast add."""
-        n, total = self.n_sites, self.total_down
-        table = prefix_counts(_clip(_count_table(self.two_j, n, total)[0], self.dim))
-        out = np.empty(self.dim, dtype=np.int32)
-        for lo, hi, left, right in zip(self.offsets, self.offsets[1:], self.left, self.right):
-            ahead = rank_terms(table, left[:, ::-1], rest=int(right[0].sum()))
-            behind = rank_terms(table, right, first=self.L)
-            out[lo:hi] = (ahead[:, None] + behind[None, :]).ravel()
         return out
 
     def digit_rows(self, index: np.ndarray) -> np.ndarray:
@@ -407,11 +395,12 @@ class HalfChains:
 def sector_bytes(dim: int, n_sites: int) -> int:
     """Bytes that a sector's digit rows and diagonal take, priced as a
     ``SectorBasis`` (the int8 digit rows plus the enumeration's int32 node
-    arrays), which ``profile`` builds for the zero mode.  The half tables,
-    the diagonal with its per-block temporaries and the exact sort stay below
-    it: their tracemalloc peak at delta_inv = 0, k = 6 was 0.13 to 0.63 of it
-    at (2J, L, 2M) = (3, 5, -3), (1, 12, 5), (1, 16, 19), (7, 3, -1) and
-    (3, 6, 1), 134 512 to 6 506 786 states."""
+    arrays).  No command builds one now; the bound is kept so that the same
+    sectors stay admitted.  The half tables, the diagonal with its per-block
+    temporaries and the exact sort stay below it: their tracemalloc peak at
+    delta_inv = 0, k = 6 was 0.13 to 0.63 of it at (2J, L, 2M) = (3, 5, -3),
+    (1, 12, 5), (1, 16, 19), (7, 3, -1) and (3, 6, 1), 134 512 to 6 506 786
+    states."""
     # ru_maxrss per state, less the n digit bytes: building the basis took
     # 30 / 29 / 40 / 41 / 47 at (2J, L, 2M) = (3, 5, 1), (3, 6, 1), (1, 12, 5),
     # (1, 16, 19), (1, 20, 29), and 23 to 27 at four sectors with 2J = 7 to
@@ -424,9 +413,9 @@ def sector_bytes(dim: int, n_sites: int) -> int:
 class SectorOperator:
     """A chain restricted to one sector as diag + hop_scale * h1, indexed in
     the sum-major order of its ``halves`` (``HalfChains``), which hold h1 and
-    are shared by every operator of the sector; ``order`` maps the index to
-    the rank.  Below HALF_CHAIN_MIN_DIM states h1 is applied from one
-    symmetric CSR (``HalfChains.csr``), else block by block."""
+    are shared by every operator of the sector.  Below HALF_CHAIN_MIN_DIM
+    states h1 is applied from one symmetric CSR (``HalfChains.csr``), else
+    block by block."""
 
     diag: np.ndarray
     halves: HalfChains
@@ -435,11 +424,6 @@ class SectorOperator:
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    @property
-    def order(self) -> np.ndarray:
-        """The rank of each index."""
-        return self.halves.order
 
     @property
     def diagonal_only(self) -> bool:

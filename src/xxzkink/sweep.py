@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SectorBasis, _check_dimension, _sector_shape, sector_counts
+from .basis import _check_dimension, _sector_shape, sector_counts
+from .basis import SectorBasis  # noqa: F401  (not called here; bench/traced.py hooks it)
 from .eigensolver import solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
@@ -228,7 +229,9 @@ def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
 
     The ground profile comes from the product-form zero mode; the excited one
     from the numerically obtained second eigenvector of the kink chain at
-    delta_inv = 1/delta.  Sectors of dimension 1 have no excited column.
+    delta_inv = 1/delta.  Both are read from one set of the sector's
+    ``HalfChains``, in their sum-major order.  Sectors of dimension 1 have
+    no excited column.
     """
     delta = float(delta)
     if delta <= 1.0:
@@ -236,13 +239,13 @@ def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
     if _sector_shape(J, L, M)[1] is None:  # refused before scipy is loaded, as in run_sweep
         raise ValueError(f"two_m={as_half(M).twice} labels an unreachable sector")
     _preflight(J, L, as_half(M), 2)
-    basis = SectorBasis(J, L, M)
-    ground = magnetization_profile(groundstate_vector(J, L, M, delta, basis=basis))
+    halves = HalfChains(J, L, M)
+    ground = magnetization_profile(groundstate_vector(J, L, M, delta, halves=halves))
     excited = None
-    if basis.dim >= 2:
-        op = build_sector_operator(J, L, M, "kink", 1.0 / delta)
+    if halves.dim >= 2:
+        op = build_sector_operator(J, L, M, "kink", 1.0 / delta, halves=halves)
         record = solve_lowest(op, 2, seed=np.random.SeedSequence(seed), keep_vectors=True)
-        excited = profile_from_amplitudes(basis, record.eigenvectors[:, 1])
+        excited = profile_from_amplitudes(halves, record.eigenvectors[:, 1])
     rows = []
     for i, alpha in enumerate(range(-int(L), int(L) + 1)):
         rows.append({

@@ -114,15 +114,6 @@ def sector_kron_indices(basis):
     return idx
 
 
-def dense_by_rank(op):
-    """An operator's dense matrix (anything with ``to_dense``, ``dim`` and
-    ``order``, the rank of each of its indices) with its rows and columns
-    moved to the rank, for comparison with rank-order references."""
-    dense = np.empty((op.dim, op.dim))
-    dense[np.ix_(op.order, op.order)] = op.to_dense()
-    return dense
-
-
 def brute_least_completion(two_j, k, r, p):
     """Least energy of a k-digit tail with digit sum r after a left digit p,
     the bond to p included; None when no tail has that sum."""

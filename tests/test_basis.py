@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import brute_sector_rows
+from rank_order import rank_terms
 import xxzkink.basis
 from xxzkink.basis import (
     MAX_TWO_J,
     SectorBasis,
-    rank_terms,
     reachable_sectors,
     sector_counts,
 )

@@ -301,10 +301,10 @@ def test_huge_decimal_exponents_are_rejected_quickly(capsys):
 
 
 def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
-    # once for the memory preflight, and once more for profile's basis (the
-    # half-chain tables count only their halves); the sweep's 22 sectors are
-    # preflighted, while ising-check reads the dims of all 6 sectors of its
-    # chain off one table
+    # once for the memory preflight (profile reads the zero mode and its
+    # eigenvector from the half-chain tables, which count only their halves);
+    # the sweep's 22 sectors are preflighted, while ising-check reads the dims
+    # of all 6 sectors of its chain off one table
     builds = []
     count_table = xxzkink.basis._count_table
 
@@ -316,7 +316,7 @@ def test_each_sector_counts_its_states_at_most_twice(capsys, monkeypatch):
         monkeypatch.setattr(module, "_count_table", counted)
     for argv, tables in (
         (["spectrum", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta-inv", "0.4"], 1),
-        (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 2),
+        (["profile", "-J", "3/2", "-L", "3", "--two-m=-3/2", "--delta", "2.5"], 1),
         (["sweep", "-J", "3/2", "-L", "3", "--all-sectors", "--delta-inv", "0:0.4:3"], 22),
         (["ising-check", "-J", "1/2", "-L", "2"], 1),
     ):

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from xxzkink.basis import SectorBasis, reachable_sectors
+from xxzkink.basis import reachable_sectors
 from xxzkink.groundstate import (
     groundstate_vector,
     magnetization_profile,
+    profile_from_amplitudes,
     q_from_delta,
 )
 from xxzkink.halfint import HalfInt
-from xxzkink.hamiltonian import build_sector_operator
+from xxzkink.hamiltonian import HalfChains, build_sector_operator
 
 H = HalfInt
 
@@ -55,13 +58,13 @@ def test_single_down_spin_amplitudes():
     # one down spin at site alpha carries weight q^alpha before normalization
     delta = 2.5
     q = q_from_delta(delta)
-    basis = SectorBasis(H(1), 2, H(3))
-    v = groundstate_vector(H(1), 2, H(3), delta, basis=basis)
+    halves = HalfChains(H(1), 2, H(3))
+    v = groundstate_vector(H(1), 2, H(3), delta, halves=halves)
     expected = np.array([q ** float(alpha) for alpha in range(-2, 3)])
     expected /= np.linalg.norm(expected)
     by_site = np.empty(5)
-    for rank, row in enumerate(basis.down):
-        by_site[int(np.nonzero(row)[0][0])] = v.amplitudes[rank]
+    for index, row in enumerate(halves.digit_rows(np.arange(halves.dim))):
+        by_site[int(np.nonzero(row)[0][0])] = v.amplitudes[index]
     assert np.abs(by_site - expected).max() <= 1e-12
 
 
@@ -70,21 +73,40 @@ def test_requires_delta_above_one():
         groundstate_vector(H(1), 2, H(3), 1.0)
 
 
-def test_refuses_a_basis_of_another_sector():
-    with pytest.raises(ValueError, match="supplied basis does not match"):
-        groundstate_vector(H(1), 2, H(3), 2.5, basis=SectorBasis(H(1), 2, H(1)))
+def test_refuses_half_chain_tables_of_another_sector():
+    with pytest.raises(ValueError, match="supplied half-chain tables do not match"):
+        groundstate_vector(H(1), 2, H(3), 2.5, halves=HalfChains(H(1), 2, H(1)))
 
 
 @pytest.mark.parametrize("two_j", [1, 2])
 @pytest.mark.parametrize("delta", DELTAS)
 def test_zero_mode_residual(two_j, delta):
     for two_m in reachable_sectors(H(two_j), 2):
-        basis = SectorBasis(H(two_j), 2, H(two_m))
-        v = groundstate_vector(H(two_j), 2, H(two_m), delta, basis=basis)
+        halves = HalfChains(H(two_j), 2, H(two_m))
+        v = groundstate_vector(H(two_j), 2, H(two_m), delta, halves=halves)
         op = build_sector_operator(H(two_j), 2, H(two_m), "kink", 1.0 / delta)
-        # the amplitudes are indexed by rank, the operator in its own order
-        assert np.linalg.norm(op.matvec(v.amplitudes[op.order])) <= 1e-10
+        # the amplitudes are indexed like the operator, with no map between them
+        assert np.linalg.norm(op.matvec(v.amplitudes)) <= 1e-10
         assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("two_j, L, two_m", [(1, 3, -1), (3, 3, -3), (4, 2, 2), (2, 1, 6)])
+def test_block_sums_match_sums_over_whole_rows(two_j, L, two_m):
+    # the zero mode and the profile, formed block by block from the half
+    # tables, against the same sums over every index's whole digit row
+    halves = HalfChains(H(two_j), L, H(two_m))
+    down = halves.digit_rows(np.arange(halves.dim)).astype(int)
+    q = q_from_delta(2.5)
+    binom = np.array([math.comb(two_j, d) for d in range(two_j + 1)], dtype=float)
+    amp = np.sqrt(binom[down]).prod(axis=1) * q ** (down @ np.arange(-L, L + 1))
+    amp /= np.linalg.norm(amp)
+    v = groundstate_vector(H(two_j), L, H(two_m), 2.5, halves=halves)
+    assert np.abs(v.amplitudes - amp).max() <= 1e-13
+    w = np.random.default_rng(two_j).standard_normal(halves.dim)
+    w /= np.linalg.norm(w)
+    for vector in (amp, w):
+        want = 0.5 * two_j - vector ** 2 @ down
+        assert np.abs(profile_from_amplitudes(halves, vector) - want).max() <= 1e-13
 
 
 def test_profile_bounds_and_shape():
@@ -109,8 +131,8 @@ def test_profile_monotone(delta):
     for two_j in (1, 2, 3, 4):
         for L in (2, 3, 4):
             for two_m in reachable_sectors(H(two_j), L):
-                basis = SectorBasis(H(two_j), L, H(two_m))
+                halves = HalfChains(H(two_j), L, H(two_m))
                 p = magnetization_profile(
-                    groundstate_vector(H(two_j), L, H(two_m), delta, basis=basis)
+                    groundstate_vector(H(two_j), L, H(two_m), delta, halves=halves)
                 )
                 assert (np.diff(p) >= -1e-12).all()

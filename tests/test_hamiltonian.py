@@ -13,8 +13,8 @@ from oracles import (
     kron_kink_hamiltonian,
     sector_kron_indices,
 )
-from rank_order import hopping_lower, reference_kink
-from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors, sector_counts
+from rank_order import hopping_lower, rank_terms, ranks, reference_kink
+from xxzkink.basis import SectorBasis, reachable_sectors, sector_counts
 from xxzkink.halfint import HalfInt
 import xxzkink.hamiltonian
 from xxzkink.hamiltonian import (
@@ -93,7 +93,7 @@ def test_operators_match_tensor_oracle(two_j, L, delta_inv):
         energy, edge = ising_diagonal(basis), boundary_diagonal(basis)
         lower = hopping_lower(hopping_structure(basis), basis.dim)
         halves = HalfChains(H(two_j), L, H(two_m))
-        at = idx[halves.order]  # the tensor index of each operator index
+        at = idx[ranks(halves)]  # the tensor index of each operator index
         # the two chains and the blocks they are summed from, in the operators'
         # order; then the rank-order blocks
         got = [(v, at, build_sector_operator(H(two_j), L, H(two_m), v, delta_inv).to_dense())
@@ -163,8 +163,9 @@ def test_diagonals_exact_at_the_int8_spin_limit(two_m):
     assert boundary_diagonal(basis).tolist() == edge
     # the operators' diagonals, in their own order
     halves = HalfChains(H(127), 1, H(two_m))
-    assert halves.diagonal(0.0).tolist() == [energy[r] for r in halves.order]
-    assert halves.diagonal(1.0).tolist() == [free[r] for r in halves.order]
+    order = ranks(halves)
+    assert halves.diagonal(0.0).tolist() == [energy[r] for r in order]
+    assert halves.diagonal(1.0).tolist() == [free[r] for r in order]
     if two_m == -127:
         assert max(energy) == 127 * 127
 
@@ -193,7 +194,8 @@ def test_hopping_exact_at_the_int8_spin_limit(two_m):
     assert (h1 != h1.T).nnz == 0
     # and the operators' CSR holds the very same entries, in their own order
     halves = HalfChains(J, 1, H(two_m))
-    assert (halves.csr != h1[halves.order][:, halves.order]).nnz == 0
+    order = ranks(halves)
+    assert (halves.csr != h1[order][:, order]).nnz == 0
 
 
 @pytest.mark.parametrize("two_j, L, two_m", [
@@ -259,7 +261,8 @@ def test_hopping_matrix_equals_both_direction_coo(two_j, L, two_m):
         assert np.array_equal(getattr(full, name), getattr(both, name)), name
     # the operators' CSR is the same h1, entry for entry, in their own order
     halves = HalfChains(H(two_j), L, H(two_m))
-    assert (halves.csr != both[halves.order][:, halves.order]).nnz == 0
+    order = ranks(halves)
+    assert (halves.csr != both[order][:, order]).nnz == 0
 
 
 @pytest.mark.parametrize("two_j, L, two_m, dv", [(3, 2, -1, 0.4), (3, 4, -3, 0.7), (127, 1, -127, 0.3)])
@@ -333,7 +336,7 @@ def test_half_chain_route_matches_the_triangle(two_j, L):
         basis, reference = reference_kink(two_j, L, two_m, 0.7)
         lower = hopping_lower(hopping_structure(basis), basis.dim)
         op = build_sector_operator(H(two_j), L, H(two_m), "kink", 0.7)
-        order = op.order
+        order = ranks(op.halves)
         assert order.dtype == np.int32
         assert np.array_equal(np.sort(order), np.arange(basis.dim))
         assert np.array_equal(op.halves.digit_rows(np.arange(basis.dim)), basis.down[order])
@@ -349,9 +352,9 @@ def test_half_chain_route_matches_the_triangle(two_j, L):
         assert op.inf_norm() == pytest.approx(norm, rel=1e-13)
         # submatrices and the assembled matrix hold the very same entries
         rows = np.sort(rng.choice(basis.dim, min(basis.dim, 60), replace=False))
-        ranks = np.argsort(order[rows])
+        by_rank = np.argsort(order[rows])
         chosen = np.sort(order[rows])
-        assert np.array_equal(op.to_dense(rows)[np.ix_(ranks, ranks)],
+        assert np.array_equal(op.to_dense(rows)[np.ix_(by_rank, by_rank)],
                               reference[chosen][:, chosen].toarray())
         matrix = op.matrix
         assert matrix.nnz == reference.nnz
@@ -379,7 +382,7 @@ def test_half_chain_operators_match_tensor_oracle(two_j, L, delta_inv):
     oracle = {v: kron_kink_hamiltonian(two_j, L, delta_inv, v) for v in ("kink", "antikink")}
     for two_m in reachable_sectors(H(two_j), L):
         halves = HalfChains(H(two_j), L, H(two_m))
-        idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[halves.order]
+        idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[ranks(halves)]
         for variant, full in oracle.items():
             op = build_sector_operator(H(two_j), L, H(two_m), variant, delta_inv, halves=halves)
             assert np.abs(full[np.ix_(idx, idx)] - op.to_dense()).max() <= 1e-12, variant
@@ -393,11 +396,11 @@ def test_half_chain_bytes_price_the_tables(two_j, L, two_m):
     tables += sum(rows.nbytes for rows in halves.left + halves.right)
     rows = sum(len(r) for r in halves.left + halves.right)
     # two float64 factors per row bound the middle bond's; then the product's
-    # two scratch blocks and the order map
+    # two scratch blocks
     factors = sum(len(a) + len(b) for _, _, a, b in halves.middle[1:])
     assert 8 * factors <= 16 * rows
     assert half_chain_bytes(H(two_j), L, H(two_m)) == (
-        tables + 16 * rows + 2 * 8 * halves.largest + halves.order.nbytes)
+        tables + 16 * rows + 2 * 8 * halves.largest)
     assert all(m.indices.dtype == m.indptr.dtype == np.int32
                for m in halves.left_hop + halves.right_hop)
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import brute_config_energy, brute_least_completion
+from rank_order import rank_terms
 import xxzkink.ising
-from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors
+from xxzkink.basis import SectorBasis, reachable_sectors
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import ising_diagonal
 from xxzkink.ising import (

@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_by_rank, kron_kink_hamiltonian, sector_kron_indices
-from xxzkink.basis import SectorBasis, rank_terms, reachable_sectors
+from oracles import kron_kink_hamiltonian, sector_kron_indices
+from rank_order import dense_by_rank, rank_terms, ranks
+from xxzkink.basis import SectorBasis, reachable_sectors
 from xxzkink.eigensolver import dense_spectrum
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import build_sector_operator
@@ -49,7 +50,7 @@ def test_kink_matrix_matches_tensor_product(sector, delta_inv):
     two_j, L, two_m = sector
     op = build_sector_operator(H(two_j), L, H(two_m), "kink", delta_inv)
     # tensor indices of the rows by rank, moved to the operator's order
-    idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[op.order]
+    idx = sector_kron_indices(SectorBasis(H(two_j), L, H(two_m)))[ranks(op.halves)]
     full = kron_kink_hamiltonian(two_j, L, delta_inv)
     assert np.abs(full[np.ix_(idx, idx)] - op.to_dense()).max() <= 1e-12
 

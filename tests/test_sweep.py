@@ -179,17 +179,41 @@ def test_sweeps_agree_on_both_routes(monkeypatch):
         assert {**a, "eigenvalue": 0, "residual": 0} == {**b, "eigenvalue": 0, "residual": 0}
 
 
-def test_a_half_chain_sweep_builds_no_basis(monkeypatch):
+def _refuse_basis(monkeypatch):
     def refuse(*args):
-        raise AssertionError("digit rows of a whole sector built by a sweep")
+        raise AssertionError("digit rows of a whole sector built by a command")
 
     monkeypatch.setattr(xxzkink.sweep, "SectorBasis", refuse)
+
+
+def test_a_half_chain_sweep_builds_no_basis(monkeypatch):
+    _refuse_basis(monkeypatch)
     assert all_ok(run_sweep(small_plan(two_m_list=(-3, 3), delta_inv_grid=(0.0, 0.4))))
+
+
+@pytest.mark.parametrize("sector, solver", [((3, 3, -3), "lanczos"), ((3, 2, -3), "dense")])
+def test_a_profile_builds_no_basis(monkeypatch, sector, solver):
+    # 1918 and 135 states: the zero mode and the kept eigenvector are both
+    # read from the sector's half-chain tables
+    _refuse_basis(monkeypatch)
+    records = []
+    solve = xxzkink.sweep.solve_lowest
+
+    def spy(op, k, **kwargs):
+        records.append(solve(op, k, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(xxzkink.sweep, "solve_lowest", spy)
+    two_j, L, two_m = sector
+    rows = profile_table(H(two_j), L, H(two_m), 2.5, seed=1)
+    assert [record.solver for record in records] == [solver]
+    assert [row["site"] for row in rows] == list(range(-L, L + 1))
+    assert all(row["first_excited_profile"] is not None for row in rows)
 
 
 @pytest.mark.parametrize("sector", [(3, 3, -3), (2, 3, 0)])
 def test_profiles_agree_on_both_routes(monkeypatch, sector):
-    # 1918 and 393 states: Lanczos with eigenvectors, mapped back to ranks
+    # 1918 and 393 states: Lanczos with eigenvectors in the operator's order
     two_j, L, two_m = sector
     csr, blk = _on_both_routes(monkeypatch, lambda: profile_table(H(two_j), L, H(two_m), 2.5,
                                                                   seed=3))
