@@ -27,10 +27,11 @@ moved to hi = |H|_inf, and Y maps the unwanted interval [c, hi] onto
 [1, -1], so T_p(Y) stays in [-1, 1] there and grows fast below c.  Each
 ARPACK step then costs FILTER_DEGREE matvecs but the run takes about that
 many times fewer steps, so ARPACK's own work (restarts and
-reorthogonalization) shrinks while the matvec count does not.  The matvecs
-dominate on large sectors: under cProfile they took 1.3 of the 2.0 s solve
-of the 411 334-state sector, ARPACK's dsaupd 0.29 s.  The cut c must lie
-above every wanted value.  It comes from Cauchy interlacing: the j-th
+reorthogonalization) shrinks while the matvec count does not.  Each term
+2 Y T_j - T_{j-1} is one ``SectorOperator.matvec`` call.  Under cProfile the
+196 products took 1.21 of the 1.69 s solve of the 411 334-state sector (h1
+alone 0.97 s), ARPACK's dsaupd 0.29 s and the rest 0.20 s.  The cut c must
+lie above every wanted value.  It comes from Cauchy interlacing: the j-th
 eigenvalue of a principal submatrix bounds the j-th eigenvalue of H from
 above.
 """
@@ -231,7 +232,7 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
     restarts or a residual exceeds tol_abs.  A probe (``probe_tol`` given)
     runs ARPACK at that tolerance and has no residual cap.
     """
-    from scipy.linalg.blas import daxpy, dgemv
+    from scipy.linalg.blas import dgemv
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = op.dim
@@ -247,23 +248,18 @@ def _lanczos_sweep(op, want: int, tol_abs: float, max_iter: int, rng, pool_vals:
         degree, center, half = FILTER_DEGREE, 0.5 * (hi + cut), 0.5 * (hi - cut)
         lift = hi - np.asarray(pool_vals)
 
-    def y_of_h(x):
-        y = op.matvec(x)
+    def y_of_h(x, two=1.0, prev=None):
+        # two Y x - prev, with y -= (two / half) V diag(lift) V^T x after the product
+        y = op.matvec(x, -two / half, two * center / half, prev)
         if V is not None:
-            # y += V diag(lift) V^T x
-            dgemv(1.0, V.T, lift * (V.T @ x), beta=1.0, y=y, trans=1, overwrite_y=True)
-        daxpy(x, y, a=-center)
-        y *= -1.0 / half
+            dgemv(-two / half, V.T, lift * (V.T @ x), beta=1.0, y=y, trans=1, overwrite_y=True)
         return y
 
     def apply(x):
         # three-term recurrence T_{j+1} = 2 Y T_j - T_{j-1}
         prev, cur = x, y_of_h(x)
         for _ in range(degree - 1):
-            nxt = y_of_h(cur)
-            nxt *= 2.0
-            nxt -= prev
-            prev, cur = cur, nxt
+            prev, cur = cur, y_of_h(cur, 2.0, prev)
         return cur
 
     A = LinearOperator((n, n), matvec=apply, dtype=float)

@@ -415,7 +415,8 @@ class SectorOperator:
     the sum-major order of its ``halves`` (``HalfChains``), which hold h1 and
     are shared by every operator of the sector.  Below HALF_CHAIN_MIN_DIM
     states h1 is applied from one symmetric CSR (``HalfChains.csr``), else
-    block by block."""
+    block by block; ``matvec`` applies a filter step's affine map in the
+    blocked pass that adds the diagonal."""
 
     diag: np.ndarray
     halves: HalfChains
@@ -445,14 +446,17 @@ class SectorOperator:
             return self.halves.apply(v)
         return self.halves.csr @ v
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def matvec(self, v: np.ndarray, a: float = 1.0, b: float = 0.0,
+               minus: np.ndarray | None = None) -> np.ndarray:
+        """a H v + b v - minus (H v by default), in cache-sized blocks after h1 v."""
         y = self._hop(v)
-        # y = hop_scale * y + diag * v in cache-sized blocks
         step = 16384
         for lo in range(0, y.size, step):
-            block = y[lo:lo + step]
-            block *= self.hop_scale
-            block += self.diag[lo:lo + step] * v[lo:lo + step]
+            block, x = y[lo:lo + step], v[lo:lo + step]
+            block *= a * self.hop_scale
+            block += (a * self.diag[lo:lo + step] + b) * x
+            if minus is not None:
+                block -= minus[lo:lo + step]
         return y
 
     def to_dense(self, rows=slice(None)) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import _check_dimension, _sector_shape, sector_counts
 from .basis import SectorBasis  # noqa: F401  (not called here; bench/traced.py hooks it)
-from .eigensolver import solve_bytes, solve_lowest
+from .eigensolver import LanczosError, dense_spectrum, solve_bytes, solve_lowest
 from .groundstate import groundstate_vector, magnetization_profile, profile_from_amplitudes
 from .halfint import HalfInt, as_half
 from .hamiltonian import (HalfChains, blockwise, build_sector_operator, half_chain_bytes,
@@ -103,7 +103,7 @@ def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, halves: HalfChains
         op = build_sector_operator(
             HalfInt(plan.two_j), plan.L, HalfInt(two_m), "kink", delta_inv, halves=halves,
         )
-        record = solve_lowest(op, plan.k, seed=_job_seed(plan.seed, job_index))
+        record = _solve(op, plan.k, _job_seed(plan.seed, job_index))
     except Exception as exc:  # job failures degrade to a status row
         row = dict(base)
         row.update(eig_index=None, eigenvalue=None, residual=None,
@@ -123,6 +123,18 @@ def _sector_rows(plan: SweepPlan, job_index: int, two_m: int, halves: HalfChains
         )
         rows.append(row)
     return rows
+
+
+def _solve(op, k: int, seed, keep_vectors: bool = False):
+    """solve_lowest, falling back to dense_spectrum when Lanczos does not
+    converge and the sector's dense solve (solve_bytes with k = dim) fits the
+    memory this process may use; else the LanczosError stands."""
+    try:
+        return solve_lowest(op, k, seed=seed, keep_vectors=keep_vectors)
+    except LanczosError:
+        if solve_bytes(op.dim, op.dim) > memory_limit():
+            raise
+        return dense_spectrum(op, k, keep_vectors=keep_vectors)
 
 
 def memory_limit() -> int:
@@ -244,7 +256,7 @@ def profile_table(J, L, M, delta: float, seed: int = 0) -> list:
     excited = None
     if halves.dim >= 2:
         op = build_sector_operator(J, L, M, "kink", 1.0 / delta, halves=halves)
-        record = solve_lowest(op, 2, seed=np.random.SeedSequence(seed), keep_vectors=True)
+        record = _solve(op, 2, np.random.SeedSequence(seed), keep_vectors=True)
         excited = profile_from_amplitudes(halves, record.eigenvectors[:, 1])
     rows = []
     for i, alpha in enumerate(range(-int(L), int(L) + 1)):

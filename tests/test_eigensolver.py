@@ -540,3 +540,22 @@ def test_lanczos_agrees_on_both_routes(monkeypatch, sector, delta_inv):
         by_rank[order] = record.eigenvectors
         for value, vector in zip(record.eigenvalues, by_rank.T):
             assert np.linalg.norm(reference @ vector - value * vector) <= 1e-9 * csr.inf_norm()
+
+
+def test_every_product_passes_through_matvec(monkeypatch):
+    # h1 x only inside SectorOperator.matvec, which the benchmark traces as
+    # eigensolver.matvec, except for the one in inf_norm
+    counts = {"_hop": 0, "matvec": 0}
+    for name in counts:
+        real = getattr(SectorOperator, name)
+
+        def counted(self, *args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SectorOperator, name, counted)
+    degrees = _spy_on_sweeps(monkeypatch)
+    op = build_sector_operator(H(3), 4, H(-3), "kink", 0.4)  # 27 876 states
+    lanczos_lowest(op, 3, seed=1)
+    assert FILTER_DEGREE in degrees
+    assert counts["matvec"] > 0 and counts["_hop"] == counts["matvec"] + 1

@@ -374,6 +374,46 @@ def test_csr_and_blockwise_products_agree(monkeypatch):
     assert np.linalg.norm(products[0] - products[1]) <= 1e-15 * np.linalg.norm(x)
 
 
+def _arpack_input(dim: int) -> np.ndarray:
+    """The vector ARPACK hands its operator on the first product (a view into
+    ARPACK's workspace), marked read-only."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    class Handed(Exception):
+        pass
+
+    def first(x):
+        raise Handed(x)
+
+    with pytest.raises(Handed) as handed:
+        eigsh(LinearOperator((dim, dim), matvec=first, dtype=float), k=1,
+              rng=np.random.default_rng(2))
+    x = handed.value.args[0]
+    assert x.shape == (dim,) and not x.flags.owndata
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("L, two_m", [(4, -3), (5, -13)])
+def test_matvec_forms_the_combined_product(L, two_m):
+    # (3, 4, -3): 27 876 states on the CSR; (3, 5, -13): 100 298 states, the
+    # smallest blockwise sector
+    op = build_sector_operator(H(3), L, H(two_m), "kink", 0.4)
+    assert xxzkink.hamiltonian.blockwise(op.dim) == (two_m == -13)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(op.dim)
+    scale = (1.0 + op.inf_norm()) * np.abs(v).max()
+    hv = op.matvec(v)
+    for a, b, p in [(1.0, 0.0, None), (-0.37, 2.5, None), (-2.0, -1.25, rng.standard_normal(op.dim)),
+                    (-0.8, 0.6, _arpack_input(op.dim))]:
+        kept = None if p is None else p.copy()
+        got = op.matvec(v, a, b, p)
+        want = a * hv + b * v - (0.0 if p is None else p)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        if p is not None:
+            assert np.array_equal(p, kept)  # the subtracted vector is only read
+
+
 @pytest.mark.parametrize(
     "two_j,L,delta_inv",
     [(1, 1, 0.3), (1, 2, 0.7), (2, 1, 0.4), (1, 1, 1.0), (3, 1, 0.25), (2, 2, 0.6)],

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -10,7 +11,8 @@ import xxzkink.hamiltonian
 import xxzkink.sweep
 from xxzkink.basis import reachable_sectors, sector_counts
 from xxzkink.checks import verify_ising_theorems
-from xxzkink.eigensolver import lanczos_lowest, solve_bytes, solve_lowest
+from xxzkink.cli import main
+from xxzkink.eigensolver import TOL, LanczosError, lanczos_lowest, solve_bytes, solve_lowest
 from xxzkink.halfint import HalfInt
 from xxzkink.hamiltonian import (HalfChains, build_sector_operator, half_chain_bytes,
                                  hopping_bytes, sector_bytes)
@@ -309,6 +311,62 @@ def test_failed_jobs_degrade_to_status_rows(monkeypatch):
     assert all(r["status"].startswith("error: ValueError: need 1 <= k < dim") for r in errors)
     assert len(good) == 2 * 3
     assert not all_ok(rows)
+
+
+def test_near_ising_limit_sectors_fall_back_to_dense(capsys, monkeypatch):
+    # at delta_inv = 1e-9 Lanczos does not converge on some of these sectors
+    # of 728, 1128 and 2128 states, depending on the seed; each such sector
+    # then takes the dense solve
+    dense = []
+    real = xxzkink.sweep.dense_spectrum
+
+    def counted(op, *args, **kwargs):
+        dense.append(op.dim)
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(xxzkink.sweep, "dense_spectrum", counted)
+    bound = {tm: TOL * (1.0 + build_sector_operator(H(3), 3, H(tm), "kink", 1e-9).inf_norm())
+             for tm in (-9, -7, -1)}
+    for seed in range(3):
+        code = main(["spectrum", "-J", "3/2", "-L", "3", "--two-m=-9/2,-7/2,-1/2",
+                     "--delta", "1e9", "--k", "3", "--seed", str(seed)])
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert code == 0
+        assert len(rows) == 9 and all(r["status"] == "ok" for r in rows)
+        assert all(float(r["residual"]) <= bound[int(r["two_m"])] for r in rows)
+    assert dense
+
+
+def _no_convergence(op, k, **kwargs):
+    raise LanczosError("no convergence within 300 restarts")
+
+
+@pytest.mark.parametrize("fits", [True, False])
+def test_lanczos_failure_takes_the_dense_solve_that_fits(monkeypatch, fits):
+    monkeypatch.setattr(xxzkink.sweep, "solve_lowest", _no_convergence)
+    plan = small_plan(L=3, two_m_list=(-9,), delta_inv_grid=(0.4,))
+    dim = sector_counts(H(3), 3, H(-9))[0]  # 728 states: priced for Lanczos
+    limit = solve_bytes(dim, dim) + (1 if fits else -1)
+    # the preflight prices the Lanczos route, far below the dense price
+    monkeypatch.setattr(xxzkink.sweep, "memory_limit", lambda: limit)
+    rows = run_sweep(plan)
+    if fits:
+        assert all_ok(rows) and len(rows) == plan.k
+        ref = solve_lowest(build_sector_operator(H(3), 3, H(-9), "kink", 0.4), dim)
+        assert [r["eigenvalue"] for r in rows] == ref.eigenvalues[:plan.k].tolist()
+    else:
+        status = "error: LanczosError: no convergence within 300 restarts"
+        assert [r["status"] for r in rows] == [status]
+
+
+def test_profile_falls_back_to_dense_too(monkeypatch):
+    J, L, M = H(3), 3, H(-9)  # 728 states, solved by Lanczos
+    expected = profile_table(J, L, M, 2.5, seed=1)
+    monkeypatch.setattr(xxzkink.sweep, "solve_lowest", _no_convergence)
+    got = profile_table(J, L, M, 2.5, seed=1)
+    assert [r["ground_profile"] for r in got] == [r["ground_profile"] for r in expected]
+    assert np.allclose([r["first_excited_profile"] for r in got],
+                       [r["first_excited_profile"] for r in expected], atol=1e-10)
 
 
 def test_plan_validation():
